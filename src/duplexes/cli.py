@@ -5,7 +5,11 @@ subcommand takes ``--json`` for a machine-readable envelope
 ``{"command": ..., "inputs": ..., "result": ...}``.
 
 Exit status: 0 success/verified, 1 refuted or witness found, 2 usage
-error, 3 resource bound exceeded.
+error (including requests that would check nothing: ``laws --bound`` below
+3, ``verify --order`` or ``count --max`` below 1), 3 resource bound exceeded
+(an enumeration bound, or input nested too deeply for a recursive
+routine), 4 internal error.  Errors are reported as one line on stderr,
+never as a traceback, so a crash cannot read as exit 1.
 """
 from __future__ import annotations
 
@@ -21,6 +25,7 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_USAGE = 2
 EXIT_BOUND = 3
+EXIT_INTERNAL = 4
 
 _FILTER_KINDS = {
     "sharp-indec": permutations.IndecKind.SHARP,
@@ -104,6 +109,12 @@ def main(argv: list[str] | None = None) -> int:
     except (DuplexError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError:
+        print("error: input nested too deeply for the recursion limit", file=sys.stderr)
+        return EXIT_BOUND
+    except Exception as exc:  # the last boundary: no traceback, and never exit 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -117,6 +128,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         "verify": _cmd_verify,
     }[args.command]
     return handler(args)
+
+
+def _require_at_least(flag: str, value: int, minimum: int) -> None:
+    if value < minimum:
+        raise ValueError(f"{flag} must be at least {minimum}, got {value}; nothing would be checked")
 
 
 def _emit(args: argparse.Namespace, inputs: dict, result, lines: list[str]) -> None:
@@ -159,6 +175,7 @@ def _expr_over_e(t: decorated_trees.DecoratedTree) -> decorated_trees.DuplexExpr
 
 
 def _cmd_count(args) -> int:
+    _require_at_least("--max", args.max_degree, 1)
     source = _COUNT_SOURCES[args.sequence]
     values = series.from_counts(source, args.max_degree)
     pairs = [[n, values.coefficients[n]] for n in range(1, args.max_degree + 1)]
@@ -236,6 +253,7 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_laws(args) -> int:
+    _require_at_least("--bound", args.bound, 3)  # an identity needs three elements of degree >= 1
     structure = laws.Structure(args.structure)
     report = laws.check_laws(structure, laws.Variety(args.variety), args.bound)
     witness = (
@@ -265,6 +283,8 @@ def _cmd_laws(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.order is not None:
+        _require_at_least("--order", args.order, 1)
     report = series.verify_identity(args.check, args.order)
     checks = [
         {

@@ -27,10 +27,11 @@ class CubeVertex:
     signs: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "signs", tuple(self.signs))
-        for s in self.signs:
-            if s not in (-1, 1):
-                raise ValueError(f"signs must be -1 or +1, got {s}")
+        signs = tuple(self.signs)
+        object.__setattr__(self, "signs", signs)
+        if signs.count(1) + signs.count(-1) != len(signs):  # counted in C: products stay cheap
+            stray = next(s for s in signs if s not in (-1, 1))
+            raise ValueError(f"signs must be -1 or +1, got {stray}")
 
     @property
     def degree(self) -> int:

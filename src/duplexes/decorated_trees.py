@@ -21,9 +21,10 @@ parentheses (``e.e.e``) and requires parentheses to mix operations, e.g.
 from __future__ import annotations
 
 import enum
+import itertools
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -83,19 +84,22 @@ def sign_at_level(root_tag: Tag, level: int) -> Tag:
     return root_tag if level % 2 == 0 else root_tag.other
 
 
-def _product(tag: Tag, t1: DecoratedTree, t2: DecoratedTree) -> DecoratedTree:
-    contract = tuple(i for i, t in enumerate((t1, t2), 1) if t.tag is tag)
-    return DecoratedTree(graft_contract(contract, (t1.shape, t2.shape)), tag)
+def _product(tag: Tag, trees: Sequence[DecoratedTree]) -> DecoratedTree:
+    """The n-ary product of k >= 2 trees in one graft: by associativity it
+    equals any bracketing of the binary products, without rebuilding the
+    root at every step."""
+    contract = [i for i, t in enumerate(trees, 1) if t.tag is tag]
+    return DecoratedTree(graft_contract(contract, [t.shape for t in trees]), tag)
 
 
 def tree_dot(t1: DecoratedTree, t2: DecoratedTree) -> DecoratedTree:
     """The ``.`` product: graft and absorb dot-rooted arguments into the root."""
-    return _product(Tag.DOT, t1, t2)
+    return _product(Tag.DOT, (t1, t2))
 
 
 def tree_star(t1: DecoratedTree, t2: DecoratedTree) -> DecoratedTree:
     """The ``*`` product: graft and absorb star-rooted arguments into the root."""
-    return _product(Tag.STAR, t1, t2)
+    return _product(Tag.STAR, (t1, t2))
 
 
 DECORATED_OPS = DuplexOps(tree_dot, tree_star)
@@ -173,18 +177,23 @@ def leaf_expr(label: Hashable, alphabet: Iterable | None = None) -> DuplexExpr:
     return DuplexExpr(GENERATOR_TREE, (label,), None if alphabet is None else frozenset(alphabet))
 
 
-def _combine(tag: Tag, x: DuplexExpr, y: DuplexExpr) -> DuplexExpr:
-    if x.alphabet != y.alphabet:
-        raise AlphabetMismatch(f"cannot combine alphabets {x.alphabet!r} and {y.alphabet!r}")
-    return DuplexExpr(_product(tag, x.tree, y.tree), x.labels + y.labels, x.alphabet)
+def _combine(tag: Tag, parts: Sequence[DuplexExpr]) -> DuplexExpr:
+    """The n-ary product of k >= 2 expressions: one graft, one label
+    concatenation and one alphabet check."""
+    alphabet = parts[0].alphabet
+    for part in parts:
+        if part.alphabet != alphabet:
+            raise AlphabetMismatch(f"cannot combine alphabets {alphabet!r} and {part.alphabet!r}")
+    labels = tuple(itertools.chain.from_iterable(part.labels for part in parts))
+    return DuplexExpr(_product(tag, [part.tree for part in parts]), labels, alphabet)
 
 
 def dot(x: DuplexExpr, y: DuplexExpr) -> DuplexExpr:
-    return _combine(Tag.DOT, x, y)
+    return _combine(Tag.DOT, (x, y))
 
 
 def star(x: DuplexExpr, y: DuplexExpr) -> DuplexExpr:
-    return _combine(Tag.STAR, x, y)
+    return _combine(Tag.STAR, (x, y))
 
 
 EXPR_OPS = DuplexOps(dot, star)
@@ -208,18 +217,53 @@ def eval_hom(x: DuplexExpr, assignment: Mapping, ops: DuplexOps):
     assigned value.
 
     Well defined because a tagged tree factors uniquely over the opposite
-    sign class; the components are evaluated and folded with the root's
-    operation.
+    sign class: each vertex is the product, under its derived sign's
+    operation, of its children's values.  One pass over ``x.tree.shape``
+    with an explicit stack computes them, taking the labels left to right,
+    so any depth works.
+
+    A vertex folds its k children's values as a balanced product, pairing
+    neighbours until one value is left.  The operations are associative, so
+    this equals the left-to-right product exactly; in a carrier whose
+    product costs the size of its operands, a vertex with values of total
+    size m then costs O(m log k) instead of O(m k).
     """
-    if x.tree.tag is None:
-        label = x.labels[0]
+    labels = iter(x.labels)
+
+    def value(label):
         try:
             return assignment[label]
         except KeyError:
             raise UnboundGenerator(f"no value assigned to generator {label!r}") from None
-    values = [eval_hom(part, assignment, ops) for part in expr_components(x)]
-    op = ops.dot if x.tree.tag is Tag.DOT else ops.star
-    return reduce(op, values)
+
+    tag = x.tree.tag
+    if tag is None:
+        return value(x.labels[0])
+    op_of_level = (ops.dot, ops.star) if tag is Tag.DOT else (ops.star, ops.dot)
+    # frames: (unvisited children, op of this vertex, values of visited children)
+    stack = [(iter(x.tree.shape.children), op_of_level[0], [])]
+    while stack:
+        children, op, values = stack[-1]
+        for child in children:
+            if child.children:
+                stack.append((iter(child.children), op_of_level[len(stack) % 2], []))
+                break
+            values.append(value(next(labels)))
+        else:
+            stack.pop()
+            result = _balanced_product(op, values)
+            if not stack:
+                return result
+            stack[-1][2].append(result)
+
+
+def _balanced_product(op: Callable[[Any, Any], Any], values: list):
+    while len(values) > 1:
+        paired = [op(values[i], values[i + 1]) for i in range(0, len(values) - 1, 2)]
+        if len(values) % 2:
+            paired.append(values[-1])
+        values = paired
+    return values[0]
 
 
 # --- text format ------------------------------------------------------------
@@ -230,30 +274,91 @@ _TOKEN = re.compile(r"\s*(?:(?P<ident>[a-z][a-z0-9]*)|(?P<op>[.*])|(?P<open>\()|
 
 def format_expr(x: DuplexExpr, format_label: Callable[[Any], str] = str) -> str:
     """Render as expression text; parses back to an equal value when the
-    labels are grammar identifiers."""
-    return _format(x, format_label, top=True)
+    labels are grammar identifiers.
 
-
-def _format(x: DuplexExpr, format_label, top: bool) -> str:
-    if x.tree.tag is None:
+    Every vertex below the root is parenthesized and its children are joined
+    by its derived sign.  One pass with an explicit stack, so any depth
+    works.
+    """
+    labels = iter(x.labels)
+    tag = x.tree.tag
+    if tag is None:
         return format_label(x.labels[0])
-    op = x.tree.tag.value
-    body = op.join(_format(part, format_label, top=False) for part in expr_components(x))
-    return body if top else f"({body})"
+    symbol_of_level = (tag.value, tag.other.value)
+    out: list[str] = []
+    # every child is followed by its parent's symbol; a vertex closing turns
+    # the symbol after its last child into ")" (at the root: drops it)
+    stack = [iter(x.tree.shape.children)]
+    while stack:
+        symbol = symbol_of_level[(len(stack) - 1) % 2]
+        for child in stack[-1]:
+            if child.children:
+                out.append("(")
+                stack.append(iter(child.children))
+                break
+            out.append(format_label(next(labels)))
+            out.append(symbol)
+        else:
+            stack.pop()
+            if not stack:
+                out.pop()
+                return "".join(out)
+            out[-1] = ")"
+            out.append(symbol_of_level[(len(stack) - 1) % 2])
 
 
 def parse_expr(text: str, alphabet: Iterable) -> DuplexExpr:
     """Parse expression text over the given generator alphabet.
 
     Unparenthesized chains must stick to one operation; ``·`` is accepted
-    for ``.``.
+    for ``.``.  Each chain becomes one n-ary product, the labels are
+    collected in one list, and open parentheses sit on an explicit stack,
+    so the parse is linear in the text and any nesting depth works.
     """
     alphabet = frozenset(alphabet)
     tokens = _tokenize(text.replace("·", "."))
-    expr, pos = _parse_chain(tokens, 0, alphabet)
-    if pos != len(tokens):
-        raise ExprSyntaxError(f"unexpected {tokens[pos][0]!r}", tokens[pos][1])
-    return expr
+    labels: list[str] = []
+    # one frame per open chain: [its parts, its operator (None until the
+    # first one), the position of its "(" (None at the top)]
+    stack: list[list] = [[[], None, None]]
+    pos = 0
+    while True:
+        # an atom starts at pos
+        if pos >= len(tokens):
+            raise ExprSyntaxError("unexpected end of expression", tokens[-1][1] + 1 if tokens else 0)
+        tok, at = tokens[pos]
+        pos += 1
+        if tok == "(":
+            stack.append([[], None, at])
+            continue
+        if not _IDENT.fullmatch(tok):
+            raise ExprSyntaxError(f"unexpected {tok!r}", at)
+        if tok not in alphabet:
+            raise UnknownGenerator(f"generator {tok!r} not in alphabet", at)
+        labels.append(tok)
+        atom = GENERATOR_TREE
+        # extend the innermost chain with the atom; close every chain that ends here
+        while True:
+            frame = stack[-1]
+            parts, chain_op, open_at = frame
+            parts.append(atom)
+            if pos < len(tokens) and tokens[pos][0] in (".", "*"):
+                op, op_at = tokens[pos]
+                if chain_op is None:
+                    frame[1] = op
+                elif op != chain_op:
+                    raise MixedChainError("cannot mix '.' and '*' without parentheses", op_at)
+                pos += 1
+                break
+            atom = parts[0] if len(parts) == 1 else _product(Tag(chain_op), parts)
+            if open_at is None:
+                if pos != len(tokens):
+                    raise ExprSyntaxError(f"unexpected {tokens[pos][0]!r}", tokens[pos][1])
+                return DuplexExpr(atom, labels, alphabet)
+            if pos >= len(tokens) or tokens[pos][0] != ")":
+                raise ExprSyntaxError("missing ')'", open_at)
+            stack.pop()
+            pos += 1
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
@@ -270,38 +375,6 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
         tokens.append((token, m.end() - len(token)))
         pos = m.end()
     return tokens
-
-
-def _parse_chain(tokens, pos, alphabet) -> tuple[DuplexExpr, int]:
-    first, pos = _parse_atom(tokens, pos, alphabet)
-    parts = [first]
-    chain_op: str | None = None
-    while pos < len(tokens) and tokens[pos][0] in (".", "*"):
-        op, at = tokens[pos]
-        if chain_op is None:
-            chain_op = op
-        elif op != chain_op:
-            raise MixedChainError("cannot mix '.' and '*' without parentheses", at)
-        nxt, pos = _parse_atom(tokens, pos + 1, alphabet)
-        parts.append(nxt)
-    combine = dot if chain_op == "." else star
-    return reduce(combine, parts), pos
-
-
-def _parse_atom(tokens, pos, alphabet) -> tuple[DuplexExpr, int]:
-    if pos >= len(tokens):
-        raise ExprSyntaxError("unexpected end of expression", tokens[-1][1] + 1 if tokens else 0)
-    tok, at = tokens[pos]
-    if tok == "(":
-        inner, pos = _parse_chain(tokens, pos + 1, alphabet)
-        if pos >= len(tokens) or tokens[pos][0] != ")":
-            raise ExprSyntaxError("missing ')'", at)
-        return inner, pos + 1
-    if _IDENT.fullmatch(tok):
-        if tok not in alphabet:
-            raise UnknownGenerator(f"generator {tok!r} not in alphabet", at)
-        return leaf_expr(tok, alphabet), pos + 1
-    raise ExprSyntaxError(f"unexpected {tok!r}", at)
 
 
 # --- machine format ---------------------------------------------------------

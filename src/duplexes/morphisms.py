@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from .binary_trees import BINARY_OPS, SINGLE_NODE, BinaryTree, eval_duplexes1
 from .cubes import CUBE_OPS, SINGLETON, CubeVertex
-from .decorated_trees import DuplexExpr, Tag, eval_hom, sign_at_level
+from .decorated_trees import DuplexExpr, Tag, eval_hom
 from .errors import DegreeTooSmall
 from .permutations import PERM_OPS, Permutation
-from .planar_trees import PlanarTree, leaf_count
 
 
 def _single_generator_assignment(x: DuplexExpr, value) -> dict:
@@ -49,23 +48,26 @@ def leaf_sign_vector(x: DuplexExpr) -> CubeVertex:
     Entry i is the derived sign of the vertex where the edges from leaves i
     and i+1 meet (the lower end of the full straight edge rising to leaf
     i+1): ``+1`` for ``*``, ``-1`` for ``.``.  Equals ``phi(rho(x))``.
+    One pass with an explicit stack, so any depth works.
     """
     n = x.degree
     if n < 2:
         raise DegreeTooSmall("the sign vector needs degree >= 2")
-    root_tag = x.tree.tag
-    assert root_tag is not None
-    boundary_signs: dict[int, Tag] = {}
-
-    def walk(shape: PlanarTree, level: int, first_leaf: int) -> None:
-        sign = sign_at_level(root_tag, level)
-        position = first_leaf
-        for index, child in enumerate(shape.children):
-            if index > 0:
-                boundary_signs[position] = sign
-            if not child.is_leaf:
-                walk(child, level + 1, position)
-            position += leaf_count(child)
-
-    walk(x.tree.shape, 0, 1)
-    return CubeVertex(tuple(1 if boundary_signs[i] is Tag.STAR else -1 for i in range(2, n + 1)))
+    root_sign = 1 if x.tree.tag is Tag.STAR else -1
+    signs: list[int] = []
+    # every child is followed by its parent's sign; a vertex closing turns
+    # the sign after its last child into its parent's (at the root: drops it)
+    stack = [iter(x.tree.shape.children)]
+    while stack:
+        sign = root_sign if len(stack) % 2 else -root_sign
+        for child in stack[-1]:
+            if child.children:
+                stack.append(iter(child.children))
+                break
+            signs.append(sign)
+        else:
+            stack.pop()
+            if not stack:
+                signs.pop()
+                return CubeVertex(tuple(signs))
+            signs[-1] = root_sign if len(stack) % 2 else -root_sign

@@ -19,9 +19,10 @@ import enum
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
+from typing import Iterator
 
-from .decorated_trees import DuplexExpr, DuplexOps, dot, eval_hom, leaf_expr, star
+from .decorated_trees import GENERATOR_TREE, DuplexExpr, DuplexOps, Tag, _product, eval_hom, leaf_expr
 from .errors import BoundExceeded, DegreeMismatch, InvalidDegree, ParseError
 
 DEFAULT_PERMUTATION_BOUND = 8
@@ -139,21 +140,41 @@ def sharp_factorize(f: Permutation) -> tuple[Permutation, ...]:
     >>> [str(g) for g in sharp_factorize(Permutation((3, 1, 2, 6, 5, 4)))]
     ['(3,1,2)', '(3,2,1)']
     """
-    factors: list[Permutation] = []
-    start = 0
-    top = 0
-    for i, v in enumerate(f.images, 1):
-        top = max(top, v)
-        if top == i:
-            factors.append(Permutation(tuple(v - start for v in f.images[start:i])))
-            start = i
-    return tuple(factors)
+    return tuple(Permutation(block) for block in _sharp_blocks(f.images))
 
 
 def natural_factorize(f: Permutation) -> tuple[Permutation, ...]:
-    """Unique factorization under the anti-diagonal block sum, obtained by
-    transporting the sharp factorization through :func:`xi`."""
-    return tuple(xi(g) for g in sharp_factorize(xi(f)))
+    """Unique factorization under the anti-diagonal block sum: the sharp
+    factorization transported through :func:`xi`, read off directly."""
+    return tuple(Permutation(block) for block in _natural_blocks(f.images))
+
+
+def _sharp_blocks(images: tuple[int, ...]) -> list[tuple[int, ...]]:
+    # split after every prefix {1..i}; block start+1..i holds start+1..i
+    blocks = []
+    start = top = 0
+    for i, v in enumerate(images, 1):
+        if v > top:
+            top = v
+        if top == i:
+            blocks.append(tuple(v - start for v in images[start:i]))
+            start = i
+    return blocks
+
+
+def _natural_blocks(images: tuple[int, ...]) -> list[tuple[int, ...]]:
+    # split after every prefix {n-i+1..n}; block start+1..i holds n-i+1..n-start
+    n = len(images)
+    blocks = []
+    start = 0
+    low = n + 1
+    for i, v in enumerate(images, 1):
+        if v < low:
+            low = v
+        if low > n - i:
+            blocks.append(tuple(v - (n - i) for v in images[start:i]))
+            start = i
+    return blocks
 
 
 def is_indecomposable(f: Permutation, kind: IndecKind) -> bool:
@@ -221,15 +242,48 @@ def duplex_factorize(f: Permutation) -> DuplexExpr:
 
     A doubly indecomposable permutation is a leaf.  Otherwise exactly one of
     the two products factors ``f`` nontrivially; the full factorization on
-    that side is taken and each factor is factored recursively, the results
+    that side is taken and each factor is factored in turn, the results
     joined with ``.`` for the diagonal product and ``*`` for the
     anti-diagonal one.  :func:`multiply_out` inverts this.
+
+    Factors are image tuples on an explicit stack and only the leaves become
+    :class:`Permutation` objects; each chain is one n-ary product.  Every
+    vertex scans its factor once, so the cost is linear in the degree times
+    the nesting depth, and any depth works.
     """
-    if is_indecomposable(f, IndecKind.S2):
+    root = _split(f.images)
+    if root is None:
         return leaf_expr(f)
-    if not _sharp_indecomposable(f.images):
-        return reduce(dot, (duplex_factorize(g) for g in sharp_factorize(f)))
-    return reduce(star, (duplex_factorize(g) for g in natural_factorize(f)))
+    labels: list[Permutation] = []
+    # frames: (tag of the vertex, its unvisited blocks, trees of visited blocks)
+    stack = [(*root, [])]
+    while stack:
+        tag, blocks, parts = stack[-1]
+        for block in blocks:
+            split = _split(block)
+            if split is not None:
+                stack.append((*split, []))
+                break
+            labels.append(Permutation(block))
+            parts.append(GENERATOR_TREE)
+        else:
+            stack.pop()
+            tree = _product(tag, parts)
+            if not stack:
+                return DuplexExpr(tree, labels)
+            stack[-1][2].append(tree)
+
+
+def _split(images: tuple[int, ...]) -> tuple[Tag, Iterator[tuple[int, ...]]] | None:
+    """(tag, iterator over the blocks) of the side that factors ``images``
+    nontrivially, or None when it is doubly indecomposable."""
+    blocks = _sharp_blocks(images)
+    if len(blocks) > 1:
+        return Tag.DOT, iter(blocks)
+    blocks = _natural_blocks(images)
+    if len(blocks) > 1:
+        return Tag.STAR, iter(blocks)
+    return None
 
 
 def multiply_out(x: DuplexExpr) -> Permutation:

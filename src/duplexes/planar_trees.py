@@ -45,10 +45,17 @@ LEAF = PlanarTree()
 
 
 def leaf_count(t: PlanarTree) -> int:
-    """Number of leaves; the degree of the tree."""
-    if t.is_leaf:
-        return 1
-    return sum(leaf_count(c) for c in t.children)
+    """Number of leaves; the degree of the tree.  Uses an explicit stack, so
+    any depth works."""
+    count = 0
+    stack = [t]
+    while stack:
+        children = stack.pop().children
+        if children:
+            stack.extend(children)
+        else:
+            count += 1
+    return count
 
 
 def vertex_count(t: PlanarTree) -> int:
@@ -176,7 +183,20 @@ def _sequence_count(m: int) -> int:
 def format_tree(t: PlanarTree) -> str:
     if t.is_leaf:
         return "|"
-    return "(" + "".join(format_tree(c) for c in t.children) + ")"
+    # one iterator of children per open vertex; the walk resumes it after a subtree closes
+    out = ["("]
+    stack = [iter(t.children)]
+    while stack:
+        for child in stack[-1]:
+            if child.children:
+                out.append("(")
+                stack.append(iter(child.children))
+                break
+            out.append("|")
+        else:
+            stack.pop()
+            out.append(")")
+    return "".join(out)
 
 
 def parse_tree(text: str) -> PlanarTree:

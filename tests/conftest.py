@@ -2,8 +2,10 @@ import itertools
 
 from hypothesis import strategies as st
 
-from duplexes.permutations import Permutation
+from duplexes.permutations import Permutation, natural, sharp
 from duplexes.planar_trees import LEAF, PlanarTree
+
+ONE = Permutation((1,))
 
 
 def compositions(total, parts):
@@ -29,3 +31,28 @@ def planar_tree_strategy(max_leaves=8):
         ),
         max_leaves=max_leaves,
     )
+
+
+# An op word o1 o2 ... ok over "." and "*" stands for the left nest
+# ((e o1 e) o2 e) ... ok e, and in permutations for the same nest of block
+# sums of (1), "." being sharp and "*" natural.
+
+
+def alternating(depth):
+    """The op word ".*.*..." of the given length; its nest has that depth."""
+    return "".join(".*"[k % 2] for k in range(depth))
+
+
+def nest_text(word):
+    """The text ``format_expr`` prints for the nest: a run of one operator
+    is one chain, and each change of operator opens a parenthesis."""
+    runs = [(op, len(list(group))) for op, group in itertools.groupby(word)]
+    body = "".join((")" if i else "") + (op + "e") * count for i, (op, count) in enumerate(runs))
+    return "(" * (len(runs) - 1) + "e" + body
+
+
+def nest_permutation(word):
+    f = ONE
+    for op in word:
+        f = sharp(f, ONE) if op == "." else natural(f, ONE)
+    return f

@@ -1,9 +1,11 @@
 import json
 
+from conftest import alternating, nest_permutation, nest_text
+from duplexes import cli
 from duplexes.cli import main
 from duplexes.cubes import parse_cube
 from duplexes.decorated_trees import expr_from_machine, parse_expr
-from duplexes.permutations import Permutation, duplex_factorize, parse_permutation
+from duplexes.permutations import Permutation, duplex_factorize, format_permutation, parse_permutation
 from duplexes.planar_trees import parse_tree
 
 
@@ -163,3 +165,55 @@ def test_byte_identical_reruns(capsys):
     first = run(capsys, "enumerate", "--structure", "decorated", "--n", "4", "--json")
     second = run(capsys, "enumerate", "--structure", "decorated", "--n", "4", "--json")
     assert first == second
+
+
+def test_factor_duplex_deep_nest(capsys):
+    word = alternating(500)
+    code, out, err = run(capsys, "factor", "--perm", format_permutation(nest_permutation(word)), "--mode", "duplex", "--json")
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert result["expr"] == nest_text(word).replace("e", "(1)")
+
+
+def test_eval_deep_expression(capsys):
+    word = alternating(600)
+    code, out, err = run(capsys, "eval", "--expr", nest_text(word), "--target", "perm")
+    assert code == 0, err
+    assert out.strip() == format_permutation(nest_permutation(word))
+
+
+def test_unexpected_exception_exits_internal(capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("count routes disagree")
+
+    monkeypatch.setattr(cli, "_cmd_count", boom)
+    code, out, err = run(capsys, "count", "--sequence", "u", "--max", "3")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == "internal error: RuntimeError: count routes disagree\n"
+
+
+def test_recursion_error_exits_bound(capsys, monkeypatch):
+    def too_deep(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "_cmd_map", too_deep)
+    code, _, err = run(capsys, "map", "--morphism", "rho", "--input", "e.e")
+    assert code == cli.EXIT_BOUND
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_vacuous_requests_are_usage_errors(capsys):
+    cases = [
+        (("laws", "--structure", "perm", "--variety", "duplex", "--bound", "2"), "--bound must be at least 3"),
+        (("verify", "--check", "ass", "--order", "0"), "--order must be at least 1"),
+        (("verify", "--check", "cor52", "--order", "-1"), "--order must be at least 1"),
+        (("count", "--sequence", "u", "--max", "0"), "--max must be at least 1"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert message in err
+    assert run(capsys, "laws", "--structure", "perm", "--variety", "duplex", "--bound", "3")[0] == 0
+    assert run(capsys, "count", "--sequence", "u", "--max", "1")[0] == 0
