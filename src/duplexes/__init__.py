@@ -7,7 +7,6 @@ from .binary_trees import (
     BINARY_OPS,
     SINGLE_NODE,
     STUB,
-    BinaryTree,
     catalan,
     enumerate_binary,
     eval_duplexes1,
@@ -87,6 +86,6 @@ from .planar_trees import (
     super_catalan,
     vertex_count,
 )
-from .series import Series, from_counts, series_arith, sum_of_powers, verify_identity
+from .series import Series, from_counts, sum_of_powers, verify_identity
 
 __all__ = [name for name in dir() if not name.startswith("_")]

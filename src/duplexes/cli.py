@@ -160,7 +160,7 @@ def _cmd_enumerate(args) -> int:
             decorated_trees.format_expr(_expr_over_e(t)) for t in decorated_trees.enumerate_decorated(n)
         ]
     elif args.structure == "binary":
-        rendered = [binary_trees.format_binary(u) for u in binary_trees.enumerate_binary(n)]
+        rendered = [planar_trees.format_tree(u) for u in binary_trees.enumerate_binary(n)]
     else:
         rendered = [cubes.format_cube(a) for a in cubes.enumerate_cubes(n)]
     inputs = {"structure": args.structure, "n": n}
@@ -213,7 +213,7 @@ _TARGET_OPS = {
 
 _FORMATTERS = {
     "perm": permutations.format_permutation,
-    "binary": binary_trees.format_binary,
+    "binary": planar_trees.format_tree,
     "cube": cubes.format_cube,
 }
 
@@ -245,7 +245,7 @@ def _cmd_map(args) -> int:
         if args.morphism == "alpha":
             rendered = permutations.format_permutation(morphisms.alpha(expr))
         elif args.morphism == "rho":
-            rendered = binary_trees.format_binary(morphisms.rho(expr))
+            rendered = planar_trees.format_tree(morphisms.rho(expr))
         else:
             rendered = cubes.format_cube(morphisms.leaf_sign_vector(expr))
     _emit(args, inputs, rendered, [rendered])

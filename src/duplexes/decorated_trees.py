@@ -196,9 +196,6 @@ def star(x: DuplexExpr, y: DuplexExpr) -> DuplexExpr:
     return _combine(Tag.STAR, (x, y))
 
 
-EXPR_OPS = DuplexOps(dot, star)
-
-
 def expr_components(x: DuplexExpr) -> tuple[DuplexExpr, ...]:
     """Factor a composite expression into the components of its root product,
     splitting the label sequence by leaf counts left to right."""

@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping
 
-from . import binary_trees, cubes, decorated_trees, permutations
+from . import binary_trees, cubes, decorated_trees, permutations, planar_trees
 from .decorated_trees import DuplexOps
 from .errors import BoundExceeded
 
@@ -107,7 +107,7 @@ _CARRIERS: dict[Structure, _Carrier] = {
         binary_trees.enumerate_binary,
         binary_trees.BINARY_OPS,
         9,
-        binary_trees.format_binary,
+        planar_trees.format_tree,
     ),
     Structure.CUBE: _Carrier(
         cubes.enumerate_cubes,

@@ -10,11 +10,12 @@ All four maps are determined by where the degree-1 generator goes:
 """
 from __future__ import annotations
 
-from .binary_trees import BINARY_OPS, SINGLE_NODE, BinaryTree, eval_duplexes1
+from .binary_trees import BINARY_OPS, SINGLE_NODE, eval_duplexes1
 from .cubes import CUBE_OPS, SINGLETON, CubeVertex
 from .decorated_trees import DuplexExpr, Tag, eval_hom
 from .errors import DegreeTooSmall
 from .permutations import PERM_OPS, Permutation
+from .planar_trees import PlanarTree
 
 
 def _single_generator_assignment(x: DuplexExpr, value) -> dict:
@@ -30,13 +31,13 @@ def alpha(x: DuplexExpr) -> Permutation:
     return eval_hom(x, _single_generator_assignment(x, Permutation((1,))), PERM_OPS)
 
 
-def rho(x: DuplexExpr) -> BinaryTree:
+def rho(x: DuplexExpr) -> PlanarTree:
     """Evaluate in binary trees with the generator at the one-node tree;
     surjective degree for degree."""
     return eval_hom(x, _single_generator_assignment(x, SINGLE_NODE), BINARY_OPS)
 
 
-def phi(u: BinaryTree) -> CubeVertex:
+def phi(u: PlanarTree) -> CubeVertex:
     """Collapse a binary tree to its cube vertex; the quotient map induced by
     the extra mixed-bracketing identity that cube vertices satisfy."""
     return eval_duplexes1(u, SINGLETON, CUBE_OPS)

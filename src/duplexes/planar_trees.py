@@ -5,17 +5,22 @@ of at least two subtrees.  Trees are graded by leaf count; the number of
 trees with ``n`` leaves is the n-th super Catalan number (1, 1, 3, 11, 45,
 197, ...).
 
+Binary trees (:mod:`duplexes.binary_trees`) are the trees whose every
+internal vertex has exactly two children; they are values of this same
+type, not a separate one.
+
 Text format: a leaf prints as ``|`` and an internal vertex as the
 concatenation of its children wrapped in parentheses, e.g. ``(||)`` for the
 unique 2-leaf tree and ``(|(||))`` for the 3-leaf tree whose second branch
-splits again.
+splits again.  Counting, formatting and parsing walk a tree with an
+explicit stack, so any depth works; dataclass equality and hashing still
+recurse.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ArityTooSmall, BoundExceeded, ContractLeaf, InvalidDegree, ParseError
 
@@ -60,24 +65,14 @@ def leaf_count(t: PlanarTree) -> int:
 
 def vertex_count(t: PlanarTree) -> int:
     """Number of internal vertices (a leaf has none)."""
-    if t.is_leaf:
-        return 0
-    return 1 + sum(vertex_count(c) for c in t.children)
-
-
-def vertex_levels(t: PlanarTree) -> tuple[int, ...]:
-    """Sorted levels of the internal vertices; the root sits at level 0."""
-    levels: list[int] = []
-
-    def walk(node: PlanarTree, level: int) -> None:
-        if node.is_leaf:
-            return
-        levels.append(level)
-        for child in node.children:
-            walk(child, level + 1)
-
-    walk(t, 0)
-    return tuple(sorted(levels))
+    count = 0
+    stack = [t]
+    while stack:
+        children = stack.pop().children
+        if children:
+            count += 1
+            stack.extend(children)
+    return count
 
 
 def graft(children: Sequence[PlanarTree]) -> PlanarTree:
@@ -118,32 +113,31 @@ def graft_contract(positions: Iterable[int], children: Sequence[PlanarTree]) -> 
 
 
 @lru_cache(maxsize=None)
-def sort_key(t: PlanarTree):
-    """Canonical order: fewer leaves first, then lexicographic on children."""
-    return leaf_count(t), tuple(sort_key(c) for c in t.children)
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    # ordered decompositions of `total` into `parts` positive integers
-    for cuts in itertools.combinations(range(1, total), parts - 1):
-        bounds = (0, *cuts, total)
-        yield tuple(bounds[i + 1] - bounds[i] for i in range(parts))
-
-
-@lru_cache(maxsize=None)
 def _all_trees(n: int) -> tuple[PlanarTree, ...]:
+    # Canonical order compares leaf counts, then the children's keys left to
+    # right.  Split a tree into its first child t (m leaves) and the rest: the
+    # rest is either the children of an internal tree s with n - m leaves, or
+    # one such tree s itself, and a tail of several children sorts before any
+    # single-child tail because its first child has fewer leaves.  So ascending
+    # m, then t, then tails in that order is already the canonical order.
     if n == 1:
         return (LEAF,)
     found: list[PlanarTree] = []
-    for k in range(2, n + 1):
-        for comp in _compositions(n, k):
-            for combo in itertools.product(*(_all_trees(m) for m in comp)):
-                found.append(PlanarTree(combo))
-    return tuple(sorted(found, key=sort_key))
+    for m in range(1, n):
+        rests = _all_trees(n - m)
+        for t in _all_trees(m):
+            found.extend(PlanarTree((t, *s.children)) for s in rests if s.children)
+            found.extend(PlanarTree((t, s)) for s in rests)
+    return tuple(found)
 
 
 def enumerate_trees(n: int, bound: int = DEFAULT_TREE_BOUND) -> tuple[PlanarTree, ...]:
-    """All trees with ``n`` leaves, in canonical order."""
+    """All trees with ``n`` leaves, in canonical order: fewer leaves first,
+    then lexicographic on the children.
+
+    >>> [format_tree(t) for t in enumerate_trees(3)]
+    ['(|||)', '(|(||))', '((||)|)']
+    """
     if n < 1:
         raise InvalidDegree(f"leaf count must be >= 1, got {n}")
     if n > bound:
@@ -202,27 +196,32 @@ def format_tree(t: PlanarTree) -> str:
 def parse_tree(text: str) -> PlanarTree:
     """Parse the ``|`` / ``(...)`` tree format; whitespace is ignored."""
     stripped = "".join(text.split())
-    tree, pos = _parse_at(stripped, 0)
-    if pos != len(stripped):
-        raise ParseError(f"trailing input at position {pos}: {stripped[pos:]!r}")
-    return tree
-
-
-def _parse_at(text: str, pos: int) -> tuple[PlanarTree, int]:
-    if pos >= len(text):
-        raise ParseError("unexpected end of input")
-    ch = text[pos]
-    if ch == "|":
-        return LEAF, pos + 1
-    if ch != "(":
-        raise ParseError(f"expected '|' or '(' at position {pos}, got {ch!r}")
-    children: list[PlanarTree] = []
-    pos += 1
-    while pos < len(text) and text[pos] != ")":
-        child, pos = _parse_at(text, pos)
-        children.append(child)
-    if pos >= len(text):
-        raise ParseError("unbalanced '(': missing ')'")
-    if len(children) < 2:
-        raise ParseError(f"vertex closed at position {pos} has {len(children)} children, needs >= 2")
-    return PlanarTree(tuple(children)), pos + 1
+    end = len(stripped)
+    # children parsed so far of each open vertex, below a slot for the result
+    stack: list[list[PlanarTree]] = [[]]
+    pos = 0
+    while True:
+        if pos >= end:
+            raise ParseError("unexpected end of input")
+        ch = stripped[pos]
+        if ch == "(":
+            stack.append([])
+        elif ch == "|":
+            stack[-1].append(LEAF)
+        else:
+            raise ParseError(f"expected '|' or '(' at position {pos}, got {ch!r}")
+        pos += 1
+        while len(stack) > 1:
+            if pos >= end:
+                raise ParseError("unbalanced '(': missing ')'")
+            if stripped[pos] != ")":
+                break
+            children = stack.pop()
+            if len(children) < 2:
+                raise ParseError(f"vertex closed at position {pos} has {len(children)} children, needs >= 2")
+            stack[-1].append(PlanarTree(tuple(children)))
+            pos += 1
+        else:
+            if pos != end:
+                raise ParseError(f"trailing input at position {pos}: {stripped[pos:]!r}")
+            return stack[0][0]

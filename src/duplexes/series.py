@@ -103,19 +103,6 @@ class Series:
         return out
 
 
-def series_arith(a: Series, b: Series, kind: str) -> Series:
-    """Dispatch ``add``/``sub``/``mul``/``compose`` by name."""
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "compose":
-        return a.compose(b)
-    raise ValueError(f"unknown series operation {kind!r}")
-
-
 def sum_of_powers(g: Series, alternating: bool = False) -> Series:
     """Sum of ``g^k`` for k >= 1 (signs alternating if asked), truncated at
     ``g``'s order; needs a zero constant term so the sum is finite."""

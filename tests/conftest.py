@@ -3,7 +3,7 @@ import itertools
 from hypothesis import strategies as st
 
 from duplexes.permutations import Permutation, natural, sharp
-from duplexes.planar_trees import LEAF, PlanarTree
+from duplexes.planar_trees import LEAF, PlanarTree, leaf_count
 
 ONE = Permutation((1,))
 
@@ -13,6 +13,12 @@ def compositions(total, parts):
     for cuts in itertools.combinations(range(1, total), parts - 1):
         bounds = (0, *cuts, total)
         yield tuple(bounds[i + 1] - bounds[i] for i in range(parts))
+
+
+def sort_key(t):
+    """Reference canonical tree order: fewer leaves first, then lexicographic
+    on the children's keys.  The enumerations generate this order directly."""
+    return leaf_count(t), tuple(sort_key(c) for c in t.children)
 
 
 def permutation_strategy(max_degree=6):

@@ -1,22 +1,19 @@
 import pytest
 
-from conftest import compositions
+from conftest import compositions, sort_key
 from duplexes.binary_trees import (
     BINARY_OPS,
     SINGLE_NODE,
     STUB,
-    BinaryTree,
     catalan,
     degree,
     enumerate_binary,
     eval_duplexes1,
     format_binary,
-    from_planar,
     node,
     over,
     parse_binary,
     split,
-    to_planar,
     under,
 )
 from duplexes.cubes import CUBE_OPS, CubeVertex, SINGLETON
@@ -64,11 +61,6 @@ def test_split():
         split(STUB)
 
 
-def test_node_invariant():
-    with pytest.raises(ValueError):
-        BinaryTree(STUB, None)
-
-
 def test_associativity_and_mixed_identity():
     # associativity of both products and (a.b)*c = a.(b*c), total degree <= 6
     for total in range(3, 7):
@@ -87,10 +79,10 @@ def test_branch_laws():
         for d2 in range(1, 7 - d1):
             for u in binaries(d1):
                 for v in binaries(d2):
-                    assert over(u, v).left == over(u, v.left)
-                    assert over(u, v).right == v.right
-                    assert under(u, v).left == u.left
-                    assert under(u, v).right == under(u.right, v)
+                    u_left, u_right = split(u)
+                    v_left, v_right = split(v)
+                    assert split(over(u, v)) == (over(u, v_left), v_right)
+                    assert split(under(u, v)) == (u_left, under(u_right, v))
 
 
 def test_grafting_claim():
@@ -141,8 +133,13 @@ def test_enumerate_counts():
     for n, c in enumerate(CATALAN[:6], 1):
         got = binaries(n)
         assert len(got) == c == catalan(n)
-        assert all(not u.is_stub for u in got)
         assert all(degree(u) == n for u in got)
+
+
+def test_enumerate_canonical_order():
+    for n in range(1, 8):
+        got = binaries(n)
+        assert list(got) == sorted(got, key=sort_key)
 
 
 def test_catalan_values():
@@ -162,12 +159,12 @@ def test_text_format():
     assert format_binary(E) == "(||)"
     assert format_binary(LEFT_COMB_2) == "((||)|)"
     assert parse_binary("((||)|)") == LEFT_COMB_2
-    with pytest.raises(ParseError):
-        parse_binary("(|||)")
+    for text in ("(|||)", "(|)", "((|||)|)"):
+        with pytest.raises(ParseError):
+            parse_binary(text)
 
 
 def test_planar_round_trip():
     for n in range(1, 5):
         for u in binaries(n):
-            assert from_planar(to_planar(u)) == u
             assert parse_binary(format_binary(u)) == u

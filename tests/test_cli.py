@@ -3,7 +3,7 @@ import json
 from conftest import alternating, nest_permutation, nest_text
 from duplexes import cli
 from duplexes.cli import main
-from duplexes.cubes import parse_cube
+from duplexes.cubes import CubeVertex, format_cube, parse_cube
 from duplexes.decorated_trees import expr_from_machine, parse_expr
 from duplexes.permutations import Permutation, duplex_factorize, format_permutation, parse_permutation
 from duplexes.planar_trees import parse_tree
@@ -180,6 +180,17 @@ def test_eval_deep_expression(capsys):
     code, out, err = run(capsys, "eval", "--expr", nest_text(word), "--target", "perm")
     assert code == 0, err
     assert out.strip() == format_permutation(nest_permutation(word))
+
+
+def test_map_rho_and_phi_of_a_long_chain(capsys):
+    # rho of a 3000-term "." chain is a left comb 3000 vertices deep
+    code, out, err = run(capsys, "map", "--morphism", "rho", "--input", ".".join(["e"] * 3000))
+    assert code == 0, err
+    comb = "(" * 3000 + "||)" + "|)" * 2999
+    assert out.strip() == comb
+    code, out, err = run(capsys, "map", "--morphism", "phi", "--input", comb)
+    assert code == 0, err
+    assert out.strip() == format_cube(CubeVertex((-1,) * 2999))
 
 
 def test_unexpected_exception_exits_internal(capsys, monkeypatch):

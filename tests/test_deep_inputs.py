@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import ONE, alternating, nest_permutation, nest_text
 from duplexes.cubes import CUBE_OPS, SINGLETON, CubeVertex
 from duplexes.decorated_trees import eval_hom, format_expr, parse_expr
-from duplexes.morphisms import alpha, leaf_sign_vector
+from duplexes.morphisms import alpha, leaf_sign_vector, phi, rho
 from duplexes.permutations import duplex_factorize, multiply_out
 
 DEEP = 10**4
@@ -49,6 +49,14 @@ def test_long_chain_round_trip():
     assert len(x.tree.shape.children) == DEEP
     assert format_expr(x) == text
     assert leaf_sign_vector(x) == CubeVertex((-1,) * (DEEP - 1))
+
+
+def test_binary_tree_morphisms_at_depth():
+    # rho of either input is a binary tree DEEP levels deep; trees compare
+    # recursively, so the check is on cube vertices
+    for text in (".".join(["e"] * DEEP), nest_text(alternating(DEEP))):
+        x = parse_expr(text, "e")
+        assert phi(rho(x)) == leaf_sign_vector(x)
 
 
 def test_factorize_multiply_out_past_the_recursion_limit():

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given
 
-from conftest import planar_tree_strategy
+from conftest import planar_tree_strategy, sort_key
 from duplexes.errors import ArityTooSmall, BoundExceeded, ContractLeaf, InvalidDegree, ParseError
 from duplexes.planar_trees import (
     LEAF,
@@ -12,10 +12,8 @@ from duplexes.planar_trees import (
     graft_contract,
     leaf_count,
     parse_tree,
-    sort_key,
     super_catalan,
     vertex_count,
-    vertex_levels,
 )
 
 CORROLA3 = graft([LEAF, LEAF, LEAF])
@@ -36,7 +34,6 @@ def test_graft_figure_example():
     t = graft([CORROLA3, FORK])
     assert leaf_count(t) == 6
     assert vertex_count(t) == 4
-    assert vertex_levels(t) == (0, 1, 1, 2)
     assert format_tree(t) == "((|||)(|(||)))"
 
 

@@ -8,7 +8,6 @@ from duplexes.series import (
     Series,
     _compare,
     from_counts,
-    series_arith,
     sum_of_powers,
     verify_identity,
 )
@@ -78,16 +77,6 @@ def test_compose_requires_zero_constant():
         series(0, 1).compose(series(1, 1))
     with pytest.raises(ComposeNonzeroConstant):
         sum_of_powers(series(1, 1))
-
-
-def test_series_arith_dispatch():
-    a, b = series(0, 1), series(0, 1)
-    assert series_arith(a, b, "add") == series(0, 2)
-    assert series_arith(a, b, "sub") == series(0, 0)
-    assert series_arith(a, b, "mul") == series(0, 0)
-    assert series_arith(a, b, "compose") == series(0, 1)
-    with pytest.raises(ValueError):
-        series_arith(a, b, "divide")
 
 
 def test_sum_of_powers():
