@@ -9,17 +9,18 @@ degree-n element has n+1 stubs).  The text format is the planar one.
 ``over(u, v)`` identifies the root of ``u`` with the leftmost leaf of
 ``v``; ``under(u, v)`` identifies the root of ``v`` with the rightmost leaf
 of ``u``.  Both are associative and satisfy ``over(a, under(b, c)) ==
-under(over(a, b), c)``.  Both products and :func:`eval_duplexes1` walk with
-loops and explicit stacks, so any depth works.
+under(over(a, b), c)``.  On the text, each product puts one operand's text
+in place of the first or last ``|`` of the other's; :func:`eval_duplexes1`
+and :func:`parse_binary` read the text in one loop, so any depth works.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
 
-from .decorated_trees import DuplexOps
+from .decorated_trees import DuplexOps, _balanced_product
 from .errors import BoundExceeded, InvalidDegree, ParseError, StubNotSplittable
-from .planar_trees import LEAF, PlanarTree, format_tree, leaf_count, parse_tree
+from .planar_trees import LEAF, PlanarTree, _tree, format_tree, leaf_count, parse_tree
 
 DEFAULT_BINARY_BOUND = 10
 
@@ -38,32 +39,13 @@ def degree(u: PlanarTree) -> int:
 
 def over(u: PlanarTree, v: PlanarTree) -> PlanarTree:
     """Graft ``u`` onto the leftmost leaf of ``v``; stubs act neutrally."""
-    if not v.children:
-        return u
-    if not u.children:
-        return v
-    rights = []  # right branches along the left spine of v, top down
-    while v.children:
-        v, right = v.children
-        rights.append(right)
-    for right in reversed(rights):
-        u = PlanarTree((u, right))
-    return u
+    return _tree(v.text.replace("|", u.text, 1))
 
 
 def under(u: PlanarTree, v: PlanarTree) -> PlanarTree:
     """Graft ``v`` onto the rightmost leaf of ``u``; stubs act neutrally."""
-    if not u.children:
-        return v
-    if not v.children:
-        return u
-    lefts = []  # left branches along the right spine of u, top down
-    while u.children:
-        left, u = u.children
-        lefts.append(left)
-    for left in reversed(lefts):
-        v = PlanarTree((left, v))
-    return v
+    i = u.text.rindex("|")
+    return _tree(u.text[:i] + v.text + u.text[i + 1 :])
 
 
 BINARY_OPS = DuplexOps(over, under)
@@ -82,25 +64,45 @@ def eval_duplexes1(u: PlanarTree, a, ops: DuplexOps):
 
     A node maps to ``(image(left) . a) * image(right)``, stub branches
     dropping their side.  This is the unique extension whenever the target
-    satisfies ``(x.y)*z = x.(y*z)``.  Evaluated bottom-up with an explicit
-    stack.
+    satisfies ``(x.y)*z = x.(y*z)``.  Evaluated bottom-up in one loop over
+    the text: ``|`` pushes a stub and ``)`` combines the top two entries.
+
+    A subtree's image is the ``*`` product, over the nodes of its right
+    spine, of their ``image(left) . a``; that ``.`` product runs on down
+    the left spine while right branches are stubs.  Both kinds of run are
+    kept as operand lists and folded as balanced products only when their
+    value is needed; by associativity this equals the nodewise product.
+    With products that cost the size of their operands, a comb costs
+    O(n log n) and an alternating nest, whose runs alternate, O(n·depth).
     """
     if u.is_leaf:
         raise StubNotSplittable("the stub is not an element and has no image")
-    images = []  # images of the finished subtrees, None for a stub
-    stack = [(u, False)]
-    while stack:
-        t, ready = stack.pop()
-        if not t.children:
-            images.append(None)
-        elif not ready:
-            stack += ((t, True), (t.children[1], False), (t.children[0], False))
-        else:
-            right = images.pop()
-            left = images.pop()
-            mid = a if left is None else ops.dot(left, a)
-            images.append(mid if right is None else ops.star(mid, right))
-    return images[0]
+
+    def image(runs):
+        return _balanced_product(ops.star, [_balanced_product(ops.dot, run) for run in reversed(runs)])
+
+    # one entry per finished subtree: None for a stub, else the dot runs of
+    # its right spine, the bottom node's first
+    stack = []
+    for ch in u.text:
+        if ch == "|":
+            stack.append(None)
+        elif ch == ")":
+            right = stack.pop()
+            left = stack.pop()
+            if left is None:
+                run = [a]
+            elif len(left) == 1:  # left's image is one dot run: extend it
+                run = left[0]
+                run.append(a)
+            else:
+                run = [image(left), a]
+            if right is None:
+                stack.append([run])
+            else:
+                right.append(run)
+                stack.append(right)
+    return image(stack[0])
 
 
 @lru_cache(maxsize=None)
@@ -109,7 +111,7 @@ def _all_binary(n: int) -> tuple[PlanarTree, ...]:
     if n == 0:
         return (STUB,)
     return tuple(
-        PlanarTree((l, r))
+        _tree("(" + l.text + r.text + ")")
         for i in range(n)
         for l in _all_binary(i)
         for r in _all_binary(n - 1 - i)
@@ -136,13 +138,21 @@ format_binary = format_tree  # binary trees print in the planar format
 
 
 def parse_binary(text: str) -> PlanarTree:
-    """Parse the planar text format, then require two children per vertex."""
+    """Parse the planar text format, then require two children per vertex;
+    an error names the first offending vertex in preorder."""
     u = parse_tree(text)
-    stack = [u]
-    while stack:
-        children = stack.pop().children
-        if children:
-            if len(children) != 2:
-                raise ParseError(f"not a binary tree: a vertex has {len(children)} children")
-            stack += (children[1], children[0])
+    arity = []  # child counts of the vertices in preorder
+    open_vertices = []  # preorder indices of the vertices not yet closed
+    for ch in u.text:
+        if ch == ")":
+            open_vertices.pop()
+            continue
+        if open_vertices:
+            arity[open_vertices[-1]] += 1
+        if ch == "(":
+            open_vertices.append(len(arity))
+            arity.append(0)
+    for k in arity:
+        if k != 2:
+            raise ParseError(f"not a binary tree: a vertex has {k} children")
     return u

@@ -36,7 +36,7 @@ from .errors import (
     UnboundGenerator,
     UnknownGenerator,
 )
-from .planar_trees import LEAF, PlanarTree, graft_contract, leaf_count
+from .planar_trees import LEAF, PlanarTree, _tree, leaf_count
 
 DEFAULT_DECORATED_BOUND = 8
 
@@ -87,9 +87,10 @@ def sign_at_level(root_tag: Tag, level: int) -> Tag:
 def _product(tag: Tag, trees: Sequence[DecoratedTree]) -> DecoratedTree:
     """The n-ary product of k >= 2 trees in one graft: by associativity it
     equals any bracketing of the binary products, without rebuilding the
-    root at every step."""
-    contract = [i for i, t in enumerate(trees, 1) if t.tag is tag]
-    return DecoratedTree(graft_contract(contract, [t.shape for t in trees]), tag)
+    root at every step.  An argument already tagged ``tag`` has its root
+    edge contracted: its text enters without its outer parentheses."""
+    text = "".join(t.shape.text[1:-1] if t.tag is tag else t.shape.text for t in trees)
+    return DecoratedTree(_tree("(" + text + ")"), tag)
 
 
 def tree_dot(t1: DecoratedTree, t2: DecoratedTree) -> DecoratedTree:
@@ -215,9 +216,8 @@ def eval_hom(x: DuplexExpr, assignment: Mapping, ops: DuplexOps):
 
     Well defined because a tagged tree factors uniquely over the opposite
     sign class: each vertex is the product, under its derived sign's
-    operation, of its children's values.  One pass over ``x.tree.shape``
-    with an explicit stack computes them, taking the labels left to right,
-    so any depth works.
+    operation, of its children's values.  One loop over the shape's text
+    computes them, taking the labels left to right, so any depth works.
 
     A vertex folds its k children's values as a balanced product, pairing
     neighbours until one value is left.  The operations are associative, so
@@ -237,21 +237,16 @@ def eval_hom(x: DuplexExpr, assignment: Mapping, ops: DuplexOps):
     if tag is None:
         return value(x.labels[0])
     op_of_level = (ops.dot, ops.star) if tag is Tag.DOT else (ops.star, ops.dot)
-    # frames: (unvisited children, op of this vertex, values of visited children)
-    stack = [(iter(x.tree.shape.children), op_of_level[0], [])]
-    while stack:
-        children, op, values = stack[-1]
-        for child in children:
-            if child.children:
-                stack.append((iter(child.children), op_of_level[len(stack) % 2], []))
-                break
-            values.append(value(next(labels)))
+    stack: list[list] = [[]]  # a vertex at depth d has its values at stack[d]
+    for ch in x.tree.shape.text[1:-1]:
+        if ch == "(":
+            stack.append([])
+        elif ch == "|":
+            stack[-1].append(value(next(labels)))
         else:
-            stack.pop()
-            result = _balanced_product(op, values)
-            if not stack:
-                return result
-            stack[-1][2].append(result)
+            values = stack.pop()
+            stack[-1].append(_balanced_product(op_of_level[len(stack) % 2], values))
+    return _balanced_product(op_of_level[0], stack[0])
 
 
 def _balanced_product(op: Callable[[Any, Any], Any], values: list):
@@ -274,8 +269,8 @@ def format_expr(x: DuplexExpr, format_label: Callable[[Any], str] = str) -> str:
     labels are grammar identifiers.
 
     Every vertex below the root is parenthesized and its children are joined
-    by its derived sign.  One pass with an explicit stack, so any depth
-    works.
+    by its derived sign.  One loop over the shape's text, tracking the
+    depth, so any depth works.
     """
     labels = iter(x.labels)
     tag = x.tree.tag
@@ -285,23 +280,20 @@ def format_expr(x: DuplexExpr, format_label: Callable[[Any], str] = str) -> str:
     out: list[str] = []
     # every child is followed by its parent's symbol; a vertex closing turns
     # the symbol after its last child into ")" (at the root: drops it)
-    stack = [iter(x.tree.shape.children)]
-    while stack:
-        symbol = symbol_of_level[(len(stack) - 1) % 2]
-        for child in stack[-1]:
-            if child.children:
-                out.append("(")
-                stack.append(iter(child.children))
-                break
+    depth = 0  # of the innermost open vertex; the root's is 0
+    for ch in x.tree.shape.text[1:-1]:
+        if ch == "(":
+            out.append("(")
+            depth += 1
+        elif ch == "|":
             out.append(format_label(next(labels)))
-            out.append(symbol)
+            out.append(symbol_of_level[depth % 2])
         else:
-            stack.pop()
-            if not stack:
-                out.pop()
-                return "".join(out)
+            depth -= 1
             out[-1] = ")"
-            out.append(symbol_of_level[(len(stack) - 1) % 2])
+            out.append(symbol_of_level[depth % 2])
+    out.pop()
+    return "".join(out)
 
 
 def parse_expr(text: str, alphabet: Iterable) -> DuplexExpr:
@@ -310,7 +302,9 @@ def parse_expr(text: str, alphabet: Iterable) -> DuplexExpr:
     Unparenthesized chains must stick to one operation; ``·`` is accepted
     for ``.``.  Each chain becomes one n-ary product, the labels are
     collected in one list, and open parentheses sit on an explicit stack,
-    so the parse is linear in the text and any nesting depth works.
+    so any nesting depth works.  The scan is linear; building a chain's
+    tree text copies its parts' texts, so a nest copies O(n·depth)
+    characters in all.
     """
     alphabet = frozenset(alphabet)
     tokens = _tokenize(text.replace("·", "."))
@@ -383,9 +377,7 @@ _LETTER_TAG = {v: k for k, v in _TAG_LETTER.items()}
 def expr_to_machine(x: DuplexExpr, format_label: Callable[[Any], str] = str) -> tuple[str, str, list[str]]:
     """(tree text, tag letter, label list) form; round-trips via
     :func:`expr_from_machine`."""
-    from .planar_trees import format_tree
-
-    return format_tree(x.tree.shape), _TAG_LETTER[x.tree.tag], [format_label(l) for l in x.labels]
+    return x.tree.shape.text, _TAG_LETTER[x.tree.tag], [format_label(l) for l in x.labels]
 
 
 def expr_from_machine(

@@ -49,7 +49,8 @@ def leaf_sign_vector(x: DuplexExpr) -> CubeVertex:
     Entry i is the derived sign of the vertex where the edges from leaves i
     and i+1 meet (the lower end of the full straight edge rising to leaf
     i+1): ``+1`` for ``*``, ``-1`` for ``.``.  Equals ``phi(rho(x))``.
-    One pass with an explicit stack, so any depth works.
+    One loop over the shape's text, the sign following the depth's parity,
+    so any depth works.
     """
     n = x.degree
     if n < 2:
@@ -58,17 +59,14 @@ def leaf_sign_vector(x: DuplexExpr) -> CubeVertex:
     signs: list[int] = []
     # every child is followed by its parent's sign; a vertex closing turns
     # the sign after its last child into its parent's (at the root: drops it)
-    stack = [iter(x.tree.shape.children)]
-    while stack:
-        sign = root_sign if len(stack) % 2 else -root_sign
-        for child in stack[-1]:
-            if child.children:
-                stack.append(iter(child.children))
-                break
-            signs.append(sign)
+    depth = 0  # of the innermost open vertex; the root's is 0
+    for ch in x.tree.shape.text[1:-1]:
+        if ch == "(":
+            depth += 1
+        elif ch == "|":
+            signs.append(-root_sign if depth % 2 else root_sign)
         else:
-            stack.pop()
-            if not stack:
-                signs.pop()
-                return CubeVertex(tuple(signs))
-            signs[-1] = root_sign if len(stack) % 2 else -root_sign
+            depth -= 1
+            signs[-1] = -root_sign if depth % 2 else root_sign
+    signs.pop()
+    return CubeVertex(tuple(signs))

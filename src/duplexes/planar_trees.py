@@ -12,9 +12,10 @@ type, not a separate one.
 Text format: a leaf prints as ``|`` and an internal vertex as the
 concatenation of its children wrapped in parentheses, e.g. ``(||)`` for the
 unique 2-leaf tree and ``(|(||))`` for the 3-leaf tree whose second branch
-splits again.  Counting, formatting and parsing walk a tree with an
-explicit stack, so any depth works; dataclass equality and hashing still
-recurse.
+splits again.  The text determines the tree, so a tree *is* its text: the
+one stored field.  Equality and hashing compare strings, products splice
+strings, and every other routine reads the text in one loop over its
+characters, so any depth works.
 """
 from __future__ import annotations
 
@@ -27,52 +28,61 @@ from .errors import ArityTooSmall, BoundExceeded, ContractLeaf, InvalidDegree, P
 DEFAULT_TREE_BOUND = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class PlanarTree:
-    """A planar rooted tree; an empty child tuple marks a leaf."""
+    """A planar rooted tree, built from its children (none for a leaf) and
+    held as its canonical text."""
 
-    children: tuple[PlanarTree, ...] = ()
+    text: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-        if len(self.children) == 1:
+    def __init__(self, children: Iterable[PlanarTree] = ()):
+        texts = [child.text for child in children]
+        if len(texts) == 1:
             raise ArityTooSmall("an internal vertex needs at least 2 children")
+        object.__setattr__(self, "text", "(" + "".join(texts) + ")" if texts else "|")
 
     @property
     def is_leaf(self) -> bool:
-        return not self.children
+        return self.text == "|"
+
+    @property
+    def children(self) -> tuple[PlanarTree, ...]:
+        """The root's subtrees, cut from the text where the depth returns to 0."""
+        found = []
+        depth = start = 0
+        inner = self.text[1:-1]
+        for end, ch in enumerate(inner, 1):
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+            if not depth:
+                found.append(_tree(inner[start:end]))
+                start = end
+        return tuple(found)
 
     def __str__(self) -> str:
-        return format_tree(self)
+        return self.text
+
+
+def _tree(text: str) -> PlanarTree:
+    """The tree of a canonical text the library built itself; unchecked."""
+    t = object.__new__(PlanarTree)
+    object.__setattr__(t, "text", text)
+    return t
 
 
 LEAF = PlanarTree()
 
 
 def leaf_count(t: PlanarTree) -> int:
-    """Number of leaves; the degree of the tree.  Uses an explicit stack, so
-    any depth works."""
-    count = 0
-    stack = [t]
-    while stack:
-        children = stack.pop().children
-        if children:
-            stack.extend(children)
-        else:
-            count += 1
-    return count
+    """Number of leaves; the degree of the tree."""
+    return t.text.count("|")
 
 
 def vertex_count(t: PlanarTree) -> int:
     """Number of internal vertices (a leaf has none)."""
-    count = 0
-    stack = [t]
-    while stack:
-        children = stack.pop().children
-        if children:
-            count += 1
-            stack.extend(children)
-    return count
+    return t.text.count("(")
 
 
 def graft(children: Sequence[PlanarTree]) -> PlanarTree:
@@ -103,13 +113,9 @@ def graft_contract(positions: Iterable[int], children: Sequence[PlanarTree]) -> 
             raise ValueError(f"position {i} outside 1..{len(children)}")
         if children[i - 1].is_leaf:
             raise ContractLeaf(f"cannot contract the root edge of the leaf at position {i}")
-    merged: list[PlanarTree] = []
-    for i, child in enumerate(children, 1):
-        if i in contracted:
-            merged.extend(child.children)
-        else:
-            merged.append(child)
-    return PlanarTree(tuple(merged))
+    return _tree(
+        "(" + "".join(c.text[1:-1] if i in contracted else c.text for i, c in enumerate(children, 1)) + ")"
+    )
 
 
 @lru_cache(maxsize=None)
@@ -120,14 +126,15 @@ def _all_trees(n: int) -> tuple[PlanarTree, ...]:
     # one such tree s itself, and a tail of several children sorts before any
     # single-child tail because its first child has fewer leaves.  So ascending
     # m, then t, then tails in that order is already the canonical order.
+    # In text, t followed by the children of s is "(" + t + s[1:].
     if n == 1:
         return (LEAF,)
     found: list[PlanarTree] = []
     for m in range(1, n):
-        rests = _all_trees(n - m)
+        rests = [s.text for s in _all_trees(n - m)]
         for t in _all_trees(m):
-            found.extend(PlanarTree((t, *s.children)) for s in rests if s.children)
-            found.extend(PlanarTree((t, s)) for s in rests)
+            found.extend(_tree("(" + t.text + s[1:]) for s in rests if s != "|")
+            found.extend(_tree("(" + t.text + s + ")") for s in rests)
     return tuple(found)
 
 
@@ -175,39 +182,25 @@ def _sequence_count(m: int) -> int:
 
 
 def format_tree(t: PlanarTree) -> str:
-    if t.is_leaf:
-        return "|"
-    # one iterator of children per open vertex; the walk resumes it after a subtree closes
-    out = ["("]
-    stack = [iter(t.children)]
-    while stack:
-        for child in stack[-1]:
-            if child.children:
-                out.append("(")
-                stack.append(iter(child.children))
-                break
-            out.append("|")
-        else:
-            stack.pop()
-            out.append(")")
-    return "".join(out)
+    return t.text
 
 
 def parse_tree(text: str) -> PlanarTree:
-    """Parse the ``|`` / ``(...)`` tree format; whitespace is ignored."""
+    """Parse the ``|`` / ``(...)`` tree format; whitespace is ignored.  A
+    text that passes the scan is canonical once stripped, and is kept."""
     stripped = "".join(text.split())
     end = len(stripped)
-    # children parsed so far of each open vertex, below a slot for the result
-    stack: list[list[PlanarTree]] = [[]]
+    # children counted so far of each open vertex, below a slot for the result
+    stack = [0]
     pos = 0
     while True:
         if pos >= end:
             raise ParseError("unexpected end of input")
         ch = stripped[pos]
         if ch == "(":
-            stack.append([])
+            stack.append(0)
         elif ch == "|":
-            stack[-1].append(LEAF)
+            stack[-1] += 1
         else:
             raise ParseError(f"expected '|' or '(' at position {pos}, got {ch!r}")
         pos += 1
@@ -217,11 +210,11 @@ def parse_tree(text: str) -> PlanarTree:
             if stripped[pos] != ")":
                 break
             children = stack.pop()
-            if len(children) < 2:
-                raise ParseError(f"vertex closed at position {pos} has {len(children)} children, needs >= 2")
-            stack[-1].append(PlanarTree(tuple(children)))
+            if children < 2:
+                raise ParseError(f"vertex closed at position {pos} has {children} children, needs >= 2")
+            stack[-1] += 1
             pos += 1
         else:
             if pos != end:
                 raise ParseError(f"trailing input at position {pos}: {stripped[pos:]!r}")
-            return stack[0][0]
+            return _tree(stripped)

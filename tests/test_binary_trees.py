@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from conftest import compositions, sort_key
@@ -17,6 +19,7 @@ from duplexes.binary_trees import (
     under,
 )
 from duplexes.cubes import CUBE_OPS, CubeVertex, SINGLETON
+from duplexes.decorated_trees import DuplexOps
 from duplexes.errors import BoundExceeded, InvalidDegree, ParseError, StubNotSplittable
 
 E = SINGLE_NODE
@@ -116,6 +119,26 @@ def test_eval_identity_homomorphism():
             assert eval_duplexes1(u, E, BINARY_OPS) == u
 
 
+def test_eval_folds_comb_runs_as_balanced_products():
+    # into a carrier whose product copies both operands, a comb costs
+    # O(n log n) copied elements; folding node by node would cost O(n^2)
+    n = 4096
+    copied = 0
+
+    def concat(separator):
+        def product(x, y):
+            nonlocal copied
+            copied += len(x) + len(y)
+            return x + (separator,) + y
+        return product
+
+    ops = DuplexOps(concat(-1), concat(1))
+    for text, sign in (("(" * n + "|" + "|)" * n, -1), ("(|" * n + "|" + ")" * n, 1)):
+        copied = 0
+        assert eval_duplexes1(parse_binary(text), (), ops) == (sign,) * (n - 1)
+        assert copied <= n * (math.log2(n) + 2)
+
+
 def test_generation():
     layers = {1: {E}}
     for total in range(2, 7):
@@ -162,6 +185,9 @@ def test_text_format():
     for text in ("(|||)", "(|)", "((|||)|)"):
         with pytest.raises(ParseError):
             parse_binary(text)
+    # the first offending vertex in preorder is named, not the first to close
+    with pytest.raises(ParseError, match="a vertex has 5 children"):
+        parse_binary("((|||)||||)")
 
 
 def test_planar_round_trip():

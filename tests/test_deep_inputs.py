@@ -1,6 +1,7 @@
-"""Deep and long inputs: the normal forms walk trees with explicit stacks,
-so nesting far past the interpreter's recursion limit must work.  Op words
-and their nests are described in conftest.py.
+"""Deep and long inputs: the normal forms read a tree's text in one loop,
+and trees compare and hash as strings, so nesting far past the
+interpreter's recursion limit must work.  Op words and their nests are
+described in conftest.py.
 """
 import sys
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ONE, alternating, nest_permutation, nest_text
+from duplexes.binary_trees import format_binary, parse_binary
 from duplexes.cubes import CUBE_OPS, SINGLETON, CubeVertex
 from duplexes.decorated_trees import eval_hom, format_expr, parse_expr
 from duplexes.morphisms import alpha, leaf_sign_vector, phi, rho
@@ -52,11 +54,29 @@ def test_long_chain_round_trip():
 
 
 def test_binary_tree_morphisms_at_depth():
-    # rho of either input is a binary tree DEEP levels deep; trees compare
-    # recursively, so the check is on cube vertices
     for text in (".".join(["e"] * DEEP), nest_text(alternating(DEEP))):
         x = parse_expr(text, "e")
         assert phi(rho(x)) == leaf_sign_vector(x)
+
+
+def test_deep_trees_compare_and_hash_equal():
+    # rho of a chain is a left comb DEEP levels deep; build it twice
+    text = ".".join(["e"] * DEEP)
+    u, v = rho(parse_expr(text, "e")), rho(parse_expr(text, "e"))
+    assert u == v
+    assert hash(u) == hash(v)
+
+
+def test_deep_expressions_compare_and_hash_equal():
+    text = nest_text(alternating(DEEP))
+    x, y = parse_expr(text, "e"), parse_expr(text, "e")
+    assert x == y
+    assert hash(x) == hash(y)
+
+
+def test_deep_binary_tree_round_trip():
+    u = rho(parse_expr(nest_text(alternating(DEEP)), "e"))
+    assert parse_binary(format_binary(u)) == u
 
 
 def test_factorize_multiply_out_past_the_recursion_limit():
