@@ -61,6 +61,7 @@ from .permutations import (
     IndecKind,
     Permutation,
     compose,
+    count_indecomposable,
     delta,
     duplex_factorize,
     enumerate_indecomposable,

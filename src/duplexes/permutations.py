@@ -192,9 +192,11 @@ def is_indecomposable(f: Permutation, kind: IndecKind) -> bool:
 
 def _sharp_indecomposable(images: tuple[int, ...]) -> bool:
     # f({1..i}) inside {1..i} for i < n <=> running max equals i
-    top = 0
-    for i, v in enumerate(images[:-1], 1):
-        top = max(top, v)
+    top = i = 0
+    for v in images[:-1]:
+        i += 1
+        if v > top:
+            top = v
         if top == i:
             return False
     return True
@@ -202,11 +204,13 @@ def _sharp_indecomposable(images: tuple[int, ...]) -> bool:
 
 def _natural_indecomposable(images: tuple[int, ...]) -> bool:
     # f({1..i}) inside {n-i+1..n} for i < n <=> running min exceeds n - i
-    n = len(images)
-    low = n + 1
-    for i, v in enumerate(images[:-1], 1):
-        low = min(low, v)
-        if low > n - i:
+    rest = len(images)
+    low = rest + 1
+    for v in images[:-1]:
+        rest -= 1
+        if v < low:
+            low = v
+        if low > rest:
             return False
     return True
 
@@ -218,11 +222,15 @@ def _all_permutations(n: int) -> tuple[Permutation, ...]:
 
 def enumerate_permutations(n: int, bound: int = DEFAULT_PERMUTATION_BOUND) -> tuple[Permutation, ...]:
     """All degree-n permutations in lexicographic one-line order."""
+    _check_degree(n, bound)
+    return _all_permutations(n)
+
+
+def _check_degree(n: int, bound: int) -> None:
     if n < 1:
         raise InvalidDegree(f"degree must be >= 1, got {n}")
     if n > bound:
         raise BoundExceeded(f"degree {n} exceeds the enumeration bound {bound}")
-    return _all_permutations(n)
 
 
 def enumerate_indecomposable(
@@ -235,6 +243,39 @@ def enumerate_indecomposable(
 @lru_cache(maxsize=None)
 def _indecomposables(n: int, kind: IndecKind, bound: int) -> tuple[Permutation, ...]:
     return tuple(f for f in enumerate_permutations(n, bound) if is_indecomposable(f, kind))
+
+
+def count_indecomposable(n: int, kind: IndecKind, bound: int = DEFAULT_PERMUTATION_BOUND) -> int:
+    """Number of degree-n indecomposables of the given kind, none of them built.
+
+    A permutation is the chain of its prefix value sets
+    ``{} < f({1}) < f({1,2}) < ... < {1..n}``.  It splits under the diagonal
+    product exactly when a proper prefix set is ``{1..i}``, and under the
+    anti-diagonal one exactly when it is ``{n-i+1..n}``.  So the count is the
+    number of chains of value bitmasks that avoid those sets, summed in one
+    pass over the masks in increasing order: O(2**n * n) additions.  The
+    bound and its message are those of :func:`enumerate_permutations`.
+
+    >>> [count_indecomposable(n, IndecKind.S2) for n in range(1, 8)]
+    [1, 0, 0, 2, 22, 202, 1854]
+    """
+    _check_degree(n, bound)
+    full = (1 << n) - 1
+    forbidden = set()
+    if kind is not IndecKind.NATURAL:
+        forbidden.update((1 << i) - 1 for i in range(1, n))
+    if kind is not IndecKind.SHARP:
+        forbidden.update(full ^ ((1 << i) - 1) for i in range(1, n))
+    bits = [1 << v for v in range(n)]
+    chains = [0] * (full + 1)
+    chains[0] = 1
+    for mask in range(full):
+        count = chains[mask]
+        if count and mask not in forbidden:
+            for bit in bits:
+                if not mask & bit:
+                    chains[mask | bit] += count
+    return chains[full]
 
 
 def duplex_factorize(f: Permutation) -> DuplexExpr:

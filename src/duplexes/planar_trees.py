@@ -158,7 +158,9 @@ def super_catalan(n: int) -> int:
 
     A tree is a leaf or a grafting of k >= 2 smaller trees, so the count for
     n >= 2 sums products of smaller counts over all ordered decompositions of
-    n into at least two parts.
+    n into at least two parts.  The smaller counts are filled in ascending
+    order first, each finding all of its own already cached, so any ``n``
+    works cold and the call depth stays 2.
 
     >>> [super_catalan(n) for n in range(1, 7)]
     [1, 1, 3, 11, 45, 197]
@@ -167,18 +169,11 @@ def super_catalan(n: int) -> int:
         raise InvalidDegree(f"leaf count must be >= 1, got {n}")
     if n == 1:
         return 1
-    # seq_count(m) counts ordered sequences of >= 1 trees with m leaves total
-    total = 0
-    for first in range(1, n):
-        total += super_catalan(first) * _sequence_count(n - first)
-    return total
-
-
-@lru_cache(maxsize=None)
-def _sequence_count(m: int) -> int:
-    if m == 1:
-        return 1
-    return 2 * super_catalan(m)
+    counts = [0] + [super_catalan(m) for m in range(1, n)]
+    # The first child has f leaves and is followed by an ordered sequence of
+    # >= 1 trees with n - f leaves: one tree, or the children of an internal
+    # tree.  That is 1 sequence for 1 leaf and 2 * counts[k] for k >= 2.
+    return counts[n - 1] + 2 * sum(counts[f] * counts[n - f] for f in range(1, n - 1))
 
 
 def format_tree(t: PlanarTree) -> str:

@@ -129,10 +129,12 @@ _WORD_SCAN_LIMIT = 2**21
 def from_counts(source: str, order: int, alphabet_size: int = 1) -> Series:
     """Series whose degree-n coefficient is the named count, for n = 1..order.
 
-    ``sharp-indec`` and ``s2-indec`` are computed both by scanning all
-    permutations and by the alternating block-sum formulas; the two routes
-    must agree.  ``dupl`` counts label-decorated trees over an alphabet of
-    ``alphabet_size`` generators, by enumeration.
+    ``sharp-indec`` and ``s2-indec`` are computed both by the chain count
+    :func:`~duplexes.permutations.count_indecomposable` and by the
+    alternating block-sum formulas; the two routes must agree, and a
+    disagreement names its first differing degree.  ``dupl`` counts
+    label-decorated trees over an alphabet of ``alphabet_size`` generators,
+    by enumeration.
     """
     if source == "factorials":
         return Series((0,) + tuple(math.factorial(n) for n in range(1, order + 1)))
@@ -143,11 +145,11 @@ def from_counts(source: str, order: int, alphabet_size: int = 1) -> Series:
 
         return Series((0,) + tuple(catalan(n) for n in range(1, order + 1)))
     if source == "sharp-indec":
-        return _cross_checked(_scan_indec(IndecKind.SHARP, order), _sharp_indec_formula(order), source)
+        return _cross_checked(_count_indec(IndecKind.SHARP, order), _sharp_indec_formula(order), source)
     if source == "s2-indec":
         factorials = from_counts("factorials", order)
         formula = _sharp_indec_formula(order).scale(2) - factorials
-        return _cross_checked(_scan_indec(IndecKind.S2, order), formula, source)
+        return _cross_checked(_count_indec(IndecKind.S2, order), formula, source)
     if source == "dupl":
         counts = [
             len(decorated_trees.enumerate_decorated(n)) * alphabet_size**n
@@ -157,8 +159,8 @@ def from_counts(source: str, order: int, alphabet_size: int = 1) -> Series:
     raise ValueError(f"unknown count source {source!r}; known: {', '.join(SOURCES)}")
 
 
-def _scan_indec(kind: IndecKind, order: int) -> Series:
-    counts = [len(permutations.enumerate_indecomposable(n, kind)) for n in range(1, order + 1)]
+def _count_indec(kind: IndecKind, order: int) -> Series:
+    counts = [permutations.count_indecomposable(n, kind) for n in range(1, order + 1)]
     return Series((0, *counts))
 
 
@@ -167,10 +169,14 @@ def _sharp_indec_formula(order: int) -> Series:
     return sum_of_powers(from_counts("factorials", order), alternating=True)
 
 
-def _cross_checked(scanned: Series, formula: Series, source: str) -> Series:
-    if scanned != formula:
-        raise RuntimeError(f"count routes disagree for {source}: {scanned} vs {formula}")
-    return scanned
+def _cross_checked(counted: Series, formula: Series, source: str) -> Series:
+    check = _compare(source, counted, formula)
+    if not check.ok:
+        raise RuntimeError(
+            f"count routes disagree for {source}: first differing coefficient at degree "
+            f"{check.mismatch_degree}: chain count={check.lhs_coefficient} formula={check.rhs_coefficient}"
+        )
+    return counted
 
 
 # --- named identity checks ----------------------------------------------------
@@ -255,7 +261,8 @@ def _check_tree_series_sqrt(order: int) -> list[CheckResult]:
 
 
 def _check_factorial_composition(order: int) -> list[CheckResult]:
-    # factorials = sum over k of (scanned indecomposable series)^k
+    # factorials = sum over k of u^k, u the chain-counted sharp-indecomposable
+    # series (checked against its formula in from_counts)
     psi = from_counts("factorials", order)
     u = from_counts("sharp-indec", order)
     return [_compare("sum_k u(T)^k = sum n! T^n", sum_of_powers(u), psi)]
@@ -282,9 +289,10 @@ def _check_labeled_duplex_series(order: int) -> list[CheckResult]:
 
 
 def _check_doubly_indec_formula(order: int) -> list[CheckResult]:
-    # scanned doubly-indecomposable counts against 2u_n - n!
-    d = _scan_indec(IndecKind.S2, order)
-    u = _scan_indec(IndecKind.SHARP, order)
+    # chain-counted doubly-indecomposable counts against 2u_n - n!, u_n also
+    # chain-counted (the two kinds avoid different prefix sets)
+    d = _count_indec(IndecKind.S2, order)
+    u = _count_indec(IndecKind.SHARP, order)
     psi = from_counts("factorials", order)
     return [_compare("d_n = 2u_n - n!", d, u.scale(2) - psi)]
 

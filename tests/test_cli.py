@@ -159,6 +159,9 @@ def test_bound_exceeded_exit(capsys):
     code, _, err = run(capsys, "enumerate", "--structure", "perm", "--n", "9")
     assert code == 3
     assert "bound" in err
+    for sequence in ("u", "d"):
+        code, out, err = run(capsys, "count", "--sequence", sequence, "--max", "9")
+        assert (code, out, err) == (3, "", "error: degree 9 exceeds the enumeration bound 8\n")
 
 
 def test_byte_identical_reruns(capsys):

@@ -11,6 +11,7 @@ from duplexes.permutations import (
     IndecKind,
     Permutation,
     compose,
+    count_indecomposable,
     delta,
     duplex_factorize,
     enumerate_indecomposable,
@@ -302,6 +303,21 @@ def test_enumerate_bounds():
         enumerate_permutations(9)
     with pytest.raises(InvalidDegree):
         enumerate_permutations(0)
+
+
+def test_chain_count_matches_scan():
+    for kind in IndecKind:
+        for n in range(1, 9):
+            assert count_indecomposable(n, kind) == len(enumerate_indecomposable(n, kind)), (kind, n)
+
+
+def test_chain_count_bounds():
+    with pytest.raises(BoundExceeded, match="degree 9 exceeds the enumeration bound 8"):
+        count_indecomposable(9, IndecKind.SHARP)
+    with pytest.raises(BoundExceeded, match="degree 4 exceeds the enumeration bound 3"):
+        count_indecomposable(4, IndecKind.S2, bound=3)
+    with pytest.raises(InvalidDegree):
+        count_indecomposable(0, IndecKind.NATURAL)
 
 
 def test_enumerate_bound_is_configurable():

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given
 
@@ -112,6 +114,15 @@ def test_super_catalan_values():
     assert [super_catalan(n) for n in range(1, 9)] == TREE_COUNTS
     with pytest.raises(InvalidDegree):
         super_catalan(0)
+
+
+def test_super_catalan_cold_call_matches_closed_form():
+    # little Schroeder number s_m = (1/m) sum_k C(m,k) C(m+k,k-1), m = n - 1
+    super_catalan.cache_clear()
+    m = 999
+    closed_form, remainder = divmod(sum(comb(m, k) * comb(m + k, k - 1) for k in range(1, m + 1)), m)
+    assert remainder == 0
+    assert super_catalan(1000) == closed_form
 
 
 def test_counts_agree():

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from duplexes import permutations, series as series_module
 from duplexes.errors import BoundExceeded, ComposeNonzeroConstant
 from duplexes.series import (
     CHECKS,
@@ -126,8 +127,33 @@ def test_from_counts_labeled():
 def test_from_counts_errors():
     with pytest.raises(ValueError):
         from_counts("fibonacci", 5)
-    with pytest.raises(BoundExceeded):
-        from_counts("sharp-indec", 9)
+    for source in ("sharp-indec", "s2-indec"):
+        with pytest.raises(BoundExceeded, match="^degree 9 exceeds the enumeration bound 8$"):
+            from_counts(source, 9)
+
+
+def test_indecomposable_counts_build_no_permutations(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a count built the permutations")
+
+    monkeypatch.setattr(permutations, "_all_permutations", forbidden)
+    monkeypatch.setattr(permutations, "_indecomposables", forbidden)
+    assert from_counts("sharp-indec", 8).coefficients[8] == 29093
+    assert from_counts("s2-indec", 8).coefficients[8] == 17866
+    for name in ("usformula", "desformula", "cor52"):
+        assert verify_identity(name, 8).ok, name
+
+
+def test_count_route_mismatch_names_its_witness(monkeypatch):
+    formula = series_module._sharp_indec_formula
+    monkeypatch.setattr(
+        series_module, "_sharp_indec_formula", lambda order: formula(order) + Series.monomial(5, order)
+    )
+    message = "first differing coefficient at degree 5: chain count=71 formula=72"
+    with pytest.raises(RuntimeError, match=f"^count routes disagree for sharp-indec: {message}$"):
+        from_counts("sharp-indec", 7)
+    with pytest.raises(RuntimeError, match="count routes disagree for s2-indec: first differing"):
+        from_counts("s2-indec", 7)
 
 
 # --- the named identities ------------------------------------------------------------
