@@ -245,7 +245,7 @@ def _indecomposables(n: int, kind: IndecKind, bound: int) -> tuple[Permutation, 
     return tuple(f for f in enumerate_permutations(n, bound) if is_indecomposable(f, kind))
 
 
-def count_indecomposable(n: int, kind: IndecKind, bound: int = DEFAULT_PERMUTATION_BOUND) -> int:
+def count_indecomposable(n: int, kind: IndecKind) -> int:
     """Number of degree-n indecomposables of the given kind, none of them built.
 
     A permutation is the chain of its prefix value sets
@@ -259,7 +259,7 @@ def count_indecomposable(n: int, kind: IndecKind, bound: int = DEFAULT_PERMUTATI
     >>> [count_indecomposable(n, IndecKind.S2) for n in range(1, 8)]
     [1, 0, 0, 2, 22, 202, 1854]
     """
-    _check_degree(n, bound)
+    _check_degree(n, DEFAULT_PERMUTATION_BOUND)
     full = (1 << n) - 1
     forbidden = set()
     if kind is not IndecKind.NATURAL:

@@ -314,8 +314,6 @@ def test_chain_count_matches_scan():
 def test_chain_count_bounds():
     with pytest.raises(BoundExceeded, match="degree 9 exceeds the enumeration bound 8"):
         count_indecomposable(9, IndecKind.SHARP)
-    with pytest.raises(BoundExceeded, match="degree 4 exceeds the enumeration bound 3"):
-        count_indecomposable(4, IndecKind.S2, bound=3)
     with pytest.raises(InvalidDegree):
         count_indecomposable(0, IndecKind.NATURAL)
 
