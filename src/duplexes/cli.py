@@ -200,13 +200,11 @@ def _cmd_factor(args) -> int:
 
 
 _GENERATORS = {
-    "perm": permutations.Permutation((1,)),
     "binary": binary_trees.SINGLE_NODE,
     "cube": cubes.SINGLETON,
 }
 
 _TARGET_OPS = {
-    "perm": permutations.PERM_OPS,
     "binary": binary_trees.BINARY_OPS,
     "cube": cubes.CUBE_OPS,
 }
@@ -228,8 +226,11 @@ def _cmd_eval(args) -> int:
     expr = _parse_cli_expr(args.expr)
     if len(set(expr.labels)) != 1:
         raise ValueError("eval needs a single-generator expression")
-    assignment = {expr.labels[0]: _GENERATORS[args.target]}
-    value = decorated_trees.eval_hom(expr, assignment, _TARGET_OPS[args.target])
+    if args.target == "perm":
+        value = morphisms.alpha(expr)
+    else:
+        assignment = {expr.labels[0]: _GENERATORS[args.target]}
+        value = decorated_trees.eval_hom(expr, assignment, _TARGET_OPS[args.target])
     rendered = _FORMATTERS[args.target](value)
     _emit(args, {"expr": args.expr, "target": args.target}, rendered, [rendered])
     return EXIT_OK

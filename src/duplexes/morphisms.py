@@ -10,37 +10,62 @@ All four maps are determined by where the degree-1 generator goes:
 """
 from __future__ import annotations
 
-from .binary_trees import BINARY_OPS, SINGLE_NODE, eval_duplexes1
-from .cubes import CUBE_OPS, SINGLETON, CubeVertex
+from .binary_trees import BINARY_OPS, SINGLE_NODE
+from .cubes import CubeVertex
 from .decorated_trees import DuplexExpr, Tag, eval_hom
-from .errors import DegreeTooSmall
-from .permutations import PERM_OPS, Permutation
+from .errors import DegreeTooSmall, StubNotSplittable
+from .permutations import Permutation, _perm, _place_blocks
 from .planar_trees import PlanarTree
 
 
-def _single_generator_assignment(x: DuplexExpr, value) -> dict:
+def _single_generator(x: DuplexExpr):
     labels = set(x.labels)
     if len(labels) != 1:
         raise ValueError(f"expected a single-generator expression, found labels {sorted(map(str, labels))}")
-    return {labels.pop(): value}
+    return labels.pop()
 
 
 def alpha(x: DuplexExpr) -> Permutation:
     """Evaluate in permutations with the generator at ``(1)`` (``.`` as the
-    diagonal block sum, ``*`` as the anti-diagonal one).  Degree preserving."""
-    return eval_hom(x, _single_generator_assignment(x, Permutation((1,))), PERM_OPS)
+    diagonal block sum, ``*`` as the anti-diagonal one).  Degree preserving.
+
+    Every leaf is the block ``(1)``, placed at its value offset by the
+    reader :func:`multiply_out` uses, so the cost is linear at any depth.
+    """
+    _single_generator(x)
+    if x.tree.tag is None:
+        return _perm((1,))
+    return _place_blocks(x.tree, [(1,)] * x.degree)
 
 
 def rho(x: DuplexExpr) -> PlanarTree:
     """Evaluate in binary trees with the generator at the one-node tree;
     surjective degree for degree."""
-    return eval_hom(x, _single_generator_assignment(x, SINGLE_NODE), BINARY_OPS)
+    return eval_hom(x, {_single_generator(x): SINGLE_NODE}, BINARY_OPS)
 
 
 def phi(u: PlanarTree) -> CubeVertex:
     """Collapse a binary tree to its cube vertex; the quotient map induced by
-    the extra mixed-bracketing identity that cube vertices satisfy."""
-    return eval_duplexes1(u, SINGLETON, CUBE_OPS)
+    the extra mixed-bracketing identity that cube vertices satisfy.
+
+    A node's image is ``(image(left) . e) * image(right)``, and ``e`` has
+    no signs, so the signs are read in order off the text in one loop: a
+    ``-1`` after each left child that is not a stub, then a ``+1`` before
+    each right child that is not a stub.  In the text, a ``)`` closes a
+    left child exactly when a sibling follows it, and a ``(`` opens a right
+    child exactly when it does not follow a ``(``.  Equals
+    ``eval_duplexes1(u, SINGLETON, CUBE_OPS)``, the generic fold.
+    """
+    if u.is_leaf:
+        raise StubNotSplittable("the stub is not an element and has no image")
+    text = u.text
+    signs = []
+    for before, ch in zip(text, text[1:]):
+        if before == ")" and ch != ")":
+            signs.append(-1)
+        if ch == "(" and before != "(":
+            signs.append(1)
+    return CubeVertex(tuple(signs))
 
 
 def leaf_sign_vector(x: DuplexExpr) -> CubeVertex:

@@ -20,10 +20,11 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Sequence
 
-from .decorated_trees import GENERATOR_TREE, DuplexExpr, DuplexOps, Tag, _product, eval_hom, leaf_expr
+from .decorated_trees import DecoratedTree, DuplexExpr, DuplexOps, Tag, leaf_expr
 from .errors import BoundExceeded, DegreeMismatch, InvalidDegree, ParseError
+from .planar_trees import _tree
 
 DEFAULT_PERMUTATION_BOUND = 8
 
@@ -47,6 +48,14 @@ class Permutation:
 
     def __str__(self) -> str:
         return format_permutation(self)
+
+
+def _perm(images: tuple[int, ...]) -> Permutation:
+    """The permutation of an image tuple the library built from valid ones;
+    unchecked."""
+    f = object.__new__(Permutation)
+    object.__setattr__(f, "images", images)
+    return f
 
 
 def _validate_images(images: tuple[int, ...]) -> None:
@@ -79,7 +88,7 @@ def compose(f: Permutation, g: Permutation) -> Permutation:
     """Group composition: ``compose(f, g)(i) = f(g(i))``."""
     if f.degree != g.degree:
         raise DegreeMismatch(f"cannot compose degrees {f.degree} and {g.degree}")
-    return Permutation(tuple(f.images[j - 1] for j in g.images))
+    return _perm(tuple(f.images[j - 1] for j in g.images))
 
 
 def sharp(f: Permutation, g: Permutation) -> Permutation:
@@ -89,7 +98,7 @@ def sharp(f: Permutation, g: Permutation) -> Permutation:
     '(3,1,2,6,5,4)'
     """
     n = f.degree
-    return Permutation(f.images + tuple(n + v for v in g.images))
+    return _perm(f.images + tuple(n + v for v in g.images))
 
 
 def natural(f: Permutation, g: Permutation) -> Permutation:
@@ -99,7 +108,7 @@ def natural(f: Permutation, g: Permutation) -> Permutation:
     '(6,4,5,3,2,1)'
     """
     m = g.degree
-    return Permutation(tuple(m + v for v in f.images) + g.images)
+    return _perm(tuple(m + v for v in f.images) + g.images)
 
 
 # convention used everywhere: sharp plays ".", natural plays "*"
@@ -117,7 +126,7 @@ def xi(f: Permutation) -> Permutation:
     """Compose with the order reversal on the left; an involution that swaps
     the roles of the two block sums."""
     n = f.degree
-    return Permutation(tuple(n + 1 - v for v in f.images))
+    return _perm(tuple(n + 1 - v for v in f.images))
 
 
 def delta(f: Permutation) -> int:
@@ -140,13 +149,13 @@ def sharp_factorize(f: Permutation) -> tuple[Permutation, ...]:
     >>> [str(g) for g in sharp_factorize(Permutation((3, 1, 2, 6, 5, 4)))]
     ['(3,1,2)', '(3,2,1)']
     """
-    return tuple(Permutation(block) for block in _sharp_blocks(f.images))
+    return tuple(_perm(block) for block in _sharp_blocks(f.images))
 
 
 def natural_factorize(f: Permutation) -> tuple[Permutation, ...]:
     """Unique factorization under the anti-diagonal block sum: the sharp
     factorization transported through :func:`xi`, read off directly."""
-    return tuple(Permutation(block) for block in _natural_blocks(f.images))
+    return tuple(_perm(block) for block in _natural_blocks(f.images))
 
 
 def _sharp_blocks(images: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -217,7 +226,7 @@ def _natural_indecomposable(images: tuple[int, ...]) -> bool:
 
 @lru_cache(maxsize=None)
 def _all_permutations(n: int) -> tuple[Permutation, ...]:
-    return tuple(Permutation(p) for p in itertools.permutations(range(1, n + 1)))
+    return tuple(map(_perm, itertools.permutations(range(1, n + 1))))
 
 
 def enumerate_permutations(n: int, bound: int = DEFAULT_PERMUTATION_BOUND) -> tuple[Permutation, ...]:
@@ -287,50 +296,185 @@ def duplex_factorize(f: Permutation) -> DuplexExpr:
     joined with ``.`` for the diagonal product and ``*`` for the
     anti-diagonal one.  :func:`multiply_out` inverts this.
 
-    Factors are image tuples on an explicit stack and only the leaves become
-    :class:`Permutation` objects; each chain is one n-ary product.  Every
-    vertex scans its factor once, so the cost is linear in the degree times
-    the nesting depth, and any depth works.
+    Factors are index ranges of ``f.images`` with their lowest value, so no
+    block is copied and only the leaves become :class:`Permutation`
+    objects.  Each cut costs the size of the smaller piece it takes off
+    (:func:`_cut`), so the whole factorization is O(n log n) on every
+    shape.  The ranges sit on an explicit stack and the tree's text is
+    written in preorder as they are visited, so any depth works.
     """
-    root = _split(f.images)
+    images = f.images
+    root = _cut(images, 0, len(images), 1)
     if root is None:
         return leaf_expr(f)
     labels: list[Permutation] = []
-    # frames: (tag of the vertex, its unvisited blocks, trees of visited blocks)
-    stack = [(*root, [])]
+    # a chain's factors are tagged with the other product or are leaves, so
+    # no root edge is contracted and the text is the plain nesting
+    text = ["("]
+    stack = [iter(_chain(images, 0, len(images), 1, root))]  # unvisited factors per open chain
     while stack:
-        tag, blocks, parts = stack[-1]
-        for block in blocks:
-            split = _split(block)
-            if split is not None:
-                stack.append((*split, []))
+        for start, end, low, cut in stack[-1]:
+            if cut is _UNSCANNED:
+                cut = _cut(images, start, end, low)
+            if cut is not None:
+                text.append("(")
+                stack.append(iter(_chain(images, start, end, low, cut)))
                 break
-            labels.append(Permutation(block))
-            parts.append(GENERATOR_TREE)
+            block = images[start:end]
+            labels.append(_perm(tuple(v - low + 1 for v in block) if low > 1 else block))
+            text.append("|")
         else:
             stack.pop()
-            tree = _product(tag, parts)
-            if not stack:
-                return DuplexExpr(tree, labels)
-            stack[-1][2].append(tree)
+            text.append(")")
+    return DuplexExpr(DecoratedTree(_tree("".join(text)), root[0]), labels)
 
 
-def _split(images: tuple[int, ...]) -> tuple[Tag, Iterator[tuple[int, ...]]] | None:
-    """(tag, iterator over the blocks) of the side that factors ``images``
-    nontrivially, or None when it is doubly indecomposable."""
-    blocks = _sharp_blocks(images)
-    if len(blocks) > 1:
-        return Tag.DOT, iter(blocks)
-    blocks = _natural_blocks(images)
-    if len(blocks) > 1:
-        return Tag.STAR, iter(blocks)
+_UNSCANNED = "unscanned"  # a factor whose first cut is not yet looked for
+
+
+def _cut(images: tuple[int, ...], start: int, end: int, low: int) -> tuple[Tag, int, bool] | None:
+    """The first cut found in ``images[start:end]``, a range holding the m
+    values ``low .. low+m-1``: (tag of its product, position, whether the
+    piece taken off is the one before it), or None when the range is doubly
+    indecomposable.
+
+    The range is scanned from both ends at once.  A prefix of length k is a
+    first factor under ``.`` when its maximum is low+k-1 and under ``*``
+    when its minimum is low+m-k; a suffix of length k is a last factor
+    under ``.`` when its minimum is low+m-k and under ``*`` when its
+    maximum is low+k-1.  Either side of a cut has at most m/2 values, so
+    stopping at m/2 misses none, and a cut costs the length of the smaller
+    piece.  No range of degree >= 2 has cuts of both tags.
+    """
+    m = end - start
+    top = low - 1  # low+k-1 at step k
+    bottom = low + m  # low+m-k at step k
+    head_max = tail_max = 0
+    head_min = tail_min = bottom
+    j = end
+    for i in range(start, start + m // 2):
+        top += 1
+        bottom -= 1
+        j -= 1
+        v = images[i]
+        if v > head_max:
+            head_max = v
+        if v < head_min:
+            head_min = v
+        v = images[j]
+        if v > tail_max:
+            tail_max = v
+        if v < tail_min:
+            tail_min = v
+        if head_max == top:
+            return Tag.DOT, i + 1, True
+        if head_min == bottom:
+            return Tag.STAR, i + 1, True
+        if tail_min == bottom:
+            return Tag.DOT, j, False
+        if tail_max == top:
+            return Tag.STAR, j, False
     return None
+
+
+def _chain(
+    images: tuple[int, ...], start: int, end: int, low: int, cut: tuple[Tag, int, bool]
+) -> list[tuple[int, int, int, object]]:
+    """The factors, left to right, of the range whose first cut found is
+    ``cut``, as (start, end, lowest value, first cut or _UNSCANNED).
+
+    Each cut takes off its smaller piece as one factor, and the rest is
+    scanned again.  Once the rest has no cut of the chain's product it is
+    the last factor, and the cut of the other product found there, or
+    None, is its own first cut.
+    """
+    tag = cut[0]
+    head: list = []
+    tail: list = []  # factors taken off the end, last one first
+    while cut is not None and cut[0] is tag:
+        at, from_head = cut[1], cut[2]
+        # "." puts the piece before the cut at the bottom of the values, "*" at the top
+        if tag is Tag.DOT:
+            before, after = low, low + at - start
+        else:
+            before, after = low + end - at, low
+        if from_head:
+            head.append((start, at, before, _UNSCANNED))
+            start, low = at, after
+        else:
+            tail.append((at, end, after, _UNSCANNED))
+            end, low = at, before
+        cut = _cut(images, start, end, low)
+    head.append((start, end, low, cut))
+    head.extend(reversed(tail))
+    return head
 
 
 def multiply_out(x: DuplexExpr) -> Permutation:
     """Evaluate an expression whose labels are permutations, using the
-    diagonal product for ``.`` and the anti-diagonal one for ``*``."""
-    return eval_hom(x, {lab: lab for lab in set(x.labels)}, PERM_OPS)
+    diagonal product for ``.`` and the anti-diagonal one for ``*``.
+
+    No product is built: :func:`_place_blocks` shifts each label's images
+    into its place, so the cost is linear at any depth.
+    """
+    if x.tree.tag is None:
+        return x.labels[0]
+    return _place_blocks(x.tree, [label.images for label in x.labels])
+
+
+def _place_blocks(tree: DecoratedTree, blocks: Sequence[tuple[int, ...]]) -> Permutation:
+    """The product that the tagged ``tree`` describes, its leaves holding
+    the image tuples ``blocks`` left to right, read off the tree's text in
+    two passes.
+
+    The first pass sums the degree of every vertex.  The second gives each
+    leaf a value offset: a ``.`` vertex fills its children's value ranges
+    from the bottom, left to right, and a ``*`` vertex fills them from the
+    top.  The leaves' images, shifted, are the result's, concatenated.
+    """
+    text = tree.shape.text
+    degrees: list[int] = []  # of the vertices, in preorder
+    open_vertices: list[int] = []  # their preorder indices
+    leaf_degrees = map(len, blocks)
+    for ch in text:
+        if ch == "(":
+            open_vertices.append(len(degrees))
+            degrees.append(0)
+        elif ch == "|":
+            degrees[open_vertices[-1]] += next(leaf_degrees)
+        else:
+            degree = degrees[open_vertices.pop()]
+            if open_vertices:
+                degrees[open_vertices[-1]] += degree
+    vertex_degrees = iter(degrees)
+    leaves = iter(blocks)
+    images: list[int] = []
+    # per open vertex: [its next free offset, whether it fills from the top];
+    # the first entry stands for the root's parent
+    fills = [[0, False]]
+    top_parity = 1 if tree.tag is Tag.STAR else 0  # len(fills) % 2 at a "*" vertex
+    for ch in text:
+        if ch == ")":
+            fills.pop()
+            continue
+        if ch == "(":
+            degree = next(vertex_degrees)
+        else:
+            block = next(leaves)
+            degree = len(block)
+        fill = fills[-1]
+        if fill[1]:
+            fill[0] -= degree
+            offset = fill[0]
+        else:
+            offset = fill[0]
+            fill[0] += degree
+        if ch == "(":
+            from_top = len(fills) % 2 == top_parity
+            fills.append([offset + degree if from_top else offset, from_top])
+        else:
+            images.extend([v + offset for v in block])
+    return _perm(tuple(images))
 
 
 def format_permutation(f: Permutation) -> str:

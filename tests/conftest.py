@@ -62,3 +62,15 @@ def nest_permutation(word):
     for op in word:
         f = sharp(f, ONE) if op == "." else natural(f, ONE)
     return f
+
+
+def nest_images(word):
+    """``nest_permutation(word)`` without a product, in one pass: the e that
+    the k-th op adds enters at position k+1 with value k+1 under "." and 1
+    under "*", and each later "*" shifts every value before it up by one."""
+    stars = word.count("*")
+    images = [1 + stars]
+    for k, op in enumerate(word, 1):
+        stars -= op == "*"
+        images.append((k + 1 if op == "." else 1) + stars)
+    return Permutation(tuple(images))

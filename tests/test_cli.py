@@ -1,6 +1,6 @@
 import json
 
-from conftest import alternating, nest_permutation, nest_text
+from conftest import alternating, nest_images, nest_permutation, nest_text
 from duplexes import cli
 from duplexes.cli import main
 from duplexes.cubes import CubeVertex, format_cube, parse_cube
@@ -183,6 +183,18 @@ def test_eval_deep_expression(capsys):
     code, out, err = run(capsys, "eval", "--expr", nest_text(word), "--target", "perm")
     assert code == 0, err
     assert out.strip() == format_permutation(nest_permutation(word))
+
+
+def test_alpha_and_perm_eval_of_a_deep_nest(capsys):
+    word = alternating(10**4)
+    want = format_permutation(nest_images(word))
+    for argv in (("map", "--morphism", "alpha", "--input"), ("eval", "--target", "perm", "--expr")):
+        code, out, err = run(capsys, *argv, nest_text(word))
+        assert code == 0, err
+        assert out.strip() == want
+    code, out, err = run(capsys, "factor", "--perm", want, "--mode", "duplex", "--json")
+    assert code == 0, err
+    assert json.loads(out)["result"]["expr"] == nest_text(word).replace("e", "(1)")
 
 
 def test_map_rho_and_phi_of_a_long_chain(capsys):

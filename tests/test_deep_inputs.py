@@ -3,17 +3,27 @@ and trees compare and hash as strings, so nesting far past the
 interpreter's recursion limit must work.  Op words and their nests are
 described in conftest.py.
 """
+import random
 import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ONE, alternating, nest_permutation, nest_text
-from duplexes.binary_trees import format_binary, parse_binary
+from conftest import ONE, alternating, nest_images, nest_permutation, nest_text
+from duplexes.binary_trees import eval_duplexes1, format_binary, parse_binary
 from duplexes.cubes import CUBE_OPS, SINGLETON, CubeVertex
-from duplexes.decorated_trees import eval_hom, format_expr, parse_expr
+from duplexes.decorated_trees import (
+    DuplexExpr,
+    dot,
+    enumerate_decorated,
+    eval_hom,
+    format_expr,
+    leaf_expr,
+    parse_expr,
+    star,
+)
 from duplexes.morphisms import alpha, leaf_sign_vector, phi, rho
-from duplexes.permutations import duplex_factorize, multiply_out
+from duplexes.permutations import PERM_OPS, Permutation, duplex_factorize, format_permutation, multiply_out
 
 DEEP = 10**4
 PAST_LIMIT = 1200  # nesting depth of the permutation cases
@@ -53,10 +63,26 @@ def test_long_chain_round_trip():
     assert leaf_sign_vector(x) == CubeVertex((-1,) * (DEEP - 1))
 
 
+def right_nest_text(word):
+    """The mirror image of the nest: e o1 (e o2 (... (e ok e)))."""
+    return "".join("e" + op + "(" for op in word[:-1]) + "e" + word[-1] + "e" + ")" * (len(word) - 1)
+
+
 def test_binary_tree_morphisms_at_depth():
-    for text in (".".join(["e"] * DEEP), nest_text(alternating(DEEP))):
+    # the left alternating nest is the worst case for a nodewise fold into
+    # the cube; the chain and the right nest fold in long runs
+    word = alternating(DEEP)
+    for text in (".".join(["e"] * DEEP), nest_text(word), right_nest_text(word)):
         x = parse_expr(text, "e")
         assert phi(rho(x)) == leaf_sign_vector(x)
+    assert phi(rho(parse_expr(nest_text(word), "e"))) == nest_signs(word)
+
+
+def test_phi_matches_the_generic_fold_at_moderate_depth():
+    word = alternating(1000)
+    for text in (".".join(["e"] * 1000), nest_text(word), right_nest_text(word), nest_text("..**" * 250)):
+        u = rho(parse_expr(text, "e"))
+        assert phi(u) == eval_duplexes1(u, SINGLETON, CUBE_OPS)
 
 
 def test_deep_trees_compare_and_hash_equal():
@@ -90,6 +116,47 @@ def test_factorize_multiply_out_past_the_recursion_limit():
     assert alpha(parse_expr(nest_text(word), "e")) == f
 
 
+def test_nest_images_match_the_products():
+    for word in ("", ".", "*", ".*", "*.", "..**.*", alternating(300), "**." * 100):
+        assert nest_images(word) == nest_permutation(word)
+
+
+def test_factorize_multiply_out_at_depth():
+    word = alternating(DEEP)
+    f = nest_images(word)
+    x = duplex_factorize(f)
+    assert set(x.labels) == {ONE}
+    assert format_expr(x, lambda _label: "e") == nest_text(word)
+    assert multiply_out(x) == f
+    assert alpha(parse_expr(nest_text(word), "e")) == f
+
+
+def random_nest(rng, depth, labels):
+    """An expression nested ``depth`` levels: each level joins the nest so
+    far, on a random side, with a random expression of degree <= 3."""
+    small = [t for n in (1, 2, 3) for t in enumerate_decorated(n)]
+    x = leaf_expr(rng.choice(labels))
+    for _ in range(depth):
+        t = rng.choice(small)
+        y = DuplexExpr(t, [rng.choice(labels) for _ in range(t.degree)])
+        op = rng.choice((dot, star))
+        x = op(x, y) if rng.random() < 0.5 else op(y, x)
+    return x
+
+
+def test_multiply_out_and_alpha_match_eval_hom_on_random_nests():
+    # eval_hom into PERM_OPS builds every product, the independent route
+    rng = random.Random(300)
+    perms = [Permutation(p) for p in ((1,), (2, 1), (1, 2), (2, 3, 1), (2, 4, 1, 3))]
+    for depth in (1, 2, 5, 30, 100, 300):
+        for _ in range(4):
+            x = random_nest(rng, depth, perms)
+            want = eval_hom(x, {p: p for p in perms}, PERM_OPS)
+            assert multiply_out(x) == want, format_expr(x, format_permutation)
+            e = DuplexExpr(x.tree, ["e"] * x.degree)
+            assert alpha(e) == eval_hom(e, {"e": ONE}, PERM_OPS), format_expr(e)
+
+
 def words(depth):
     """Op words whose nests have exactly ``depth`` levels: ``depth`` runs of
     alternating operators, each run one or two long by one drawn bit.
@@ -120,3 +187,14 @@ def test_random_words_factorize_past_the_recursion_limit(word):
     x = duplex_factorize(f)
     assert format_expr(x, lambda _label: "e") == nest_text(word)
     assert multiply_out(x) == f
+
+
+@settings(max_examples=5, deadline=None)
+@given(words(DEEP))
+def test_random_words_factorize_at_depth(word):
+    f = nest_images(word)
+    x = duplex_factorize(f)
+    text = format_expr(x, lambda _label: "e")
+    assert text == nest_text(word)
+    assert multiply_out(x) == f
+    assert alpha(parse_expr(text, "e")) == f

@@ -1,13 +1,15 @@
 import itertools
+import random
 from functools import reduce
 
 import pytest
 from hypothesis import given
 
 from conftest import permutation_strategy
-from duplexes.decorated_trees import dot, leaf_expr, star
+from duplexes.decorated_trees import DuplexExpr, dot, enumerate_decorated, eval_hom, leaf_expr, star
 from duplexes.errors import BoundExceeded, DegreeMismatch, InvalidDegree, ParseError
 from duplexes.permutations import (
+    PERM_OPS,
     IndecKind,
     Permutation,
     compose,
@@ -26,6 +28,7 @@ from duplexes.permutations import (
     sharp,
     sharp_factorize,
     xi,
+    _validate_images,
 )
 
 
@@ -369,3 +372,38 @@ def test_not_a_dimonoid_witness():
     assert natural(sharp(e, e), e) == P(2, 3, 1)
     assert sharp(e, natural(e, e)) == P(1, 3, 2)
     assert natural(sharp(e, e), e) != sharp(e, natural(e, e))
+
+
+def test_multiply_out_matches_eval_hom():
+    # eval_hom into PERM_OPS builds every product; multiply_out places blocks
+    rng = random.Random(6)
+    for n in range(1, 8):
+        for t in enumerate_decorated(n):
+            labels = [Permutation(tuple(rng.sample(range(1, k + 1), k))) for k in rng.choices((1, 2, 3), k=n)]
+            x = DuplexExpr(t, labels)
+            assert multiply_out(x) == eval_hom(x, {lab: lab for lab in labels}, PERM_OPS)
+    for n in range(1, 8):
+        for f in all_perms(n):
+            x = duplex_factorize(f)
+            assert eval_hom(x, {lab: lab for lab in x.labels}, PERM_OPS) == f
+
+
+def test_library_built_permutations_are_valid():
+    # these skip the constructor's check, so check their images here
+    small = [f for n in range(1, 5) for f in all_perms(n)]
+    for f in small:
+        _validate_images(xi(f).images)
+        for g in sharp_factorize(f) + natural_factorize(f):
+            _validate_images(g.images)
+        for g in small:
+            _validate_images(sharp(f, g).images)
+            _validate_images(natural(f, g).images)
+            if f.degree == g.degree:
+                _validate_images(compose(f, g).images)
+    for n in range(1, 8):
+        for f in all_perms(n):
+            _validate_images(f.images)
+            x = duplex_factorize(f)
+            for label in x.labels:
+                _validate_images(label.images)
+            _validate_images(multiply_out(x).images)
