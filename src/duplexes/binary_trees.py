@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .decorated_trees import DuplexOps, _balanced_product
+from .decorated_trees import DuplexOps
 from .errors import BoundExceeded, InvalidDegree, ParseError, StubNotSplittable
 from .planar_trees import LEAF, PlanarTree, _tree, format_tree, leaf_count, parse_tree
 
@@ -64,45 +64,25 @@ def eval_duplexes1(u: PlanarTree, a, ops: DuplexOps):
 
     A node maps to ``(image(left) . a) * image(right)``, stub branches
     dropping their side.  This is the unique extension whenever the target
-    satisfies ``(x.y)*z = x.(y*z)``.  Evaluated bottom-up in one loop over
-    the text: ``|`` pushes a stub and ``)`` combines the top two entries.
-
-    A subtree's image is the ``*`` product, over the nodes of its right
-    spine, of their ``image(left) . a``; that ``.`` product runs on down
-    the left spine while right branches are stubs.  Both kinds of run are
-    kept as operand lists and folded as balanced products only when their
-    value is needed; by associativity this equals the nodewise product.
-    With products that cost the size of their operands, a comb costs
-    O(n log n) and an alternating nest, whose runs alternate, O(n·depth).
+    satisfies ``(x.y)*z = x.(y*z)``, which makes binary trees free on one
+    generator.  Folded node by node in one loop over the text: ``|`` pushes
+    a stub and ``)`` combines the top two entries, so any depth works.  The
+    cost is that of the target's products, e.g. quadratic on combs into
+    cube vertices; :func:`~duplexes.morphisms.phi` reads that image in
+    linear time.
     """
     if u.is_leaf:
         raise StubNotSplittable("the stub is not an element and has no image")
-
-    def image(runs):
-        return _balanced_product(ops.star, [_balanced_product(ops.dot, run) for run in reversed(runs)])
-
-    # one entry per finished subtree: None for a stub, else the dot runs of
-    # its right spine, the bottom node's first
-    stack = []
+    stack = []  # one entry per finished subtree: None for a stub, else its image
     for ch in u.text:
         if ch == "|":
             stack.append(None)
         elif ch == ")":
             right = stack.pop()
             left = stack.pop()
-            if left is None:
-                run = [a]
-            elif len(left) == 1:  # left's image is one dot run: extend it
-                run = left[0]
-                run.append(a)
-            else:
-                run = [image(left), a]
-            if right is None:
-                stack.append([run])
-            else:
-                right.append(run)
-                stack.append(right)
-    return image(stack[0])
+            value = a if left is None else ops.dot(left, a)
+            stack.append(value if right is None else ops.star(value, right))
+    return stack[0]
 
 
 @lru_cache(maxsize=None)

@@ -199,16 +199,6 @@ def _cmd_factor(args) -> int:
     return EXIT_OK
 
 
-_GENERATORS = {
-    "binary": binary_trees.SINGLE_NODE,
-    "cube": cubes.SINGLETON,
-}
-
-_TARGET_OPS = {
-    "binary": binary_trees.BINARY_OPS,
-    "cube": cubes.CUBE_OPS,
-}
-
 _FORMATTERS = {
     "perm": permutations.format_permutation,
     "binary": planar_trees.format_tree,
@@ -228,9 +218,10 @@ def _cmd_eval(args) -> int:
         raise ValueError("eval needs a single-generator expression")
     if args.target == "perm":
         value = morphisms.alpha(expr)
-    else:
-        assignment = {expr.labels[0]: _GENERATORS[args.target]}
-        value = decorated_trees.eval_hom(expr, assignment, _TARGET_OPS[args.target])
+    elif args.target == "binary":
+        value = morphisms.rho(expr)
+    else:  # every bracketing of a word has one cube value: read the word
+        value = cubes.SINGLETON if expr.degree == 1 else morphisms.leaf_sign_vector(expr)
     rendered = _FORMATTERS[args.target](value)
     _emit(args, {"expr": args.expr, "target": args.target}, rendered, [rendered])
     return EXIT_OK

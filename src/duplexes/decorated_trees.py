@@ -36,7 +36,7 @@ from .errors import (
     UnboundGenerator,
     UnknownGenerator,
 )
-from .planar_trees import LEAF, PlanarTree, _tree, leaf_count
+from .planar_trees import LEAF, PlanarTree, _all_trees, _tree, leaf_count, parse_tree
 
 DEFAULT_DECORATED_BOUND = 8
 
@@ -123,8 +123,6 @@ def tree_components(t: DecoratedTree) -> tuple[DecoratedTree, ...]:
 
 @lru_cache(maxsize=None)
 def _all_decorated(n: int) -> tuple[DecoratedTree, ...]:
-    from .planar_trees import _all_trees
-
     if n == 1:
         return (GENERATOR_TREE,)
     return tuple(
@@ -385,8 +383,6 @@ def expr_from_machine(
     parse_label: Callable[[str], Hashable] = str,
     alphabet: Iterable | None = None,
 ) -> DuplexExpr:
-    from .planar_trees import parse_tree
-
     tree_text, tag_letter, labels = triple
     tag = _LETTER_TAG[tag_letter]
     tree = DecoratedTree(parse_tree(tree_text), tag)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .binary_trees import BINARY_OPS, SINGLE_NODE
 from .cubes import CubeVertex
-from .decorated_trees import DuplexExpr, Tag, eval_hom
+from .decorated_trees import DuplexExpr, eval_hom, format_expr
 from .errors import DegreeTooSmall, StubNotSplittable
 from .permutations import Permutation, _perm, _place_blocks
 from .planar_trees import PlanarTree
@@ -74,24 +74,10 @@ def leaf_sign_vector(x: DuplexExpr) -> CubeVertex:
     Entry i is the derived sign of the vertex where the edges from leaves i
     and i+1 meet (the lower end of the full straight edge rising to leaf
     i+1): ``+1`` for ``*``, ``-1`` for ``.``.  Equals ``phi(rho(x))``.
-    One loop over the shape's text, the sign following the depth's parity,
-    so any depth works.
+    That is the operator word of ``x``'s text, so it is read off
+    :func:`format_expr` with the labels left out, at any depth.
     """
-    n = x.degree
-    if n < 2:
+    if x.degree < 2:
         raise DegreeTooSmall("the sign vector needs degree >= 2")
-    root_sign = 1 if x.tree.tag is Tag.STAR else -1
-    signs: list[int] = []
-    # every child is followed by its parent's sign; a vertex closing turns
-    # the sign after its last child into its parent's (at the root: drops it)
-    depth = 0  # of the innermost open vertex; the root's is 0
-    for ch in x.tree.shape.text[1:-1]:
-        if ch == "(":
-            depth += 1
-        elif ch == "|":
-            signs.append(-root_sign if depth % 2 else root_sign)
-        else:
-            depth -= 1
-            signs[-1] = -root_sign if depth % 2 else root_sign
-    signs.pop()
-    return CubeVertex(tuple(signs))
+    word = format_expr(x, lambda _: "").replace("(", "").replace(")", "")
+    return CubeVertex(tuple(-1 if op == "." else 1 for op in word))

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
-from . import decorated_trees, permutations, planar_trees
+from . import binary_trees, decorated_trees, permutations, planar_trees
 from .errors import BoundExceeded, ComposeNonzeroConstant
 from .permutations import IndecKind
 
@@ -24,7 +25,7 @@ class Series:
     coefficients: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(int(c) for c in self.coefficients))
+        object.__setattr__(self, "coefficients", tuple(map(operator.index, self.coefficients)))
         if not self.coefficients:
             raise ValueError("a series carries at least the constant coefficient")
 
@@ -141,9 +142,7 @@ def from_counts(source: str, order: int, alphabet_size: int = 1) -> Series:
     if source == "super-catalan":
         return Series((0,) + tuple(planar_trees.super_catalan(n) for n in range(1, order + 1)))
     if source == "catalan":
-        from .binary_trees import catalan
-
-        return Series((0,) + tuple(catalan(n) for n in range(1, order + 1)))
+        return Series((0,) + tuple(binary_trees.catalan(n) for n in range(1, order + 1)))
     if source == "sharp-indec":
         return _cross_checked(_count_indec(IndecKind.SHARP, order), _sharp_indec_formula(order), source)
     if source == "s2-indec":

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from conftest import compositions, sort_key
@@ -19,7 +17,6 @@ from duplexes.binary_trees import (
     under,
 )
 from duplexes.cubes import CUBE_OPS, CubeVertex, SINGLETON
-from duplexes.decorated_trees import DuplexOps
 from duplexes.errors import BoundExceeded, InvalidDegree, ParseError, StubNotSplittable
 
 E = SINGLE_NODE
@@ -117,26 +114,6 @@ def test_eval_identity_homomorphism():
     for n in range(1, 5):
         for u in binaries(n):
             assert eval_duplexes1(u, E, BINARY_OPS) == u
-
-
-def test_eval_folds_comb_runs_as_balanced_products():
-    # into a carrier whose product copies both operands, a comb costs
-    # O(n log n) copied elements; folding node by node would cost O(n^2)
-    n = 4096
-    copied = 0
-
-    def concat(separator):
-        def product(x, y):
-            nonlocal copied
-            copied += len(x) + len(y)
-            return x + (separator,) + y
-        return product
-
-    ops = DuplexOps(concat(-1), concat(1))
-    for text, sign in (("(" * n + "|" + "|)" * n, -1), ("(|" * n + "|" + ")" * n, 1)):
-        copied = 0
-        assert eval_duplexes1(parse_binary(text), (), ops) == (sign,) * (n - 1)
-        assert copied <= n * (math.log2(n) + 2)
 
 
 def test_generation():

@@ -1,7 +1,7 @@
 import json
 
 from conftest import alternating, nest_images, nest_permutation, nest_text
-from duplexes import cli
+from duplexes import cli, cubes
 from duplexes.cli import main
 from duplexes.cubes import CubeVertex, format_cube, parse_cube
 from duplexes.decorated_trees import expr_from_machine, parse_expr
@@ -195,6 +195,23 @@ def test_alpha_and_perm_eval_of_a_deep_nest(capsys):
     code, out, err = run(capsys, "factor", "--perm", want, "--mode", "duplex", "--json")
     assert code == 0, err
     assert json.loads(out)["result"]["expr"] == nest_text(word).replace("e", "(1)")
+
+
+def test_cube_eval_reads_the_leaf_signs(capsys, monkeypatch):
+    # eval --target cube reads the operator word as map --morphism leafsigns
+    # does, so it needs no cube product even on a 10^4-deep nest
+    def no_products(*args):
+        raise AssertionError("cube eval must not multiply cube vertices")
+
+    monkeypatch.setattr(cubes, "cube_product", no_products)
+    nest = nest_text(alternating(10**4))
+    code, out, err = run(capsys, "eval", "--target", "cube", "--expr", nest)
+    assert code == 0, err
+    assert (code, out, err) == run(capsys, "map", "--morphism", "leafsigns", "--input", nest)
+    assert run(capsys, "eval", "--target", "cube", "--expr", "e") == (0, "e\n", "")
+    code, out, err = run(capsys, "map", "--morphism", "leafsigns", "--input", "e")
+    assert (code, out) == (2, "")
+    assert err == "error: the sign vector needs degree >= 2\n"
 
 
 def test_map_rho_and_phi_of_a_long_chain(capsys):

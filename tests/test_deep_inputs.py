@@ -80,7 +80,8 @@ def test_binary_tree_morphisms_at_depth():
 
 def test_phi_matches_the_generic_fold_at_moderate_depth():
     word = alternating(1000)
-    for text in (".".join(["e"] * 1000), nest_text(word), right_nest_text(word), nest_text("..**" * 250)):
+    combs = (".".join(["e"] * 1000), "*".join(["e"] * 1000))
+    for text in (*combs, nest_text(word), right_nest_text(word), nest_text("..**" * 250)):
         u = rho(parse_expr(text, "e"))
         assert phi(u) == eval_duplexes1(u, SINGLETON, CUBE_OPS)
 

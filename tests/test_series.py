@@ -98,6 +98,13 @@ def test_validation():
         Series(())
 
 
+def test_coefficients_must_be_integers():
+    # exact means no silent truncation or parsing of a coefficient
+    for stray in (2.5, 2.0, "7"):
+        with pytest.raises(TypeError):
+            Series((0, stray))
+
+
 @given(coefficient_lists, coefficient_lists, coefficient_lists)
 def test_ring_laws(a, b, c):
     a, b, c = Series(tuple(a)), Series(tuple(b)), Series(tuple(c))
