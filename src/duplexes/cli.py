@@ -18,7 +18,6 @@ import json
 import re
 import sys
 
-from . import binary_trees, cubes, decorated_trees, laws, morphisms, permutations, planar_trees, series
 from .errors import BoundExceeded, DuplexError
 
 EXIT_OK = 0
@@ -27,11 +26,18 @@ EXIT_USAGE = 2
 EXIT_BOUND = 3
 EXIT_INTERNAL = 4
 
-_FILTER_KINDS = {
-    "sharp-indec": permutations.IndecKind.SHARP,
-    "natural-indec": permutations.IndecKind.NATURAL,
-    "s2-indec": permutations.IndecKind.S2,
+# The parser's choices are literals, so that building it imports no
+# carrier, ``laws`` or ``series``; a test holds them equal to the names
+# those modules define.  A subcommand imports only the modules it runs.
+_FILTER_KINDS = {  # --filter choice -> permutations.IndecKind member name
+    "sharp-indec": "SHARP",
+    "natural-indec": "NATURAL",
+    "s2-indec": "S2",
 }
+
+_LAW_STRUCTURES = ("perm", "decorated", "binary", "cube")  # laws.Structure values
+_VARIETIES = ("duplex", "duplexes1", "duplexes2", "dimonoid")  # laws.Variety values
+_CHECKS = ("ass", "fesvi", "usformula", "supercatalan", "dupl", "desformula", "cor52")  # series.CHECKS
 
 _COUNT_SOURCES = {
     "u": "sharp-indec",
@@ -78,13 +84,13 @@ def build_parser() -> argparse.ArgumentParser:
     _json_flag(p)
 
     p = sub.add_parser("laws", help="audit the identities of a variety by exhaustive search")
-    p.add_argument("--structure", required=True, choices=[s.value for s in laws.Structure])
-    p.add_argument("--variety", required=True, choices=[v.value for v in laws.Variety])
+    p.add_argument("--structure", required=True, choices=_LAW_STRUCTURES)
+    p.add_argument("--variety", required=True, choices=_VARIETIES)
     p.add_argument("--bound", required=True, type=int, metavar="B")
     _json_flag(p)
 
     p = sub.add_parser("verify", help="check a counting identity coefficient-wise")
-    p.add_argument("--check", required=True, choices=list(series.CHECKS))
+    p.add_argument("--check", required=True, choices=_CHECKS)
     p.add_argument("--order", type=int, help="truncation order (default depends on the check)")
     _json_flag(p)
 
@@ -148,20 +154,32 @@ def _cmd_enumerate(args) -> int:
         raise ValueError("--filter applies only to --structure perm")
     n = args.n
     if args.structure == "perm":
+        from . import permutations
+
         if args.filter:
-            elements = permutations.enumerate_indecomposable(n, _FILTER_KINDS[args.filter])
+            kind = permutations.IndecKind[_FILTER_KINDS[args.filter]]
+            elements = permutations.enumerate_indecomposable(n, kind)
         else:
             elements = permutations.enumerate_permutations(n)
         rendered = [permutations.format_permutation(f) for f in elements]
     elif args.structure == "tree":
+        from . import planar_trees
+
         rendered = [planar_trees.format_tree(t) for t in planar_trees.enumerate_trees(n)]
     elif args.structure == "decorated":
+        from . import decorated_trees
+
         rendered = [
-            decorated_trees.format_expr(_expr_over_e(t)) for t in decorated_trees.enumerate_decorated(n)
+            decorated_trees.format_expr(decorated_trees.DuplexExpr(t, ("e",) * t.degree, frozenset({"e"})))
+            for t in decorated_trees.enumerate_decorated(n)
         ]
     elif args.structure == "binary":
+        from . import binary_trees, planar_trees
+
         rendered = [planar_trees.format_tree(u) for u in binary_trees.enumerate_binary(n)]
     else:
+        from . import cubes
+
         rendered = [cubes.format_cube(a) for a in cubes.enumerate_cubes(n)]
     inputs = {"structure": args.structure, "n": n}
     if args.filter:
@@ -170,12 +188,10 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _expr_over_e(t: decorated_trees.DecoratedTree) -> decorated_trees.DuplexExpr:
-    return decorated_trees.DuplexExpr(t, ("e",) * t.degree, frozenset({"e"}))
-
-
 def _cmd_count(args) -> int:
     _require_at_least("--max", args.max_degree, 1)
+    from . import series
+
     source = _COUNT_SOURCES[args.sequence]
     values = series.from_counts(source, args.max_degree)
     pairs = [[n, values.coefficients[n]] for n in range(1, args.max_degree + 1)]
@@ -185,6 +201,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_factor(args) -> int:
+    from . import decorated_trees, permutations
+
     f = permutations.parse_permutation(args.perm)
     inputs = {"perm": permutations.format_permutation(f), "mode": args.mode}
     if args.mode in ("sharp", "natural"):
@@ -199,35 +217,33 @@ def _cmd_factor(args) -> int:
     return EXIT_OK
 
 
-_FORMATTERS = {
-    "perm": permutations.format_permutation,
-    "binary": planar_trees.format_tree,
-    "cube": cubes.format_cube,
-}
+def _parse_cli_expr(text: str):
+    from . import decorated_trees
 
-
-def _parse_cli_expr(text: str) -> decorated_trees.DuplexExpr:
     # the alphabet is whatever identifiers appear in the text
     alphabet = set(re.findall(r"[a-z][a-z0-9]*", text)) or {"e"}
     return decorated_trees.parse_expr(text, alphabet)
 
 
 def _cmd_eval(args) -> int:
+    from . import cubes, morphisms, permutations, planar_trees
+
     expr = _parse_cli_expr(args.expr)
     if len(set(expr.labels)) != 1:
         raise ValueError("eval needs a single-generator expression")
     if args.target == "perm":
-        value = morphisms.alpha(expr)
+        rendered = permutations.format_permutation(morphisms.alpha(expr))
     elif args.target == "binary":
-        value = morphisms.rho(expr)
+        rendered = planar_trees.format_tree(morphisms.rho(expr))
     else:  # every bracketing of a word has one cube value: read the word
-        value = cubes.SINGLETON if expr.degree == 1 else morphisms.leaf_sign_vector(expr)
-    rendered = _FORMATTERS[args.target](value)
+        rendered = cubes.format_cube(cubes.SINGLETON if expr.degree == 1 else morphisms.leaf_sign_vector(expr))
     _emit(args, {"expr": args.expr, "target": args.target}, rendered, [rendered])
     return EXIT_OK
 
 
 def _cmd_map(args) -> int:
+    from . import binary_trees, cubes, morphisms, permutations, planar_trees
+
     inputs = {"morphism": args.morphism, "input": args.input}
     if args.morphism == "phi":
         u = binary_trees.parse_binary(args.input)
@@ -246,6 +262,8 @@ def _cmd_map(args) -> int:
 
 def _cmd_laws(args) -> int:
     _require_at_least("--bound", args.bound, 3)  # an identity needs three elements of degree >= 1
+    from . import laws
+
     structure = laws.Structure(args.structure)
     report = laws.check_laws(structure, laws.Variety(args.variety), args.bound)
     witness = (
@@ -277,6 +295,8 @@ def _cmd_laws(args) -> int:
 def _cmd_verify(args) -> int:
     if args.order is not None:
         _require_at_least("--order", args.order, 1)
+    from . import series
+
     report = series.verify_identity(args.check, args.order)
     checks = [
         {

@@ -12,26 +12,38 @@ Text format: ``e`` for degree 1, otherwise ``<-1,+1,...>``.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .decorated_trees import DuplexOps, Tag
 from .errors import BoundExceeded, InvalidDegree, ParseError
+from .planar_trees import _Value
 
 DEFAULT_CUBE_BOUND = 16
 
 
-@dataclass(frozen=True)
-class CubeVertex:
-    signs: tuple[int, ...] = ()
+class CubeVertex(_Value):
+    """A sign sequence; the signs must be integers (``operator.index``),
+    else ``TypeError``, and each -1 or +1, else ``ValueError``."""
 
-    def __post_init__(self):
-        signs = tuple(self.signs)
-        object.__setattr__(self, "signs", signs)
-        if signs.count(1) + signs.count(-1) != len(signs):  # counted in C: products stay cheap
+    __slots__ = ("signs",)
+    signs: tuple[int, ...]
+
+    def __init__(self, signs: Iterable[int] = ()):
+        signs = tuple(map(operator.index, signs))
+        if signs.count(1) + signs.count(-1) != len(signs):
             stray = next(s for s in signs if s not in (-1, 1))
             raise ValueError(f"signs must be -1 or +1, got {stray}")
+        object.__setattr__(self, "signs", signs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.signs == other.signs
+
+    def __hash__(self) -> int:
+        return hash((self.signs,))
 
     @property
     def degree(self) -> int:
@@ -41,6 +53,13 @@ class CubeVertex:
         return format_cube(self)
 
 
+def _cube(signs: tuple[int, ...]) -> CubeVertex:
+    """The vertex of a sign tuple the library built itself; unchecked."""
+    a = object.__new__(CubeVertex)
+    object.__setattr__(a, "signs", signs)
+    return a
+
+
 SINGLETON = CubeVertex()
 
 _SEPARATOR = {Tag.DOT: -1, Tag.STAR: 1}
@@ -48,7 +67,7 @@ _SEPARATOR = {Tag.DOT: -1, Tag.STAR: 1}
 
 def cube_product(a: CubeVertex, b: CubeVertex, op: Tag) -> CubeVertex:
     """Concatenate with a ``-1`` (dot) or ``+1`` (star) separator."""
-    return CubeVertex(a.signs + (_SEPARATOR[op],) + b.signs)
+    return _cube(a.signs + (_SEPARATOR[op],) + b.signs)
 
 
 def cube_dot(a: CubeVertex, b: CubeVertex) -> CubeVertex:
@@ -71,7 +90,7 @@ def cube_word(a: CubeVertex) -> tuple[Tag, ...]:
 def word_to_cube(word: Sequence[Tag]) -> CubeVertex:
     """Inverse of :func:`cube_word`; the common value of every bracketing of
     the word product."""
-    return CubeVertex(tuple(_SEPARATOR[op] for op in word))
+    return _cube(tuple(_SEPARATOR[op] for op in word))
 
 
 def enumerate_cubes(n: int, bound: int = DEFAULT_CUBE_BOUND) -> tuple[CubeVertex, ...]:
@@ -80,7 +99,7 @@ def enumerate_cubes(n: int, bound: int = DEFAULT_CUBE_BOUND) -> tuple[CubeVertex
         raise InvalidDegree(f"degree must be >= 1, got {n}")
     if n > bound:
         raise BoundExceeded(f"degree {n} exceeds the enumeration bound {bound}")
-    return tuple(CubeVertex(signs) for signs in itertools.product((-1, 1), repeat=n - 1))
+    return tuple(map(_cube, itertools.product((-1, 1), repeat=n - 1)))
 
 
 def format_cube(a: CubeVertex) -> str:
@@ -98,4 +117,4 @@ def parse_cube(text: str) -> CubeVertex:
         return SINGLETON
     if not _CUBE_TEXT.fullmatch(stripped):
         raise ParseError(f"expected 'e' or a sign list like '<-1,+1>', got {text!r}")
-    return CubeVertex(tuple(int(part) for part in stripped[1:-1].split(",")))
+    return _cube(tuple(int(part) for part in stripped[1:-1].split(",")))

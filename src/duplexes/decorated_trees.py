@@ -23,9 +23,8 @@ from __future__ import annotations
 import enum
 import itertools
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     AlphabetMismatch,
@@ -36,7 +35,7 @@ from .errors import (
     UnboundGenerator,
     UnknownGenerator,
 )
-from .planar_trees import LEAF, PlanarTree, _all_trees, _tree, leaf_count, parse_tree
+from .planar_trees import LEAF, PlanarTree, _all_trees, _tree, _Value, leaf_count, parse_tree
 
 DEFAULT_DECORATED_BOUND = 8
 
@@ -52,24 +51,33 @@ class Tag(enum.Enum):
         return Tag.STAR if self is Tag.DOT else Tag.DOT
 
 
-@dataclass(frozen=True)
-class DuplexOps:
-    """A pair of associative binary operations on some carrier."""
+class DuplexOps(NamedTuple):
+    """A pair of associative binary operations on some carrier (a tuple)."""
 
     dot: Callable[[Any, Any], Any]
     star: Callable[[Any, Any], Any]
 
 
-@dataclass(frozen=True)
-class DecoratedTree:
+class DecoratedTree(_Value):
     """A planar tree with derived vertex signs; untagged iff it is the leaf."""
 
+    __slots__ = ("shape", "tag")
     shape: PlanarTree
     tag: Tag | None
 
-    def __post_init__(self):
-        if self.shape.is_leaf != (self.tag is None):
+    def __init__(self, shape: PlanarTree, tag: Tag | None):
+        if shape.is_leaf != (tag is None):
             raise ValueError("exactly the leaf tree carries no tag")
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "tag", tag)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.shape, self.tag) == (other.shape, other.tag)
+
+    def __hash__(self) -> int:
+        return hash((self.shape, self.tag))
 
     @property
     def degree(self) -> int:
@@ -140,28 +148,39 @@ def enumerate_decorated(n: int, bound: int = DEFAULT_DECORATED_BOUND) -> tuple[D
     return _all_decorated(n)
 
 
-@dataclass(frozen=True)
-class DuplexExpr:
+class DuplexExpr(_Value):
     """A decorated tree with one generator label per leaf.
 
     ``alphabet`` is the declared label set; ``None`` leaves the label domain
     open (used when the labels are algebraic objects rather than names).
     """
 
+    __slots__ = ("tree", "labels", "alphabet")
     tree: DecoratedTree
     labels: tuple[Hashable, ...]
-    alphabet: frozenset | None = field(default=None)
+    alphabet: frozenset | None
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        n = self.tree.degree
-        if len(self.labels) != n:
-            raise ValueError(f"expected {n} labels, got {len(self.labels)}")
-        if self.alphabet is not None:
-            object.__setattr__(self, "alphabet", frozenset(self.alphabet))
-            stray = [lab for lab in self.labels if lab not in self.alphabet]
+    def __init__(self, tree: DecoratedTree, labels: Iterable[Hashable], alphabet: Iterable | None = None):
+        labels = tuple(labels)
+        n = tree.degree
+        if len(labels) != n:
+            raise ValueError(f"expected {n} labels, got {len(labels)}")
+        if alphabet is not None:
+            alphabet = frozenset(alphabet)
+            stray = [lab for lab in labels if lab not in alphabet]
             if stray:
                 raise ValueError(f"labels {stray!r} not in the declared alphabet")
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "alphabet", alphabet)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.tree, self.labels, self.alphabet) == (other.tree, other.labels, other.alphabet)
+
+    def __hash__(self) -> int:
+        return hash((self.tree, self.labels, self.alphabet))
 
     @property
     def degree(self) -> int:

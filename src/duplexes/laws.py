@@ -9,8 +9,7 @@ own operations so the audit stays independent of any normal-form code.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
 
 from . import binary_trees, cubes, decorated_trees, permutations, planar_trees
 from .decorated_trees import DuplexOps
@@ -31,8 +30,9 @@ class Structure(enum.Enum):
     CUBE = "cube"
 
 
-@dataclass(frozen=True)
-class LawReport:
+class LawReport(NamedTuple):
+    """The outcome of :func:`check_laws` (a tuple)."""
+
     structure: Structure
     variety: Variety
     degree_bound: int
@@ -82,8 +82,7 @@ VARIETY_IDENTITIES: dict[Variety, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class _Carrier:
+class _Carrier(NamedTuple):
     elements: Callable[[int], tuple]
     ops: DuplexOps
     total_degree_limit: int

@@ -11,7 +11,7 @@ All four maps are determined by where the degree-1 generator goes:
 from __future__ import annotations
 
 from .binary_trees import BINARY_OPS, SINGLE_NODE
-from .cubes import CubeVertex
+from .cubes import CubeVertex, _cube
 from .decorated_trees import DuplexExpr, eval_hom, format_expr
 from .errors import DegreeTooSmall, StubNotSplittable
 from .permutations import Permutation, _perm, _place_blocks
@@ -65,7 +65,7 @@ def phi(u: PlanarTree) -> CubeVertex:
             signs.append(-1)
         if ch == "(" and before != "(":
             signs.append(1)
-    return CubeVertex(tuple(signs))
+    return _cube(tuple(signs))
 
 
 def leaf_sign_vector(x: DuplexExpr) -> CubeVertex:
@@ -80,4 +80,4 @@ def leaf_sign_vector(x: DuplexExpr) -> CubeVertex:
     if x.degree < 2:
         raise DegreeTooSmall("the sign vector needs degree >= 2")
     word = format_expr(x, lambda _: "").replace("(", "").replace(")", "")
-    return CubeVertex(tuple(-1 if op == "." else 1 for op in word))
+    return _cube(tuple(-1 if op == "." else 1 for op in word))

@@ -17,27 +17,37 @@ from __future__ import annotations
 
 import enum
 import itertools
+import operator
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .decorated_trees import DecoratedTree, DuplexExpr, DuplexOps, Tag, leaf_expr
 from .errors import BoundExceeded, DegreeMismatch, InvalidDegree, ParseError
-from .planar_trees import _tree
+from .planar_trees import _tree, _Value
 
 DEFAULT_PERMUTATION_BOUND = 8
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection of {1..n} in one-line notation; degree n >= 1."""
+class Permutation(_Value):
+    """A bijection of {1..n} in one-line notation; degree n >= 1.  The
+    images must be integers (``operator.index``), else ``TypeError``."""
 
+    __slots__ = ("images",)
     images: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
-        _validate_images(self.images)
+    def __init__(self, images: Iterable[int]):
+        images = tuple(map(operator.index, images))
+        _validate_images(images)
+        object.__setattr__(self, "images", images)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.images == other.images
+
+    def __hash__(self) -> int:
+        return hash((self.images,))
 
     @property
     def degree(self) -> int:

@@ -19,7 +19,6 @@ characters, so any depth works.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -28,11 +27,35 @@ from .errors import ArityTooSmall, BoundExceeded, ContractLeaf, InvalidDegree, P
 DEFAULT_TREE_BOUND = 10
 
 
-@dataclass(frozen=True, init=False, slots=True)
-class PlanarTree:
+class _Value:
+    """Base of the package's immutable value classes.  The fields are the
+    subclass's ``__slots__``, set once in its ``__init__`` through
+    ``object.__setattr__``; each subclass writes its own ``__eq__``, true
+    only within its class, and ``__hash__``, the hash of the field tuple.
+    Pickling and copying call the class with the fields again, so the
+    constructor's checks run (a tree is rebuilt by parsing its text)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class PlanarTree(_Value):
     """A planar rooted tree, built from its children (none for a leaf) and
     held as its canonical text."""
 
+    __slots__ = ("text",)
     text: str
 
     def __init__(self, children: Iterable[PlanarTree] = ()):
@@ -40,6 +63,17 @@ class PlanarTree:
         if len(texts) == 1:
             raise ArityTooSmall("an internal vertex needs at least 2 children")
         object.__setattr__(self, "text", "(" + "".join(texts) + ")" if texts else "|")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.text == other.text
+
+    def __hash__(self) -> int:
+        return hash((self.text,))
+
+    def __reduce__(self):
+        return parse_tree, (self.text,)
 
     @property
     def is_leaf(self) -> bool:

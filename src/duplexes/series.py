@@ -11,23 +11,33 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from . import binary_trees, decorated_trees, permutations, planar_trees
 from .errors import BoundExceeded, ComposeNonzeroConstant
 from .permutations import IndecKind
+from .planar_trees import _Value
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(_Value):
     """Coefficients ``a0..aN`` of a series truncated at order ``N``."""
 
+    __slots__ = ("coefficients",)
     coefficients: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(map(operator.index, self.coefficients)))
-        if not self.coefficients:
+    def __init__(self, coefficients: Iterable[int]):
+        coefficients = tuple(map(operator.index, coefficients))
+        if not coefficients:
             raise ValueError("a series carries at least the constant coefficient")
+        object.__setattr__(self, "coefficients", coefficients)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coefficients == other.coefficients
+
+    def __hash__(self) -> int:
+        return hash((self.coefficients,))
 
     @property
     def order(self) -> int:
@@ -193,8 +203,9 @@ DEFAULT_ORDERS = {
 }
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
+    """One coefficient-wise comparison (a tuple)."""
+
     label: str
     ok: bool
     mismatch_degree: int | None = None
@@ -202,8 +213,9 @@ class CheckResult:
     rhs_coefficient: int | None = None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
+    """The outcome of :func:`verify_identity` (a tuple)."""
+
     name: str
     order: int
     ok: bool

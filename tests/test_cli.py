@@ -1,11 +1,11 @@
 import json
 
 from conftest import alternating, nest_images, nest_permutation, nest_text
-from duplexes import cli, cubes
+from duplexes import cli, cubes, laws, series
 from duplexes.cli import main
 from duplexes.cubes import CubeVertex, format_cube, parse_cube
 from duplexes.decorated_trees import expr_from_machine, parse_expr
-from duplexes.permutations import Permutation, duplex_factorize, format_permutation, parse_permutation
+from duplexes.permutations import IndecKind, Permutation, duplex_factorize, format_permutation, parse_permutation
 from duplexes.planar_trees import parse_tree
 
 
@@ -260,3 +260,11 @@ def test_vacuous_requests_are_usage_errors(capsys):
         assert message in err
     assert run(capsys, "laws", "--structure", "perm", "--variety", "duplex", "--bound", "3")[0] == 0
     assert run(capsys, "count", "--sequence", "u", "--max", "1")[0] == 0
+
+
+def test_parser_choices_match_the_library():
+    # the parser spells these out so that building it imports neither module
+    assert list(cli._LAW_STRUCTURES) == [s.value for s in laws.Structure]
+    assert list(cli._VARIETIES) == [v.value for v in laws.Variety]
+    assert cli._CHECKS == series.CHECKS
+    assert {IndecKind[name] for name in cli._FILTER_KINDS.values()} == set(IndecKind)

@@ -53,6 +53,10 @@ def test_degrees_add():
 def test_sign_validation():
     with pytest.raises(ValueError):
         CubeVertex((0,))
+    for signs in ((1.0, -1.0), ("1",)):
+        with pytest.raises(TypeError):
+            CubeVertex(signs)
+    assert CubeVertex([1, -1]).signs == (1, -1)
 
 
 def test_words():

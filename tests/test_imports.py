@@ -1,0 +1,107 @@
+"""What each entry point loads, checked in a fresh interpreter: the package
+imports its modules on first use, and a CLI subcommand loads only the
+modules it runs."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import duplexes
+
+SRC = str(Path(duplexes.__file__).resolve().parent.parent)
+
+# run in the child: import the CLI, run argv, print the modules that appeared
+PROBE = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+import duplexes.cli
+argv = sys.argv[1:]
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = duplexes.cli.main(argv)
+    assert code == 0, code
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def run_python(code, *argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def loaded_by(*argv):
+    return set(json.loads(run_python(PROBE, *argv)))
+
+
+def package_modules(loaded):
+    return {name.removeprefix("duplexes.") for name in loaded if name.startswith("duplexes.")}
+
+
+def test_importing_the_cli_loads_no_carrier_and_no_dataclasses():
+    loaded = loaded_by()
+    assert "dataclasses" not in loaded
+    assert package_modules(loaded) == {"cli", "errors"}
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (("enumerate", "--structure", "cube", "--n", "3"), {"permutations", "laws", "series", "morphisms"}),
+        (("factor", "--perm", "(3,1,2)", "--mode", "duplex"), {"laws", "series", "morphisms"}),
+        (("verify", "--check", "ass", "--order", "3"), {"laws", "morphisms", "cubes"}),
+    ],
+    ids=["enumerate", "factor", "verify"],
+)
+def test_a_subcommand_loads_only_what_it_runs(argv, absent):
+    loaded = loaded_by(*argv)
+    assert "dataclasses" not in loaded
+    assert not package_modules(loaded) & absent
+
+
+# the package's exports, as they were when every module was imported eagerly
+EXPORTS = [
+    "AlphabetMismatch", "ArityTooSmall", "BINARY_OPS", "BoundExceeded", "CUBE_OPS", "ComposeNonzeroConstant",
+    "ContractLeaf", "CubeVertex", "DECORATED_OPS", "DecoratedTree", "DegreeMismatch", "DegreeTooSmall",
+    "DuplexError", "DuplexExpr", "DuplexOps", "ExprSyntaxError", "IndecKind", "InvalidDegree", "LEAF",
+    "LawReport", "MixedChainError", "PERM_OPS", "ParseError", "Permutation", "PlanarTree", "SINGLETON",
+    "SINGLE_NODE", "STUB", "Series", "Structure", "StubNotSplittable", "Tag", "UnboundGenerator",
+    "UnknownGenerator", "Variety", "alpha", "binary_trees", "catalan", "check_laws", "compose",
+    "count_indecomposable", "cube_product", "cube_word", "cubes", "decorated_trees", "delta", "dot",
+    "duplex_factorize", "enumerate_binary", "enumerate_cubes", "enumerate_decorated", "enumerate_indecomposable",
+    "enumerate_permutations", "enumerate_trees", "errors", "eval_duplexes1", "eval_hom", "format_expr",
+    "format_permutation", "from_counts", "generated_elements", "graft", "graft_contract", "is_indecomposable",
+    "laws", "leaf_count", "leaf_expr", "leaf_sign_vector", "morphisms", "multiply_out", "natural",
+    "natural_factorize", "omega", "over", "parse_expr", "parse_permutation", "permutations", "phi",
+    "planar_trees", "rho", "series", "sharp", "sharp_factorize", "split", "star", "sum_of_powers",
+    "super_catalan", "under", "verify_identity", "vertex_count", "word_to_cube", "xi",
+]  # fmt: skip
+
+
+def test_package_exports_resolve():
+    assert duplexes.__all__ == EXPORTS
+    assert set(EXPORTS) <= set(dir(duplexes))
+    for name in EXPORTS:
+        getattr(duplexes, name)
+    assert duplexes.Permutation is duplexes.permutations.Permutation
+    with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+        duplexes.nonesuch  # noqa: B018
+
+
+def test_import_duplexes_loads_no_submodule_until_asked():
+    out = run_python(
+        "import sys, duplexes\n"
+        "print(sorted(m for m in sys.modules if m.startswith('duplexes.')))\n"
+        "print(duplexes.permutations.__name__, 'duplexes.cubes' in sys.modules)"
+    )
+    assert out.splitlines() == ["[]", "duplexes.permutations False"]
+
+
+def test_an_export_is_cached_on_first_use():
+    vars(duplexes).pop("SINGLETON", None)
+    assert duplexes.SINGLETON is duplexes.cubes.SINGLETON
+    assert vars(duplexes)["SINGLETON"] is duplexes.cubes.SINGLETON

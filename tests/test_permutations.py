@@ -76,6 +76,14 @@ def test_rejects_empty():
         Permutation(())
 
 
+def test_images_must_be_integers():
+    # a float image would print as "2.0" and spread through every product
+    for images in ((2.0, 1.0), ("1",), (1, 2.5)):
+        with pytest.raises(TypeError):
+            Permutation(images)
+    assert Permutation([2, 1]).images == (2, 1)
+
+
 def test_parse_format_round_trip():
     for n in range(1, 5):
         for f in all_perms(n):
