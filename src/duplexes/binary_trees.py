@@ -19,7 +19,7 @@ import math
 from functools import lru_cache
 
 from .decorated_trees import DuplexOps
-from .errors import BoundExceeded, InvalidDegree, ParseError, StubNotSplittable
+from .errors import InvalidDegree, ParseError, StubNotSplittable, check_degree
 from .planar_trees import LEAF, PlanarTree, _tree, format_tree, leaf_count, parse_tree
 
 DEFAULT_BINARY_BOUND = 10
@@ -98,12 +98,10 @@ def _all_binary(n: int) -> tuple[PlanarTree, ...]:
     )
 
 
-def enumerate_binary(n: int, bound: int = DEFAULT_BINARY_BOUND) -> tuple[PlanarTree, ...]:
-    """All degree-n binary trees in canonical order; never includes the stub."""
-    if n < 1:
-        raise InvalidDegree(f"degree must be >= 1, got {n}")
-    if n > bound:
-        raise BoundExceeded(f"degree {n} exceeds the enumeration bound {bound}")
+def enumerate_binary(n: int) -> tuple[PlanarTree, ...]:
+    """All degree-n binary trees in canonical order, for n <= ``DEFAULT_BINARY_BOUND``;
+    never includes the stub."""
+    check_degree(n, DEFAULT_BINARY_BOUND)
     return _all_binary(n)
 
 

@@ -17,7 +17,7 @@ import re
 from typing import Iterable, Sequence
 
 from .decorated_trees import DuplexOps, Tag
-from .errors import BoundExceeded, InvalidDegree, ParseError
+from .errors import ParseError, check_degree
 from .planar_trees import _Value
 
 DEFAULT_CUBE_BOUND = 16
@@ -93,12 +93,10 @@ def word_to_cube(word: Sequence[Tag]) -> CubeVertex:
     return _cube(tuple(_SEPARATOR[op] for op in word))
 
 
-def enumerate_cubes(n: int, bound: int = DEFAULT_CUBE_BOUND) -> tuple[CubeVertex, ...]:
-    """All 2**(n-1) degree-n vertices, in lexicographic sign order."""
-    if n < 1:
-        raise InvalidDegree(f"degree must be >= 1, got {n}")
-    if n > bound:
-        raise BoundExceeded(f"degree {n} exceeds the enumeration bound {bound}")
+def enumerate_cubes(n: int) -> tuple[CubeVertex, ...]:
+    """All 2**(n-1) degree-n vertices, in lexicographic sign order, for
+    n <= ``DEFAULT_CUBE_BOUND``."""
+    check_degree(n, DEFAULT_CUBE_BOUND)
     return tuple(map(_cube, itertools.product((-1, 1), repeat=n - 1)))
 
 

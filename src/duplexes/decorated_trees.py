@@ -28,12 +28,11 @@ from typing import Any, Callable, Hashable, Iterable, Mapping, NamedTuple, Seque
 
 from .errors import (
     AlphabetMismatch,
-    BoundExceeded,
     ExprSyntaxError,
-    InvalidDegree,
     MixedChainError,
     UnboundGenerator,
     UnknownGenerator,
+    check_degree,
 )
 from .planar_trees import LEAF, PlanarTree, _all_trees, _tree, _Value, leaf_count, parse_tree
 
@@ -138,13 +137,11 @@ def _all_decorated(n: int) -> tuple[DecoratedTree, ...]:
     )
 
 
-def enumerate_decorated(n: int, bound: int = DEFAULT_DECORATED_BOUND) -> tuple[DecoratedTree, ...]:
+def enumerate_decorated(n: int) -> tuple[DecoratedTree, ...]:
     """All decorated trees of degree ``n``: each shape with each tag (2 per
-    shape for n >= 2), shapes in canonical order with ``.`` before ``*``."""
-    if n < 1:
-        raise InvalidDegree(f"degree must be >= 1, got {n}")
-    if n > bound:
-        raise BoundExceeded(f"degree {n} exceeds the enumeration bound {bound}")
+    shape for n >= 2), shapes in canonical order with ``.`` before ``*``;
+    n <= ``DEFAULT_DECORATED_BOUND``."""
+    check_degree(n, DEFAULT_DECORATED_BOUND)
     return _all_decorated(n)
 
 

@@ -63,3 +63,11 @@ class MixedChainError(ExprSyntaxError):
 
 class UnknownGenerator(ExprSyntaxError):
     """An identifier in an expression is not in the declared alphabet."""
+
+
+def check_degree(n: int, bound: int) -> None:
+    """Reject a degree below 1 or above an enumeration bound."""
+    if n < 1:
+        raise InvalidDegree(f"degree must be >= 1, got {n}")
+    if n > bound:
+        raise BoundExceeded(f"degree {n} exceeds the enumeration bound {bound}")

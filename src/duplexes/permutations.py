@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .decorated_trees import DecoratedTree, DuplexExpr, DuplexOps, Tag, leaf_expr
-from .errors import BoundExceeded, DegreeMismatch, InvalidDegree, ParseError
+from .errors import DegreeMismatch, InvalidDegree, ParseError, check_degree
 from .planar_trees import _tree, _Value
 
 DEFAULT_PERMUTATION_BOUND = 8
@@ -54,6 +54,9 @@ class Permutation(_Value):
         return len(self.images)
 
     def __call__(self, i: int) -> int:
+        n = len(self.images)
+        if not 1 <= i <= n:
+            raise ValueError(f"point {i} is not in 1..{n}")
         return self.images[i - 1]
 
     def __str__(self) -> str:
@@ -140,13 +143,9 @@ def xi(f: Permutation) -> Permutation:
 
 
 def delta(f: Permutation) -> int:
-    """Smallest i such that f maps {1..i} into itself (i = n always works)."""
-    top = 0
-    for i, v in enumerate(f.images, 1):
-        top = max(top, v)
-        if top == i:
-            return i
-    raise AssertionError("unreachable: i = n always satisfies the condition")
+    """Smallest i such that f maps {1..i} into itself (i = n always works):
+    the degree of the first factor of :func:`sharp_factorize`."""
+    return sharp_factorize(f)[0].degree
 
 
 def sharp_factorize(f: Permutation) -> tuple[Permutation, ...]:
@@ -159,48 +158,38 @@ def sharp_factorize(f: Permutation) -> tuple[Permutation, ...]:
     >>> [str(g) for g in sharp_factorize(Permutation((3, 1, 2, 6, 5, 4)))]
     ['(3,1,2)', '(3,2,1)']
     """
-    return tuple(_perm(block) for block in _sharp_blocks(f.images))
+    return _factorize(f, Tag.DOT)
 
 
 def natural_factorize(f: Permutation) -> tuple[Permutation, ...]:
-    """Unique factorization under the anti-diagonal block sum: the sharp
-    factorization transported through :func:`xi`, read off directly."""
-    return tuple(_perm(block) for block in _natural_blocks(f.images))
+    """Unique factorization under the anti-diagonal block sum: splits at every
+    prefix {1..i} that f maps onto its top i values."""
+    return _factorize(f, Tag.STAR)
 
 
-def _sharp_blocks(images: tuple[int, ...]) -> list[tuple[int, ...]]:
-    # split after every prefix {1..i}; block start+1..i holds start+1..i
-    blocks = []
-    start = top = 0
-    for i, v in enumerate(images, 1):
-        if v > top:
-            top = v
-        if top == i:
-            blocks.append(tuple(v - start for v in images[start:i]))
-            start = i
-    return blocks
-
-
-def _natural_blocks(images: tuple[int, ...]) -> list[tuple[int, ...]]:
-    # split after every prefix {n-i+1..n}; block start+1..i holds n-i+1..n-start
+def _factorize(f: Permutation, tag: Tag) -> tuple[Permutation, ...]:
+    """The factors of ``f`` under the product tagged ``tag``: the ranges of
+    the :func:`_chain` of its first cut, shifted down.  With no cut of that
+    product, including when it splits under the other one, ``f`` is its own
+    single factor."""
+    images = f.images
     n = len(images)
-    blocks = []
-    start = 0
-    low = n + 1
-    for i, v in enumerate(images, 1):
-        if v < low:
-            low = v
-        if low > n - i:
-            blocks.append(tuple(v - (n - i) for v in images[start:i]))
-            start = i
-    return blocks
+    cut = _cut(images, 0, n, 1)
+    if cut is None or cut[0] is not tag:
+        return (f,)
+    return tuple(
+        _perm(tuple(v - low + 1 for v in images[start:end])) for start, end, low, _ in _chain(images, 0, n, 1, cut)
+    )
 
 
 def is_indecomposable(f: Permutation, kind: IndecKind) -> bool:
     """Whether ``f`` admits no nontrivial factorization of the given kind.
 
     Degree 1 is indecomposable of every kind.  Uses running prefix extrema,
-    so each test is linear in the degree.
+    so each test is linear in the degree.  These one-sided scans stay apart
+    from :func:`_cut`: a test needs no cut position, and the both-ends scan,
+    which tests four conditions per step, made the slice enumerations and
+    law audits that call this per element measurably slower.
     """
     if kind is IndecKind.SHARP:
         return _sharp_indecomposable(f.images)
@@ -239,29 +228,21 @@ def _all_permutations(n: int) -> tuple[Permutation, ...]:
     return tuple(map(_perm, itertools.permutations(range(1, n + 1))))
 
 
-def enumerate_permutations(n: int, bound: int = DEFAULT_PERMUTATION_BOUND) -> tuple[Permutation, ...]:
-    """All degree-n permutations in lexicographic one-line order."""
-    _check_degree(n, bound)
+def enumerate_permutations(n: int) -> tuple[Permutation, ...]:
+    """All degree-n permutations in lexicographic one-line order, for
+    n <= ``DEFAULT_PERMUTATION_BOUND``."""
+    check_degree(n, DEFAULT_PERMUTATION_BOUND)
     return _all_permutations(n)
 
 
-def _check_degree(n: int, bound: int) -> None:
-    if n < 1:
-        raise InvalidDegree(f"degree must be >= 1, got {n}")
-    if n > bound:
-        raise BoundExceeded(f"degree {n} exceeds the enumeration bound {bound}")
-
-
-def enumerate_indecomposable(
-    n: int, kind: IndecKind, bound: int = DEFAULT_PERMUTATION_BOUND
-) -> tuple[Permutation, ...]:
+def enumerate_indecomposable(n: int, kind: IndecKind) -> tuple[Permutation, ...]:
     """All degree-n indecomposables of the given kind, in lexicographic order."""
-    return _indecomposables(n, kind, bound)
+    return _indecomposables(n, kind)
 
 
 @lru_cache(maxsize=None)
-def _indecomposables(n: int, kind: IndecKind, bound: int) -> tuple[Permutation, ...]:
-    return tuple(f for f in enumerate_permutations(n, bound) if is_indecomposable(f, kind))
+def _indecomposables(n: int, kind: IndecKind) -> tuple[Permutation, ...]:
+    return tuple(f for f in enumerate_permutations(n) if is_indecomposable(f, kind))
 
 
 def count_indecomposable(n: int, kind: IndecKind) -> int:
@@ -278,7 +259,7 @@ def count_indecomposable(n: int, kind: IndecKind) -> int:
     >>> [count_indecomposable(n, IndecKind.S2) for n in range(1, 8)]
     [1, 0, 0, 2, 22, 202, 1854]
     """
-    _check_degree(n, DEFAULT_PERMUTATION_BOUND)
+    check_degree(n, DEFAULT_PERMUTATION_BOUND)
     full = (1 << n) - 1
     forbidden = set()
     if kind is not IndecKind.NATURAL:

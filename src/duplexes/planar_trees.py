@@ -172,17 +172,17 @@ def _all_trees(n: int) -> tuple[PlanarTree, ...]:
     return tuple(found)
 
 
-def enumerate_trees(n: int, bound: int = DEFAULT_TREE_BOUND) -> tuple[PlanarTree, ...]:
+def enumerate_trees(n: int) -> tuple[PlanarTree, ...]:
     """All trees with ``n`` leaves, in canonical order: fewer leaves first,
-    then lexicographic on the children.
+    then lexicographic on the children; n <= ``DEFAULT_TREE_BOUND``.
 
     >>> [format_tree(t) for t in enumerate_trees(3)]
     ['(|||)', '(|(||))', '((||)|)']
     """
     if n < 1:
         raise InvalidDegree(f"leaf count must be >= 1, got {n}")
-    if n > bound:
-        raise BoundExceeded(f"leaf count {n} exceeds the enumeration bound {bound}")
+    if n > DEFAULT_TREE_BOUND:
+        raise BoundExceeded(f"leaf count {n} exceeds the enumeration bound {DEFAULT_TREE_BOUND}")
     return _all_trees(n)
 
 

@@ -13,9 +13,8 @@ import math
 import operator
 from typing import Iterable, NamedTuple
 
-from . import binary_trees, decorated_trees, permutations, planar_trees
+from . import binary_trees, decorated_trees, planar_trees
 from .errors import BoundExceeded, ComposeNonzeroConstant
-from .permutations import IndecKind
 from .planar_trees import _Value
 
 
@@ -154,11 +153,11 @@ def from_counts(source: str, order: int, alphabet_size: int = 1) -> Series:
     if source == "catalan":
         return Series((0,) + tuple(binary_trees.catalan(n) for n in range(1, order + 1)))
     if source == "sharp-indec":
-        return _cross_checked(_count_indec(IndecKind.SHARP, order), _sharp_indec_formula(order), source)
+        return _cross_checked(_count_indec("sharp", order), _sharp_indec_formula(order), source)
     if source == "s2-indec":
         factorials = from_counts("factorials", order)
         formula = _sharp_indec_formula(order).scale(2) - factorials
-        return _cross_checked(_count_indec(IndecKind.S2, order), formula, source)
+        return _cross_checked(_count_indec("s2", order), formula, source)
     if source == "dupl":
         counts = [
             len(decorated_trees.enumerate_decorated(n)) * alphabet_size**n
@@ -168,8 +167,11 @@ def from_counts(source: str, order: int, alphabet_size: int = 1) -> Series:
     raise ValueError(f"unknown count source {source!r}; known: {', '.join(SOURCES)}")
 
 
-def _count_indec(kind: IndecKind, order: int) -> Series:
-    counts = [permutations.count_indecomposable(n, kind) for n in range(1, order + 1)]
+def _count_indec(kind: str, order: int) -> Series:
+    # imported here: the other sources and checks never need permutations
+    from .permutations import IndecKind, count_indecomposable
+
+    counts = [count_indecomposable(n, IndecKind(kind)) for n in range(1, order + 1)]
     return Series((0, *counts))
 
 
@@ -302,8 +304,8 @@ def _check_labeled_duplex_series(order: int) -> list[CheckResult]:
 def _check_doubly_indec_formula(order: int) -> list[CheckResult]:
     # chain-counted doubly-indecomposable counts against 2u_n - n!, u_n also
     # chain-counted (the two kinds avoid different prefix sets)
-    d = _count_indec(IndecKind.S2, order)
-    u = _count_indec(IndecKind.SHARP, order)
+    d = _count_indec("s2", order)
+    u = _count_indec("sharp", order)
     psi = from_counts("factorials", order)
     return [_compare("d_n = 2u_n - n!", d, u.scale(2) - psi)]
 

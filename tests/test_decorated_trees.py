@@ -24,6 +24,7 @@ from duplexes.decorated_trees import (
     tree_components,
     tree_dot,
     tree_star,
+    _all_decorated,
 )
 from duplexes.errors import (
     AlphabetMismatch,
@@ -166,7 +167,7 @@ def test_enumerate_counts():
 def test_enumerate_bound():
     with pytest.raises(BoundExceeded):
         enumerate_decorated(9)
-    assert len(enumerate_decorated(9, bound=9)) == 2 * super_catalan(9)
+    assert len(_all_decorated(9)) == 2 * super_catalan(9)
 
 
 # --- expressions: labels, evaluation ------------------------------------------------

@@ -23,7 +23,15 @@ from duplexes.decorated_trees import (
     star,
 )
 from duplexes.morphisms import alpha, leaf_sign_vector, phi, rho
-from duplexes.permutations import PERM_OPS, Permutation, duplex_factorize, format_permutation, multiply_out
+from duplexes.permutations import (
+    PERM_OPS,
+    Permutation,
+    duplex_factorize,
+    format_permutation,
+    multiply_out,
+    natural_factorize,
+    sharp_factorize,
+)
 
 DEEP = 10**4
 PAST_LIMIT = 1200  # nesting depth of the permutation cases
@@ -130,6 +138,12 @@ def test_factorize_multiply_out_at_depth():
     assert format_expr(x, lambda _label: "e") == nest_text(word)
     assert multiply_out(x) == f
     assert alpha(parse_expr(nest_text(word), "e")) == f
+
+
+def test_block_sum_factorizations_of_long_chains():
+    # every cut of the identity and of the reversal takes off one point
+    assert sharp_factorize(Permutation(range(1, DEEP + 1))) == (ONE,) * DEEP
+    assert natural_factorize(Permutation(range(DEEP, 0, -1))) == (ONE,) * DEEP
 
 
 def random_nest(rng, depth, labels):

@@ -84,6 +84,14 @@ def test_images_must_be_integers():
     assert Permutation([2, 1]).images == (2, 1)
 
 
+def test_call_takes_only_points_of_the_domain():
+    f = P(2, 3, 1)
+    assert [f(i) for i in (1, 2, 3)] == [2, 3, 1]
+    for i in (0, -1, 4):
+        with pytest.raises(ValueError, match=f"^point {i} is not in 1..3$"):
+            f(i)
+
+
 def test_parse_format_round_trip():
     for n in range(1, 5):
         for f in all_perms(n):
@@ -209,7 +217,7 @@ def test_delta_examples():
 
 
 def test_delta_matches_oracle():
-    for n in range(1, 7):
+    for n in range(1, 8):
         for f in all_perms(n):
             assert delta(f) == oracle_delta(f)
 
@@ -240,7 +248,7 @@ def test_natural_factorize_examples():
 
 
 def test_factorizations_round_trip():
-    for n in range(1, 7):
+    for n in range(1, 8):
         for f in all_perms(n):
             sf = sharp_factorize(f)
             assert reduce(sharp, sf) == f
@@ -286,7 +294,7 @@ def test_degree_one_indecomposable_every_kind():
 
 
 def test_indecomposable_matches_oracles():
-    for n in range(1, 7):
+    for n in range(1, 8):
         for f in all_perms(n):
             assert is_indecomposable(f, IndecKind.SHARP) == oracle_sharp_indec(f)
             assert is_indecomposable(f, IndecKind.NATURAL) == oracle_natural_indec(f)
@@ -329,14 +337,8 @@ def test_chain_count_bounds():
         count_indecomposable(0, IndecKind.NATURAL)
 
 
-def test_enumerate_bound_is_configurable():
-    with pytest.raises(BoundExceeded):
-        enumerate_permutations(4, bound=3)
-    assert len(enumerate_permutations(4, bound=4)) == 24
-
-
 def test_no_permutation_decomposes_both_ways():
-    for n in range(1, 7):
+    for n in range(1, 8):
         for f in all_perms(n):
             assert oracle_sharp_indec(f) or oracle_natural_indec(f)
 
