@@ -9,12 +9,15 @@ error (including requests that would check nothing: ``laws --bound`` below
 3, ``verify --order`` or ``count --max`` below 1), 3 resource bound exceeded
 (an enumeration bound, or input nested too deeply for a recursive
 routine), 4 internal error.  Errors are reported as one line on stderr,
-never as a traceback, so a crash cannot read as exit 1.
+never as a traceback, so a crash cannot read as exit 1.  A reader that
+closes stdout early (``| head``) ends the output, not the command: the exit
+status is still the result's.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -142,11 +145,19 @@ def _require_at_least(flag: str, value: int, minimum: int) -> None:
 
 
 def _emit(args: argparse.Namespace, inputs: dict, result, lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps({"command": args.command, "inputs": inputs, "result": result}))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if args.json:
+            print(json.dumps({"command": args.command, "inputs": inputs, "result": result}))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is left, and the interpreter's
+        # flush at exit, to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _cmd_enumerate(args) -> int:

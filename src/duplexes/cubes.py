@@ -16,7 +16,7 @@ import operator
 import re
 from typing import Iterable, Sequence
 
-from .decorated_trees import DuplexOps, Tag
+from .decorated_trees import _DOT, _STAR, DuplexOps, Tag
 from .errors import ParseError, check_degree
 from .planar_trees import _Value
 
@@ -66,16 +66,21 @@ _SEPARATOR = {Tag.DOT: -1, Tag.STAR: 1}
 
 
 def cube_product(a: CubeVertex, b: CubeVertex, op: Tag) -> CubeVertex:
-    """Concatenate with a ``-1`` (dot) or ``+1`` (star) separator."""
-    return _cube(a.signs + (_SEPARATOR[op],) + b.signs)
+    """Concatenate with a ``-1`` (dot) or ``+1`` (star) separator; any other
+    ``op`` raises ``TypeError``."""
+    if op is _DOT:
+        return _cube(a.signs + (-1,) + b.signs)
+    if op is _STAR:
+        return _cube(a.signs + (1,) + b.signs)
+    raise TypeError(f"op must be Tag.DOT or Tag.STAR, got {op!r}")
 
 
 def cube_dot(a: CubeVertex, b: CubeVertex) -> CubeVertex:
-    return cube_product(a, b, Tag.DOT)
+    return cube_product(a, b, _DOT)
 
 
 def cube_star(a: CubeVertex, b: CubeVertex) -> CubeVertex:
-    return cube_product(a, b, Tag.STAR)
+    return cube_product(a, b, _STAR)
 
 
 CUBE_OPS = DuplexOps(cube_dot, cube_star)

@@ -73,7 +73,7 @@ class DecoratedTree(_Value):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.shape, self.tag) == (other.shape, other.tag)
+        return self.tag is other.tag and self.shape.text == other.shape.text
 
     def __hash__(self) -> int:
         return hash((self.shape, self.tag))
@@ -83,7 +83,19 @@ class DecoratedTree(_Value):
         return leaf_count(self.shape)
 
 
+def _decorated(shape: PlanarTree, tag: Tag | None) -> DecoratedTree:
+    """The decorated tree of a shape and tag the library built itself; unchecked."""
+    t = object.__new__(DecoratedTree)
+    object.__setattr__(t, "shape", shape)
+    object.__setattr__(t, "tag", tag)
+    return t
+
+
 GENERATOR_TREE = DecoratedTree(LEAF, None)
+
+# The members bound once for the products: up to Python 3.11 ``EnumType``
+# defines ``__getattr__``, so every ``Tag.DOT`` lookup takes a slow hook.
+_DOT, _STAR = Tag.DOT, Tag.STAR
 
 
 def sign_at_level(root_tag: Tag, level: int) -> Tag:
@@ -97,17 +109,28 @@ def _product(tag: Tag, trees: Sequence[DecoratedTree]) -> DecoratedTree:
     root at every step.  An argument already tagged ``tag`` has its root
     edge contracted: its text enters without its outer parentheses."""
     text = "".join(t.shape.text[1:-1] if t.tag is tag else t.shape.text for t in trees)
-    return DecoratedTree(_tree("(" + text + ")"), tag)
+    return _decorated(_tree("(" + text + ")"), tag)
+
+
+def _graft(tag: Tag, t1: DecoratedTree, t2: DecoratedTree) -> DecoratedTree:
+    """``_product(tag, (t1, t2))`` with the two-operand join written out."""
+    s1 = t1.shape.text
+    s2 = t2.shape.text
+    if t1.tag is tag:
+        s1 = s1[1:-1]
+    if t2.tag is tag:
+        s2 = s2[1:-1]
+    return _decorated(_tree("(" + s1 + s2 + ")"), tag)
 
 
 def tree_dot(t1: DecoratedTree, t2: DecoratedTree) -> DecoratedTree:
     """The ``.`` product: graft and absorb dot-rooted arguments into the root."""
-    return _product(Tag.DOT, (t1, t2))
+    return _graft(_DOT, t1, t2)
 
 
 def tree_star(t1: DecoratedTree, t2: DecoratedTree) -> DecoratedTree:
     """The ``*`` product: graft and absorb star-rooted arguments into the root."""
-    return _product(Tag.STAR, (t1, t2))
+    return _graft(_STAR, t1, t2)
 
 
 DECORATED_OPS = DuplexOps(tree_dot, tree_star)

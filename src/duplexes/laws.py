@@ -42,32 +42,16 @@ class LawReport(NamedTuple):
     triples_checked: int
 
 
-# each identity: (quoted text, lhs, rhs) with lhs/rhs taking (ops, a, b, c)
-_IDENTITIES: dict[str, tuple[Callable, Callable]] = {
-    "(a.b).c = a.(b.c)": (
-        lambda o, a, b, c: o.dot(o.dot(a, b), c),
-        lambda o, a, b, c: o.dot(a, o.dot(b, c)),
-    ),
-    "(a*b)*c = a*(b*c)": (
-        lambda o, a, b, c: o.star(o.star(a, b), c),
-        lambda o, a, b, c: o.star(a, o.star(b, c)),
-    ),
-    "(a.b)*c = a.(b*c)": (
-        lambda o, a, b, c: o.star(o.dot(a, b), c),
-        lambda o, a, b, c: o.dot(a, o.star(b, c)),
-    ),
-    "(a*b).c = a*(b.c)": (
-        lambda o, a, b, c: o.dot(o.star(a, b), c),
-        lambda o, a, b, c: o.star(a, o.dot(b, c)),
-    ),
-    "(a*b).c = (a.b).c": (
-        lambda o, a, b, c: o.dot(o.star(a, b), c),
-        lambda o, a, b, c: o.dot(o.dot(a, b), c),
-    ),
-    "a*(b*c) = a*(b.c)": (
-        lambda o, a, b, c: o.star(a, o.star(b, c)),
-        lambda o, a, b, c: o.star(a, o.dot(b, c)),
-    ),
+# Each identity compares two of the eight outer products of a triple.  A
+# product is (bracketing, first op, second op), the ops read left to right
+# in its text: ("ab", ".", "*") is (a.b)*c and ("bc", ".", "*") is a.(b*c).
+_IDENTITIES: dict[str, tuple[tuple[str, str, str], tuple[str, str, str]]] = {
+    "(a.b).c = a.(b.c)": (("ab", ".", "."), ("bc", ".", ".")),
+    "(a*b)*c = a*(b*c)": (("ab", "*", "*"), ("bc", "*", "*")),
+    "(a.b)*c = a.(b*c)": (("ab", ".", "*"), ("bc", ".", "*")),
+    "(a*b).c = a*(b.c)": (("ab", "*", "."), ("bc", "*", ".")),
+    "(a*b).c = (a.b).c": (("ab", "*", "."), ("ab", ".", ".")),
+    "a*(b*c) = a*(b.c)": (("bc", "*", "*"), ("bc", "*", ".")),
 }
 
 _ASSOCIATIVITY = ["(a.b).c = a.(b.c)", "(a*b)*c = a*(b*c)"]
@@ -129,6 +113,13 @@ def check_laws(structure: Structure, variety: Variety, degree_bound: int) -> Law
     then the carrier's canonical element order; identities run in their
     declared order.  The first failure is returned, so reports are
     deterministic.
+
+    Each product is built once at the widest scope where it is constant:
+    the three slices once per degree split, ``b.c`` and ``b*c`` once per
+    ``(b, c)`` before the ``a`` loop, ``a.b`` and ``a*b`` once per
+    ``(a, b)``, and each outer product once per triple, shared by every
+    identity that compares it.  The order and the reports are those of
+    evaluating each identity's two sides afresh.
     """
     carrier = _CARRIERS[structure]
     if degree_bound > carrier.total_degree_limit:
@@ -136,18 +127,38 @@ def check_laws(structure: Structure, variety: Variety, degree_bound: int) -> Law
             f"total degree {degree_bound} exceeds the {structure.value} audit limit "
             f"{carrier.total_degree_limit}"
         )
-    identities = [(name, *_IDENTITIES[name]) for name in VARIETY_IDENTITIES[variety]]
+    dot, star = carrier.ops
+    op = {".": dot, "*": star}
+    slot = {".": 0, "*": 1}  # where an inner product sits in its (x.y, x*y) pair
+    # each outer product the variety names, in first-use order -> its place in a triple's values
+    position: dict[tuple[str, str, str], int] = {}
+    identities = []
+    for name in VARIETY_IDENTITIES[variety]:
+        lhs, rhs = _IDENTITIES[name]
+        identities.append(
+            (name, position.setdefault(lhs, len(position)), position.setdefault(rhs, len(position)))
+        )
+    # (a op1 b) op2 c reads slot op1 of (a.b, a*b); a op1 (b op2 c) slot op2 of (b.c, b*c)
+    plan = [
+        (True, slot[op1], op[op2]) if bracket == "ab" else (False, slot[op2], op[op1])
+        for bracket, op1, op2 in position
+    ]
     checked = 0
     for total in range(3, degree_bound + 1):
         for d1 in range(1, total - 1):
             for d2 in range(1, total - d1):
-                d3 = total - d1 - d2
-                for a in carrier.elements(d1):
-                    for b in carrier.elements(d2):
-                        for c in carrier.elements(d3):
+                firsts = carrier.elements(d1)
+                seconds = carrier.elements(d2)
+                thirds = carrier.elements(total - d1 - d2)
+                rows = [(b, [(c, (dot(b, c), star(b, c))) for c in thirds]) for b in seconds]
+                for a in firsts:
+                    for b, row in rows:
+                        ab = (dot(a, b), star(a, b))
+                        for c, bc in row:
                             checked += 1
+                            values = [f(ab[i], c) if left else f(a, bc[i]) for left, i, f in plan]
                             for name, lhs, rhs in identities:
-                                if lhs(carrier.ops, a, b, c) != rhs(carrier.ops, a, b, c):
+                                if values[lhs] != values[rhs]:
                                     return LawReport(
                                         structure,
                                         variety,

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from conftest import alternating, nest_images, nest_permutation, nest_text
+import duplexes
 from duplexes import cli, cubes, laws, series
 from duplexes.cli import main
 from duplexes.cubes import CubeVertex, format_cube, parse_cube
@@ -268,3 +273,19 @@ def test_parser_choices_match_the_library():
     assert list(cli._VARIETIES) == [v.value for v in laws.Variety]
     assert cli._CHECKS == series.CHECKS
     assert {IndecKind[name] for name in cli._FILTER_KINDS.values()} == set(IndecKind)
+
+
+def test_a_reader_leaving_early_ends_the_output_not_the_command():
+    # duplexes factor --perm "$ident" --mode sharp --json | head -c 200: the
+    # 20000 factors fill the pipe, so the reader leaves mid-write
+    src = str(Path(duplexes.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    ident = "(" + ",".join(map(str, range(1, 20001))) + ")"
+    argv = [sys.executable, "-m", "duplexes.cli", "factor", "--perm", ident, "--mode", "sharp", "--json"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(200).startswith(b'{"command": "factor"')
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert err == b""
+    assert code == cli.EXIT_OK

@@ -43,6 +43,8 @@ def test_cube_product_dispatch():
     assert cube_product(E, E, Tag.DOT) == V(-1)
     assert cube_product(V(-1), V(1), Tag.DOT) == V(-1, -1, 1)
     assert cube_product(E, E, Tag.STAR) == V(1)
+    with pytest.raises(TypeError):
+        cube_product(E, E, ".")
 
 
 def test_degrees_add():

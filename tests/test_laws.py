@@ -1,10 +1,12 @@
 import pytest
 
+from duplexes import laws
 from duplexes.binary_trees import BINARY_OPS, SINGLE_NODE, degree, enumerate_binary
-from duplexes.cubes import CUBE_OPS, SINGLETON, enumerate_cubes
-from duplexes.decorated_trees import DECORATED_OPS, GENERATOR_TREE, enumerate_decorated
+from duplexes.cubes import CUBE_OPS, SINGLETON, CubeVertex, cube_dot, cube_star, enumerate_cubes
+from duplexes.decorated_trees import DECORATED_OPS, GENERATOR_TREE, DuplexOps, enumerate_decorated
 from duplexes.errors import BoundExceeded
 from duplexes.laws import (
+    LawReport,
     Structure,
     Variety,
     check_laws,
@@ -97,3 +99,100 @@ def test_generated_elements_closures():
     for n in range(1, 8):
         assert len(slices[n]) == 2 ** (n - 1)
         assert slices[n] == frozenset(enumerate_cubes(n))
+
+
+# The reference audit: the same scan, with each identity's two sides built
+# afresh from the triple, sharing nothing.
+REFERENCE_SIDES = {
+    "(a.b).c = a.(b.c)": (
+        lambda o, a, b, c: o.dot(o.dot(a, b), c),
+        lambda o, a, b, c: o.dot(a, o.dot(b, c)),
+    ),
+    "(a*b)*c = a*(b*c)": (
+        lambda o, a, b, c: o.star(o.star(a, b), c),
+        lambda o, a, b, c: o.star(a, o.star(b, c)),
+    ),
+    "(a.b)*c = a.(b*c)": (
+        lambda o, a, b, c: o.star(o.dot(a, b), c),
+        lambda o, a, b, c: o.dot(a, o.star(b, c)),
+    ),
+    "(a*b).c = a*(b.c)": (
+        lambda o, a, b, c: o.dot(o.star(a, b), c),
+        lambda o, a, b, c: o.star(a, o.dot(b, c)),
+    ),
+    "(a*b).c = (a.b).c": (
+        lambda o, a, b, c: o.dot(o.star(a, b), c),
+        lambda o, a, b, c: o.dot(o.dot(a, b), c),
+    ),
+    "a*(b*c) = a*(b.c)": (
+        lambda o, a, b, c: o.star(a, o.star(b, c)),
+        lambda o, a, b, c: o.star(a, o.dot(b, c)),
+    ),
+}
+
+
+def reference_check_laws(structure, variety, degree_bound):
+    carrier = laws._CARRIERS[structure]
+    checked = 0
+    for total in range(3, degree_bound + 1):
+        for d1 in range(1, total - 1):
+            for d2 in range(1, total - d1):
+                for a in carrier.elements(d1):
+                    for b in carrier.elements(d2):
+                        for c in carrier.elements(total - d1 - d2):
+                            checked += 1
+                            for name in laws.VARIETY_IDENTITIES[variety]:
+                                lhs, rhs = REFERENCE_SIDES[name]
+                                if lhs(carrier.ops, a, b, c) != rhs(carrier.ops, a, b, c):
+                                    return LawReport(structure, variety, degree_bound, False, name, (a, b, c), checked)
+    return LawReport(structure, variety, degree_bound, True, None, None, checked)
+
+
+def test_identity_table_spells_each_name():
+    def text(product):
+        bracket, first, second = product
+        return f"(a{first}b){second}c" if bracket == "ab" else f"a{first}(b{second}c)"
+
+    assert set(REFERENCE_SIDES) == set(laws._IDENTITIES)
+    for name, (lhs, rhs) in laws._IDENTITIES.items():
+        assert name == f"{text(lhs)} = {text(rhs)}"
+
+
+def test_audit_matches_the_reference_on_every_pair():
+    for structure in Structure:
+        for variety in Variety:
+            for bound in range(2, 7):
+                expected = reference_check_laws(structure, variety, bound)
+                assert check_laws(structure, variety, bound) == expected, (structure, variety, bound)
+
+
+def test_audit_matches_the_reference_on_a_late_counterexample(monkeypatch):
+    # a dot that is wrong only on (<+1>.<+1>).e, so associativity first fails
+    # at a = b = <+1>, c = e: inside the split (2, 2, 1), past its first a and b
+    wrong_at = cube_dot(CubeVertex((1,)), CubeVertex((1,)))
+
+    def faulty_dot(x, y):
+        return cube_star(x, y) if x == wrong_at and y == SINGLETON else cube_dot(x, y)
+
+    faulty = laws._CARRIERS[Structure.CUBE]._replace(ops=DuplexOps(faulty_dot, cube_star))
+    monkeypatch.setitem(laws._CARRIERS, Structure.CUBE, faulty)
+    for variety in Variety:
+        expected = reference_check_laws(Structure.CUBE, variety, 6)
+        assert check_laws(Structure.CUBE, variety, 6) == expected, variety
+    report = check_laws(Structure.CUBE, Variety.DUPLEX, 6)
+    assert report.failing_identity == "(a.b).c = a.(b.c)"
+    assert report.witness == (CubeVertex((1,)), CubeVertex((1,)), SINGLETON)
+
+
+def test_slices_are_read_once_per_split(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return enumerate_decorated(n)
+
+    carrier = laws._CARRIERS[Structure.DECORATED]._replace(elements=counted)
+    monkeypatch.setitem(laws._CARRIERS, Structure.DECORATED, carrier)
+    assert check_laws(Structure.DECORATED, Variety.DUPLEX, 9).satisfied
+    splits = sum(1 for total in range(3, 10) for d1 in range(1, total - 1) for d2 in range(1, total - d1))
+    assert len(calls) <= 3 * splits
