@@ -11,12 +11,11 @@ import importlib
 # each exported name, by the module that defines it
 _EXPORTS = {
     **dict.fromkeys(
-        ("BINARY_OPS", "SINGLE_NODE", "STUB", "catalan", "enumerate_binary", "eval_duplexes1", "over", "split",
-         "under"),
+        ("BINARY_OPS", "SINGLE_NODE", "catalan", "enumerate_binary", "eval_duplexes1", "over", "split", "under"),
         "binary_trees",
     ),
     **dict.fromkeys(
-        ("CUBE_OPS", "SINGLETON", "CubeVertex", "cube_product", "cube_word", "enumerate_cubes", "word_to_cube"),
+        ("CUBE_OPS", "SINGLETON", "CubeVertex", "cube_product", "enumerate_cubes"),
         "cubes",
     ),
     **dict.fromkeys(
@@ -26,22 +25,20 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         ("AlphabetMismatch", "ArityTooSmall", "BoundExceeded", "ComposeNonzeroConstant", "ContractLeaf",
-         "DegreeMismatch", "DegreeTooSmall", "DuplexError", "ExprSyntaxError", "InvalidDegree", "MixedChainError",
-         "ParseError", "StubNotSplittable", "UnboundGenerator", "UnknownGenerator"),
+         "DegreeTooSmall", "DuplexError", "ExprSyntaxError", "InvalidDegree", "MixedChainError", "ParseError",
+         "StubNotSplittable", "UnboundGenerator", "UnknownGenerator"),
         "errors",
     ),
     **dict.fromkeys(("LawReport", "Structure", "Variety", "check_laws", "generated_elements"), "laws"),
     **dict.fromkeys(("alpha", "leaf_sign_vector", "phi", "rho"), "morphisms"),
     **dict.fromkeys(
-        ("PERM_OPS", "IndecKind", "Permutation", "compose", "count_indecomposable", "delta", "duplex_factorize",
+        ("PERM_OPS", "IndecKind", "Permutation", "count_indecomposable", "duplex_factorize",
          "enumerate_indecomposable", "enumerate_permutations", "format_permutation", "is_indecomposable",
-         "multiply_out", "natural", "natural_factorize", "omega", "parse_permutation", "sharp", "sharp_factorize",
-         "xi"),
+         "multiply_out", "natural", "natural_factorize", "parse_permutation", "sharp", "sharp_factorize", "xi"),
         "permutations",
     ),
     **dict.fromkeys(
-        ("LEAF", "PlanarTree", "enumerate_trees", "graft", "graft_contract", "leaf_count", "super_catalan",
-         "vertex_count"),
+        ("LEAF", "PlanarTree", "enumerate_trees", "graft_contract", "leaf_count", "super_catalan"),
         "planar_trees",
     ),
     **dict.fromkeys(("Series", "from_counts", "sum_of_powers", "verify_identity"), "series"),

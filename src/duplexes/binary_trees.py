@@ -3,7 +3,7 @@
 A binary tree is a :class:`~duplexes.planar_trees.PlanarTree` whose every
 internal vertex has exactly two children; elements are graded by
 internal-vertex count (one less than the leaf count).  The bare leaf
-``STUB`` is ``LEAF``; it is not an element and only pads the branches (a
+``LEAF`` is the stub: it is not an element and only pads the branches (a
 degree-n element has n+1 stubs).  The text format is the planar one.
 
 ``over(u, v)`` identifies the root of ``u`` with the leftmost leaf of
@@ -24,12 +24,7 @@ from .planar_trees import LEAF, PlanarTree, _tree, format_tree, leaf_count, pars
 
 DEFAULT_BINARY_BOUND = 10
 
-STUB = LEAF
 SINGLE_NODE = PlanarTree((LEAF, LEAF))  # the degree-1 element; generates everything
-
-
-def node(left: PlanarTree, right: PlanarTree) -> PlanarTree:
-    return PlanarTree((left, right))
 
 
 def degree(u: PlanarTree) -> int:
@@ -89,7 +84,7 @@ def eval_duplexes1(u: PlanarTree, a, ops: DuplexOps):
 def _all_binary(n: int) -> tuple[PlanarTree, ...]:
     # ascending left size, then left, then right: already the canonical order
     if n == 0:
-        return (STUB,)
+        return (LEAF,)
     return tuple(
         _tree("(" + l.text + r.text + ")")
         for i in range(n)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .decorated_trees import _DOT, _STAR, DuplexOps, Tag
 from .errors import ParseError, check_degree
@@ -62,8 +62,6 @@ def _cube(signs: tuple[int, ...]) -> CubeVertex:
 
 SINGLETON = CubeVertex()
 
-_SEPARATOR = {Tag.DOT: -1, Tag.STAR: 1}
-
 
 def cube_product(a: CubeVertex, b: CubeVertex, op: Tag) -> CubeVertex:
     """Concatenate with a ``-1`` (dot) or ``+1`` (star) separator; any other
@@ -84,18 +82,6 @@ def cube_star(a: CubeVertex, b: CubeVertex) -> CubeVertex:
 
 
 CUBE_OPS = DuplexOps(cube_dot, cube_star)
-
-
-def cube_word(a: CubeVertex) -> tuple[Tag, ...]:
-    """The operation word spelling ``a`` from degree-1 elements: position i
-    reads dot for sign -1 and star for +1."""
-    return tuple(Tag.DOT if s == -1 else Tag.STAR for s in a.signs)
-
-
-def word_to_cube(word: Sequence[Tag]) -> CubeVertex:
-    """Inverse of :func:`cube_word`; the common value of every bracketing of
-    the word product."""
-    return _cube(tuple(_SEPARATOR[op] for op in word))
 
 
 def enumerate_cubes(n: int) -> tuple[CubeVertex, ...]:

@@ -98,11 +98,6 @@ GENERATOR_TREE = DecoratedTree(LEAF, None)
 _DOT, _STAR = Tag.DOT, Tag.STAR
 
 
-def sign_at_level(root_tag: Tag, level: int) -> Tag:
-    """Derived sign of a vertex: the root tag on even levels, flipped on odd."""
-    return root_tag if level % 2 == 0 else root_tag.other
-
-
 def _product(tag: Tag, trees: Sequence[DecoratedTree]) -> DecoratedTree:
     """The n-ary product of k >= 2 trees in one graft: by associativity it
     equals any bracketing of the binary products, without rebuilding the
@@ -134,21 +129,6 @@ def tree_star(t1: DecoratedTree, t2: DecoratedTree) -> DecoratedTree:
 
 
 DECORATED_OPS = DuplexOps(tree_dot, tree_star)
-
-
-def tree_components(t: DecoratedTree) -> tuple[DecoratedTree, ...]:
-    """Unique factorization of a tagged tree over the opposite sign class.
-
-    The root's children, read as stand-alone decorated trees, carry the
-    opposite tag (they sat at level 1); folding them back with the root's
-    operation reproduces the tree.
-    """
-    if t.tag is None:
-        raise ValueError("the leaf tree has no factorization")
-    opposite = t.tag.other
-    return tuple(
-        DecoratedTree(c, None if c.is_leaf else opposite) for c in t.shape.children
-    )
 
 
 @lru_cache(maxsize=None)
@@ -232,19 +212,6 @@ def dot(x: DuplexExpr, y: DuplexExpr) -> DuplexExpr:
 
 def star(x: DuplexExpr, y: DuplexExpr) -> DuplexExpr:
     return _combine(Tag.STAR, (x, y))
-
-
-def expr_components(x: DuplexExpr) -> tuple[DuplexExpr, ...]:
-    """Factor a composite expression into the components of its root product,
-    splitting the label sequence by leaf counts left to right."""
-    parts = tree_components(x.tree)
-    out: list[DuplexExpr] = []
-    offset = 0
-    for part in parts:
-        n = part.degree
-        out.append(DuplexExpr(part, x.labels[offset : offset + n], x.alphabet))
-        offset += n
-    return tuple(out)
 
 
 def eval_hom(x: DuplexExpr, assignment: Mapping, ops: DuplexOps):

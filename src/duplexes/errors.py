@@ -5,10 +5,6 @@ class DuplexError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DegreeMismatch(DuplexError):
-    """Binary operation applied to elements of incompatible degrees."""
-
-
 class InvalidDegree(DuplexError):
     """A degree argument outside the domain of the operation (usually < 1)."""
 

@@ -1,8 +1,8 @@
 """Permutations under the two block-sum products and their factorizations.
 
 A permutation of degree n is stored in one-line notation, the tuple
-``(f(1), ..., f(n))``.  Besides group composition, two associative
-degree-adding products are defined:
+``(f(1), ..., f(n))``.  Two associative degree-adding products are
+defined:
 
 * ``sharp(f, g)`` places ``g``'s block above ``f``'s along the diagonal:
   the first ``n`` values are ``f``'s, the rest are ``g``'s shifted up by n.
@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .decorated_trees import DecoratedTree, DuplexExpr, DuplexOps, Tag, leaf_expr
-from .errors import DegreeMismatch, InvalidDegree, ParseError, check_degree
+from .errors import ParseError, check_degree
 from .planar_trees import _tree, _Value
 
 DEFAULT_PERMUTATION_BOUND = 8
@@ -97,13 +97,6 @@ class IndecKind(enum.Enum):
     S2 = "s2"  # indecomposable for both products at once
 
 
-def compose(f: Permutation, g: Permutation) -> Permutation:
-    """Group composition: ``compose(f, g)(i) = f(g(i))``."""
-    if f.degree != g.degree:
-        raise DegreeMismatch(f"cannot compose degrees {f.degree} and {g.degree}")
-    return _perm(tuple(f.images[j - 1] for j in g.images))
-
-
 def sharp(f: Permutation, g: Permutation) -> Permutation:
     """Diagonal block sum.
 
@@ -128,24 +121,11 @@ def natural(f: Permutation, g: Permutation) -> Permutation:
 PERM_OPS = DuplexOps(sharp, natural)
 
 
-def omega(n: int) -> Permutation:
-    """The order-reversing permutation ``i -> n + 1 - i``."""
-    if n < 1:
-        raise InvalidDegree(f"degree must be >= 1, got {n}")
-    return Permutation(tuple(range(n, 0, -1)))
-
-
 def xi(f: Permutation) -> Permutation:
     """Compose with the order reversal on the left; an involution that swaps
     the roles of the two block sums."""
     n = f.degree
     return _perm(tuple(n + 1 - v for v in f.images))
-
-
-def delta(f: Permutation) -> int:
-    """Smallest i such that f maps {1..i} into itself (i = n always works):
-    the degree of the first factor of :func:`sharp_factorize`."""
-    return sharp_factorize(f)[0].degree
 
 
 def sharp_factorize(f: Permutation) -> tuple[Permutation, ...]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import ArityTooSmall, BoundExceeded, ContractLeaf, InvalidDegree, ParseError
+from .errors import ArityTooSmall, ContractLeaf, InvalidDegree, ParseError, check_degree
 
 DEFAULT_TREE_BOUND = 10
 
@@ -52,8 +52,9 @@ class _Value:
 
 
 class PlanarTree(_Value):
-    """A planar rooted tree, built from its children (none for a leaf) and
-    held as its canonical text."""
+    """A planar rooted tree, built by grafting its children under a new root
+    (none for a leaf, one raises ``ArityTooSmall``) and held as its
+    canonical text; ``.children`` recovers exactly the grafted trees."""
 
     __slots__ = ("text",)
     text: str
@@ -114,23 +115,6 @@ def leaf_count(t: PlanarTree) -> int:
     return t.text.count("|")
 
 
-def vertex_count(t: PlanarTree) -> int:
-    """Number of internal vertices (a leaf has none)."""
-    return t.text.count("(")
-
-
-def graft(children: Sequence[PlanarTree]) -> PlanarTree:
-    """Join k >= 2 trees under a new root.
-
-    Grafting is the unique way to build a tree with more than one leaf: the
-    root's child sequence recovers exactly the grafted trees.
-    """
-    children = tuple(children)
-    if len(children) < 2:
-        raise ArityTooSmall(f"grafting needs at least 2 trees, got {len(children)}")
-    return PlanarTree(children)
-
-
 def graft_contract(positions: Iterable[int], children: Sequence[PlanarTree]) -> PlanarTree:
     """Graft, then contract the root edges at the given 1-based positions.
 
@@ -179,10 +163,7 @@ def enumerate_trees(n: int) -> tuple[PlanarTree, ...]:
     >>> [format_tree(t) for t in enumerate_trees(3)]
     ['(|||)', '(|(||))', '((||)|)']
     """
-    if n < 1:
-        raise InvalidDegree(f"leaf count must be >= 1, got {n}")
-    if n > DEFAULT_TREE_BOUND:
-        raise BoundExceeded(f"leaf count {n} exceeds the enumeration bound {DEFAULT_TREE_BOUND}")
+    check_degree(n, DEFAULT_TREE_BOUND)
     return _all_trees(n)
 
 

@@ -14,7 +14,7 @@ import operator
 from typing import Iterable, NamedTuple
 
 from . import binary_trees, decorated_trees, planar_trees
-from .errors import BoundExceeded, ComposeNonzeroConstant
+from .errors import BoundExceeded, ComposeNonzeroConstant, InvalidDegree
 from .planar_trees import _Value
 
 
@@ -241,12 +241,15 @@ def verify_identity(name: str, order: int | None = None) -> VerificationReport:
 
     Each check compares two independently computed series (enumeration
     against closed formula, or formula against formula in a different
-    shape) modulo ``T**(order+1)``.
+    shape) modulo ``T**(order+1)``.  An order below 1 would compare no
+    coefficient, so it raises ``InvalidDegree``.
     """
     if name not in CHECKS:
         raise ValueError(f"unknown identity {name!r}; known: {', '.join(CHECKS)}")
     if order is None:
         order = DEFAULT_ORDERS[name]
+    if order < 1:
+        raise InvalidDegree(f"order must be >= 1, got {order}")
     checks = _CHECK_BUILDERS[name](order)
     return VerificationReport(name, order, all(c.ok for c in checks), tuple(checks))
 

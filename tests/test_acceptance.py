@@ -19,7 +19,7 @@ from duplexes.binary_trees import (
     split,
     under,
 )
-from duplexes.cubes import SINGLETON, cube_product, word_to_cube
+from duplexes.cubes import SINGLETON, CubeVertex, cube_product
 from duplexes.decorated_trees import (
     DuplexExpr,
     GENERATOR_TREE,
@@ -217,7 +217,7 @@ def test_criterion_11_cube_identities_and_bracketings():
 
         for length in range(1, 7):
             for word in itertools.product((Tag.DOT, Tag.STAR), repeat=length):
-                assert bracketings(word) == {word_to_cube(word)}
+                assert bracketings(word) == {CubeVertex(-1 if op is Tag.DOT else 1 for op in word)}
 
 
 def test_criterion_12_morphism_coherence():

@@ -4,13 +4,11 @@ from conftest import compositions, sort_key
 from duplexes.binary_trees import (
     BINARY_OPS,
     SINGLE_NODE,
-    STUB,
     catalan,
     degree,
     enumerate_binary,
     eval_duplexes1,
     format_binary,
-    node,
     over,
     parse_binary,
     split,
@@ -18,10 +16,11 @@ from duplexes.binary_trees import (
 )
 from duplexes.cubes import CUBE_OPS, CubeVertex, SINGLETON
 from duplexes.errors import BoundExceeded, InvalidDegree, ParseError, StubNotSplittable
+from duplexes.planar_trees import LEAF, PlanarTree
 
 E = SINGLE_NODE
-LEFT_COMB_2 = node(E, STUB)
-RIGHT_COMB_2 = node(STUB, E)
+LEFT_COMB_2 = PlanarTree((E, LEAF))
+RIGHT_COMB_2 = PlanarTree((LEAF, E))
 
 CATALAN = [1, 2, 5, 14, 42, 132, 429, 1430]
 
@@ -32,16 +31,16 @@ def binaries(n):
 
 def test_over_examples():
     assert over(E, E) == LEFT_COMB_2
-    assert over(LEFT_COMB_2, STUB) == LEFT_COMB_2
-    assert over(STUB, E) == E
-    assert over(over(E, E), E) == node(node(E, STUB), STUB)
+    assert over(LEFT_COMB_2, LEAF) == LEFT_COMB_2
+    assert over(LEAF, E) == E
+    assert over(over(E, E), E) == PlanarTree((PlanarTree((E, LEAF)), LEAF))
 
 
 def test_under_examples():
     assert under(E, E) == RIGHT_COMB_2
-    assert under(STUB, LEFT_COMB_2) == LEFT_COMB_2
-    assert under(RIGHT_COMB_2, STUB) == RIGHT_COMB_2
-    assert under(over(E, E), E) == node(E, E)
+    assert under(LEAF, LEFT_COMB_2) == LEFT_COMB_2
+    assert under(RIGHT_COMB_2, LEAF) == RIGHT_COMB_2
+    assert under(over(E, E), E) == PlanarTree((E, E))
 
 
 def test_degrees_add():
@@ -54,11 +53,11 @@ def test_degrees_add():
 
 
 def test_split():
-    assert split(E) == (STUB, STUB)
-    assert split(LEFT_COMB_2) == (E, STUB)
-    assert split(RIGHT_COMB_2) == (STUB, E)
+    assert split(E) == (LEAF, LEAF)
+    assert split(LEFT_COMB_2) == (E, LEAF)
+    assert split(RIGHT_COMB_2) == (LEAF, E)
     with pytest.raises(StubNotSplittable):
-        split(STUB)
+        split(LEAF)
 
 
 def test_associativity_and_mixed_identity():
@@ -87,10 +86,10 @@ def test_branch_laws():
 
 def test_grafting_claim():
     # (a.e)*b grafts a and b under a fresh root, stubs included
-    pool = [STUB] + [u for n in range(1, 5) for u in binaries(n)]
+    pool = [LEAF] + [u for n in range(1, 5) for u in binaries(n)]
     for a in pool:
         for b in pool:
-            assert under(over(a, E), b) == node(a, b)
+            assert under(over(a, E), b) == PlanarTree((a, b))
 
 
 def test_reconstruction():
@@ -107,7 +106,7 @@ def test_eval_examples():
     assert eval_duplexes1(E, SINGLETON, CUBE_OPS) == SINGLETON
     assert eval_duplexes1(over(E, E), SINGLETON, CUBE_OPS) == CubeVertex((-1,))
     with pytest.raises(StubNotSplittable):
-        eval_duplexes1(STUB, SINGLETON, CUBE_OPS)
+        eval_duplexes1(LEAF, SINGLETON, CUBE_OPS)
 
 
 def test_eval_identity_homomorphism():

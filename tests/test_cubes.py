@@ -1,4 +1,5 @@
 import itertools
+from functools import reduce
 
 import pytest
 
@@ -10,11 +11,9 @@ from duplexes.cubes import (
     cube_dot,
     cube_product,
     cube_star,
-    cube_word,
     enumerate_cubes,
     format_cube,
     parse_cube,
-    word_to_cube,
 )
 from duplexes.decorated_trees import Tag
 from duplexes.errors import BoundExceeded, InvalidDegree, ParseError
@@ -62,30 +61,14 @@ def test_sign_validation():
 
 
 def test_words():
-    assert cube_word(V(-1, 1)) == (Tag.DOT, Tag.STAR)
-    assert cube_word(E) == ()
-    assert word_to_cube((Tag.STAR, Tag.STAR, Tag.DOT)) == V(1, 1, -1)
+    # the words e op1 e op2 ... e, folded from the left, in the order dot < star,
+    # spell the slice in enumeration order: position i is -1 for dot, +1 for star
     for n in range(1, 6):
-        for a in enumerate_cubes(n):
-            assert word_to_cube(cube_word(a)) == a
-
-
-def _bracketing_values(word):
-    # evaluate e op1 e op2 ... under every bracketing
-    if not word:
-        return {E}
-    values = set()
-    for i, op in enumerate(word):
-        for left in _bracketing_values(word[:i]):
-            for right in _bracketing_values(word[i + 1 :]):
-                values.add(cube_product(left, right, op))
-    return values
-
-
-def test_bracketing_independence():
-    for length in range(1, 6):
-        for word in itertools.product((Tag.DOT, Tag.STAR), repeat=length):
-            assert _bracketing_values(word) == {word_to_cube(word)}
+        values = tuple(
+            reduce(lambda a, op: cube_product(a, E, op), word, E)
+            for word in itertools.product((Tag.DOT, Tag.STAR), repeat=n - 1)
+        )
+        assert values == enumerate_cubes(n)
 
 
 def test_both_mixed_identities_small():

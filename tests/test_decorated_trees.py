@@ -13,15 +13,12 @@ from duplexes.decorated_trees import (
     dot,
     enumerate_decorated,
     eval_hom,
-    expr_components,
     expr_from_machine,
     expr_to_machine,
     format_expr,
     leaf_expr,
     parse_expr,
-    sign_at_level,
     star,
-    tree_components,
     tree_dot,
     tree_star,
     _all_decorated,
@@ -35,7 +32,7 @@ from duplexes.errors import (
     UnknownGenerator,
 )
 from duplexes.permutations import PERM_OPS, Permutation
-from duplexes.planar_trees import LEAF, graft, graft_contract, super_catalan
+from duplexes.planar_trees import LEAF, PlanarTree, graft_contract, super_catalan
 
 E = leaf_expr("e", {"e"})
 
@@ -52,7 +49,7 @@ def decorated(n):
 
 
 def test_products_of_two_leaves():
-    two = graft([LEAF, LEAF])
+    two = PlanarTree([LEAF, LEAF])
     assert tree_dot(GENERATOR_TREE, GENERATOR_TREE) == DecoratedTree(two, Tag.DOT)
     assert tree_star(GENERATOR_TREE, GENERATOR_TREE) == DecoratedTree(two, Tag.STAR)
 
@@ -64,11 +61,11 @@ def test_products_same_class_merge_roots():
     assert tree_dot(d2, d2) == DecoratedTree(
         graft_contract({1, 2}, [d2.shape, d2.shape]), Tag.DOT
     )
-    assert tree_star(d2, d2) == DecoratedTree(graft([d2.shape, d2.shape]), Tag.STAR)
+    assert tree_star(d2, d2) == DecoratedTree(PlanarTree([d2.shape, d2.shape]), Tag.STAR)
     assert tree_star(s2, s2) == DecoratedTree(
         graft_contract({1, 2}, [s2.shape, s2.shape]), Tag.STAR
     )
-    assert tree_dot(s2, s2) == DecoratedTree(graft([s2.shape, s2.shape]), Tag.DOT)
+    assert tree_dot(s2, s2) == DecoratedTree(PlanarTree([s2.shape, s2.shape]), Tag.DOT)
 
 
 def test_products_mixed_classes_contract_matching_side():
@@ -82,31 +79,32 @@ def test_products_mixed_classes_contract_matching_side():
 
 def test_dot_chain_gives_corolla():
     x = dot(dot(E, E), E)
-    assert x.tree == DecoratedTree(graft([LEAF, LEAF, LEAF]), Tag.DOT)
+    assert x.tree == DecoratedTree(PlanarTree([LEAF, LEAF, LEAF]), Tag.DOT)
     assert x == dot(E, dot(E, E))
 
 
 def test_dot_of_mixed_expressions():
     x = dot(dot(E, E), star(E, E))
-    assert x.tree.shape == graft([LEAF, LEAF, graft([LEAF, LEAF])])
+    assert x.tree.shape == PlanarTree([LEAF, LEAF, PlanarTree([LEAF, LEAF])])
     assert x.tree.tag is Tag.DOT
 
 
 def test_star_corolla():
     x = star(star(E, E), star(E, E))
-    assert x.tree == DecoratedTree(graft([LEAF] * 4), Tag.STAR)
+    assert x.tree == DecoratedTree(PlanarTree([LEAF] * 4), Tag.STAR)
 
 
 def test_displayed_six_leaf_tree():
     x = star(dot(dot(E, E), E), dot(E, star(E, E)))
-    u1 = graft([LEAF, LEAF, LEAF])
-    u2 = graft([LEAF, graft([LEAF, LEAF])])
-    assert x.tree.shape == graft([u1, u2])
+    u1 = PlanarTree([LEAF, LEAF, LEAF])
+    u2 = PlanarTree([LEAF, PlanarTree([LEAF, LEAF])])
+    assert x.tree.shape == PlanarTree([u1, u2])
     assert x.tree.tag is Tag.STAR
     # root is starred, its children dotted, the deepest vertex starred again
-    assert sign_at_level(x.tree.tag, 0) is Tag.STAR
-    assert sign_at_level(x.tree.tag, 1) is Tag.DOT
-    assert sign_at_level(x.tree.tag, 2) is Tag.STAR
+    first, second = (DecoratedTree(c, Tag.DOT) for c in x.tree.shape.children)
+    assert first == dot(dot(E, E), E).tree
+    assert second == dot(E, star(E, E)).tree
+    assert DecoratedTree(second.shape.children[1], Tag.STAR) == star(E, E).tree
     assert format_expr(x) == "(e.e.e)*(e.(e*e))"
 
 
@@ -126,10 +124,9 @@ def test_associativity_exhaustive():
 def test_components_refold():
     for n in range(2, 7):
         for t in decorated(n):
-            parts = tree_components(t)
+            # the root's children, read at level 1, carry the opposite tag
+            parts = [DecoratedTree(c, None if c.is_leaf else t.tag.other) for c in t.shape.children]
             assert len(parts) >= 2
-            opposite = t.tag.other
-            assert all(p.tag in (None, opposite) for p in parts)
             op = tree_dot if t.tag is Tag.DOT else tree_star
             assert reduce(op, parts) == t
 
@@ -188,12 +185,6 @@ def test_combining_distinct_alphabets_fails():
 def test_labels_concatenate():
     x = star(dot(leaf_expr("a", "ab"), leaf_expr("b", "ab")), leaf_expr("a", "ab"))
     assert x.labels == ("a", "b", "a")
-
-
-def test_expr_components_split_labels():
-    x = star(dot(leaf_expr("a", "ab"), leaf_expr("b", "ab")), leaf_expr("a", "ab"))
-    parts = expr_components(x)
-    assert [p.labels for p in parts] == [("a", "b"), ("a",)]
 
 
 def test_eval_hom_examples():
@@ -315,4 +306,4 @@ def test_decorated_tree_tag_invariant():
     with pytest.raises(ValueError):
         DecoratedTree(LEAF, Tag.DOT)
     with pytest.raises(ValueError):
-        DecoratedTree(graft([LEAF, LEAF]), None)
+        DecoratedTree(PlanarTree([LEAF, LEAF]), None)

@@ -3,6 +3,7 @@ import pytest
 from duplexes.binary_trees import SINGLE_NODE, enumerate_binary, over, under
 from duplexes.cubes import CubeVertex, enumerate_cubes
 from duplexes.decorated_trees import (
+    DecoratedTree,
     DuplexExpr,
     Tag,
     dot,
@@ -10,7 +11,6 @@ from duplexes.decorated_trees import (
     leaf_expr,
     parse_expr,
     star,
-    tree_components,
 )
 from duplexes.errors import DegreeTooSmall
 from duplexes.morphisms import alpha, leaf_sign_vector, phi, rho
@@ -46,13 +46,14 @@ def test_rho_examples():
 
 
 def _rho_oracle(t):
-    # structural recursion straight off the factorization, bypassing eval_hom
+    # structural recursion straight off the factorization, bypassing eval_hom:
+    # the root's children, read at level 1, carry the opposite tag
     if t.tag is None:
         return SINGLE_NODE
     op = over if t.tag is Tag.DOT else under
     value = None
-    for part in tree_components(t):
-        image = _rho_oracle(part)
+    for child in t.shape.children:
+        image = _rho_oracle(DecoratedTree(child, None if child.is_leaf else t.tag.other))
         value = image if value is None else op(value, image)
     return value
 

@@ -7,14 +7,12 @@ from hypothesis import given
 
 from conftest import permutation_strategy
 from duplexes.decorated_trees import DuplexExpr, dot, enumerate_decorated, eval_hom, leaf_expr, star
-from duplexes.errors import BoundExceeded, DegreeMismatch, InvalidDegree, ParseError
+from duplexes.errors import BoundExceeded, InvalidDegree, ParseError
 from duplexes.permutations import (
     PERM_OPS,
     IndecKind,
     Permutation,
-    compose,
     count_indecomposable,
-    delta,
     duplex_factorize,
     enumerate_indecomposable,
     enumerate_permutations,
@@ -23,7 +21,6 @@ from duplexes.permutations import (
     multiply_out,
     natural,
     natural_factorize,
-    omega,
     parse_permutation,
     sharp,
     sharp_factorize,
@@ -111,27 +108,6 @@ def test_parse_diagnostics():
         parse_permutation("3,1,2")
 
 
-# --- composition --------------------------------------------------------------
-
-
-def test_compose_examples():
-    assert compose(P(2, 1, 3), P(1, 3, 2)) == P(2, 3, 1)
-    assert compose(P(1, 2), P(2, 1)) == P(2, 1)
-    assert compose(omega(3), omega(3)) == P(1, 2, 3)
-
-
-def test_compose_pointwise():
-    for f in all_perms(3):
-        for g in all_perms(3):
-            h = compose(f, g)
-            assert all(h(i) == f(g(i)) for i in range(1, 4))
-
-
-def test_compose_degree_mismatch():
-    with pytest.raises(DegreeMismatch):
-        compose(P(1), P(1, 2))
-
-
 # --- the two block sums ---------------------------------------------------------
 
 
@@ -170,15 +146,7 @@ def test_degrees_add():
     assert natural(f, g).degree == 5
 
 
-# --- omega and xi ----------------------------------------------------------------
-
-
-def test_omega():
-    assert omega(1) == P(1)
-    assert omega(3) == P(3, 2, 1)
-    assert omega(4) == P(4, 3, 2, 1)
-    with pytest.raises(InvalidDegree):
-        omega(0)
+# --- xi ---------------------------------------------------------------------------
 
 
 def test_xi_examples():
@@ -190,7 +158,8 @@ def test_xi_examples():
 def test_xi_is_composition_with_omega():
     for n in range(1, 6):
         for f in all_perms(n):
-            assert xi(f) == compose(omega(n), f)
+            g = xi(f)
+            assert all(g(i) == n + 1 - f(i) for i in range(1, n + 1))
 
 
 def test_xi_involution_exhaustive():
@@ -208,25 +177,26 @@ def test_xi_swaps_the_block_sums():
 
 
 # --- delta and factorization -------------------------------------------------------
+# delta(f), the smallest i with f({1..i}) = {1..i}, is the first sharp factor's degree
 
 
 def test_delta_examples():
-    assert delta(P(2, 1, 3)) == 2
-    assert delta(P(2, 3, 1)) == 3
-    assert delta(P(1, 2, 3)) == 1
+    assert sharp_factorize(P(2, 1, 3))[0].degree == 2
+    assert sharp_factorize(P(2, 3, 1))[0].degree == 3
+    assert sharp_factorize(P(1, 2, 3))[0].degree == 1
 
 
 def test_delta_matches_oracle():
     for n in range(1, 8):
         for f in all_perms(n):
-            assert delta(f) == oracle_delta(f)
+            assert sharp_factorize(f)[0].degree == oracle_delta(f)
 
 
 def test_delta_split():
     # delta < degree forces the two-block split; delta = degree means indecomposable
     for n in range(1, 8):
         for f in all_perms(n):
-            d = delta(f)
+            d = sharp_factorize(f)[0].degree
             if d < n:
                 head = Permutation(f.images[:d])
                 tail = Permutation(tuple(v - d for v in f.images[d:]))
@@ -408,8 +378,6 @@ def test_library_built_permutations_are_valid():
         for g in small:
             _validate_images(sharp(f, g).images)
             _validate_images(natural(f, g).images)
-            if f.degree == g.degree:
-                _validate_images(compose(f, g).images)
     for n in range(1, 8):
         for f in all_perms(n):
             _validate_images(f.images)

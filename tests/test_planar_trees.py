@@ -10,56 +10,51 @@ from duplexes.planar_trees import (
     PlanarTree,
     enumerate_trees,
     format_tree,
-    graft,
     graft_contract,
     leaf_count,
     parse_tree,
     super_catalan,
-    vertex_count,
 )
 
-CORROLA3 = graft([LEAF, LEAF, LEAF])
-FORK = graft([LEAF, graft([LEAF, LEAF])])  # 3 leaves, second branch splits
+CORROLA3 = PlanarTree([LEAF, LEAF, LEAF])
+FORK = PlanarTree([LEAF, PlanarTree([LEAF, LEAF])])  # 3 leaves, second branch splits
 
 # counts established by exhaustive generation (see test_counts_agree)
 TREE_COUNTS = [1, 1, 3, 11, 45, 197, 903, 4279]
 
 
 def test_graft_two_leaves():
-    t = graft([LEAF, LEAF])
+    t = PlanarTree([LEAF, LEAF])
     assert leaf_count(t) == 2
-    assert vertex_count(t) == 1
+    assert t.text.count("(") == 1
     assert enumerate_trees(2) == (t,)
 
 
 def test_graft_figure_example():
-    t = graft([CORROLA3, FORK])
+    t = PlanarTree([CORROLA3, FORK])
     assert leaf_count(t) == 6
-    assert vertex_count(t) == 4
+    assert t.text.count("(") == 4
     assert format_tree(t) == "((|||)(|(||)))"
 
 
 def test_graft_recovers_children():
     for n in range(2, 6):
         for t in enumerate_trees(n):
-            assert graft(t.children) == t
+            assert PlanarTree(t.children) == t
 
 
 def test_graft_arity():
     with pytest.raises(ArityTooSmall):
-        graft([LEAF])
-    with pytest.raises(ArityTooSmall):
-        graft([])
-    with pytest.raises(ArityTooSmall):
         PlanarTree((LEAF,))
+    assert PlanarTree(()) == LEAF
 
 
 def test_graft_contract_examples():
-    assert graft_contract({1}, [CORROLA3, FORK]) == graft([LEAF, LEAF, LEAF, FORK])
-    assert graft_contract({1, 2}, [CORROLA3, FORK]) == graft(
-        [LEAF, LEAF, LEAF, LEAF, graft([LEAF, LEAF])]
+    assert graft_contract({1}, [CORROLA3, FORK]) == PlanarTree([LEAF, LEAF, LEAF, FORK])
+    assert graft_contract({1, 2}, [CORROLA3, FORK]) == PlanarTree(
+        [LEAF, LEAF, LEAF, LEAF, PlanarTree([LEAF, LEAF])]
     )
-    assert graft_contract(set(), [LEAF, LEAF]) == graft([LEAF, LEAF])
+    assert graft_contract(set(), [LEAF, LEAF]) == PlanarTree([LEAF, LEAF])
 
 
 def test_graft_contract_errors():
@@ -81,13 +76,13 @@ def test_graft_contract_keeps_leaves_drops_vertices():
                     continue
                 out = graft_contract(positions, [t1, t2])
                 assert leaf_count(out) == leaf_count(t1) + leaf_count(t2)
-                expected = 1 + vertex_count(t1) + vertex_count(t2) - len(positions)
-                assert vertex_count(out) == expected
+                expected = 1 + t1.text.count("(") + t2.text.count("(") - len(positions)
+                assert out.text.count("(") == expected
 
 
 @given(planar_tree_strategy(6), planar_tree_strategy(6))
 def test_leaf_count_additive(t1, t2):
-    assert leaf_count(graft([t1, t2])) == leaf_count(t1) + leaf_count(t2)
+    assert leaf_count(PlanarTree([t1, t2])) == leaf_count(t1) + leaf_count(t2)
 
 
 def test_enumerate_counts():
@@ -104,9 +99,9 @@ def test_enumerate_well_formed():
 
 
 def test_enumerate_bounds():
-    with pytest.raises(BoundExceeded):
+    with pytest.raises(BoundExceeded, match="^degree 11 exceeds the enumeration bound 10$"):
         enumerate_trees(11)
-    with pytest.raises(InvalidDegree):
+    with pytest.raises(InvalidDegree, match="^degree must be >= 1, got 0$"):
         enumerate_trees(0)
 
 
@@ -132,7 +127,7 @@ def test_counts_agree():
 
 def test_format_examples():
     assert format_tree(LEAF) == "|"
-    assert format_tree(graft([LEAF, LEAF])) == "(||)"
+    assert format_tree(PlanarTree([LEAF, LEAF])) == "(||)"
     assert format_tree(CORROLA3) == "(|||)"
 
 

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from duplexes import permutations, series as series_module
-from duplexes.errors import BoundExceeded, ComposeNonzeroConstant
+from duplexes.errors import BoundExceeded, ComposeNonzeroConstant, InvalidDegree
 from duplexes.series import (
     CHECKS,
     Series,
@@ -178,6 +178,14 @@ def test_verify_at_explicit_order():
     assert verify_identity("fesvi", 12).ok
     assert verify_identity("supercatalan", 12).ok
     assert verify_identity("cor52", 7).ok
+
+
+@pytest.mark.parametrize("order", [0, -1])
+@pytest.mark.parametrize("name", CHECKS)
+def test_verify_rejects_a_vacuous_order(name, order):
+    # an order below 1 compares no coefficient, so nothing would be checked
+    with pytest.raises(InvalidDegree, match=f"^order must be >= 1, got {order}$"):
+        verify_identity(name, order)
 
 
 def test_verify_unknown_name():
