@@ -91,10 +91,13 @@ def enumerate_cubes(n: int) -> tuple[CubeVertex, ...]:
     return tuple(map(_cube, itertools.product((-1, 1), repeat=n - 1)))
 
 
+_SIGN_TEXT = {1: "+1", -1: "-1"}
+
+
 def format_cube(a: CubeVertex) -> str:
     if not a.signs:
         return "e"
-    return "<" + ",".join("+1" if s == 1 else "-1" for s in a.signs) + ">"
+    return "<" + ",".join(map(_SIGN_TEXT.__getitem__, a.signs)) + ">"
 
 
 _CUBE_TEXT = re.compile(r"<\s*[+-]?1\s*(?:,\s*[+-]?1\s*)*>")

@@ -136,7 +136,7 @@ def _all_decorated(n: int) -> tuple[DecoratedTree, ...]:
     if n == 1:
         return (GENERATOR_TREE,)
     return tuple(
-        DecoratedTree(shape, tag) for shape in _all_trees(n) for tag in (Tag.DOT, Tag.STAR)
+        DecoratedTree(shape, tag) for shape in _all_trees(n) for tag in (_DOT, _STAR)
     )
 
 
@@ -207,11 +207,11 @@ def _combine(tag: Tag, parts: Sequence[DuplexExpr]) -> DuplexExpr:
 
 
 def dot(x: DuplexExpr, y: DuplexExpr) -> DuplexExpr:
-    return _combine(Tag.DOT, (x, y))
+    return _combine(_DOT, (x, y))
 
 
 def star(x: DuplexExpr, y: DuplexExpr) -> DuplexExpr:
-    return _combine(Tag.STAR, (x, y))
+    return _combine(_STAR, (x, y))
 
 
 def eval_hom(x: DuplexExpr, assignment: Mapping, ops: DuplexOps):
@@ -240,7 +240,7 @@ def eval_hom(x: DuplexExpr, assignment: Mapping, ops: DuplexOps):
     tag = x.tree.tag
     if tag is None:
         return value(x.labels[0])
-    op_of_level = (ops.dot, ops.star) if tag is Tag.DOT else (ops.star, ops.dot)
+    op_of_level = (ops.dot, ops.star) if tag is _DOT else (ops.star, ops.dot)
     stack: list[list] = [[]]  # a vertex at depth d has its values at stack[d]
     for ch in x.tree.shape.text[1:-1]:
         if ch == "(":
@@ -265,6 +265,8 @@ def _balanced_product(op: Callable[[Any, Any], Any], values: list):
 # --- text format ------------------------------------------------------------
 
 _IDENT = re.compile(r"[a-z][a-z0-9]*")
+# the symbols of a tagged root's levels, by depth parity
+_LEVEL_SYMBOLS = {_DOT: (".", "*"), _STAR: ("*", ".")}
 _TOKEN = re.compile(r"\s*(?:(?P<ident>[a-z][a-z0-9]*)|(?P<op>[.*])|(?P<open>\()|(?P<close>\)))")
 
 
@@ -280,7 +282,7 @@ def format_expr(x: DuplexExpr, format_label: Callable[[Any], str] = str) -> str:
     tag = x.tree.tag
     if tag is None:
         return format_label(x.labels[0])
-    symbol_of_level = (tag.value, tag.other.value)
+    symbol_of_level = _LEVEL_SYMBOLS[tag]
     out: list[str] = []
     # every child is followed by its parent's symbol; a vertex closing turns
     # the symbol after its last child into ")" (at the root: drops it)

@@ -9,11 +9,12 @@ own operations so the audit stays independent of any normal-form code.
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
 
 from . import binary_trees, cubes, decorated_trees, permutations, planar_trees
 from .decorated_trees import DuplexOps
-from .errors import BoundExceeded
+from .errors import BoundExceeded, InvalidDegree
 
 
 class Variety(enum.Enum):
@@ -107,21 +108,25 @@ def format_element(structure: Structure, element) -> str:
 
 def check_laws(structure: Structure, variety: Variety, degree_bound: int) -> LawReport:
     """Test every identity of ``variety`` on all triples with total degree at
-    most ``degree_bound``.
+    most ``degree_bound``, which must be at least 3 (an identity needs three
+    elements of degree >= 1), else ``InvalidDegree``.
 
     Triples run in ascending total degree, then lexicographic degree split,
     then the carrier's canonical element order; identities run in their
     declared order.  The first failure is returned, so reports are
     deterministic.
 
-    Each product is built once at the widest scope where it is constant:
-    the three slices once per degree split, ``b.c`` and ``b*c`` once per
-    ``(b, c)`` before the ``a`` loop, ``a.b`` and ``a*b`` once per
-    ``(a, b)``, and each outer product once per triple, shared by every
-    identity that compares it.  The order and the reports are those of
-    evaluating each identity's two sides afresh.
+    Each product is built once per audit.  A slice is read the first time
+    a split needs its degree.  The inner products ``(x.y, x*y)`` of all x
+    of degree d1 and y of degree d2 form one table, built the first time a
+    split needs the degree pair, and shared by the ``a.b`` and ``b.c``
+    roles across every split.  Each outer product is built once per
+    triple, shared by every identity that compares it.  The order and the
+    reports are those of evaluating each identity's two sides afresh.
     """
     carrier = _CARRIERS[structure]
+    if degree_bound < 3:
+        raise InvalidDegree(f"total degree bound must be >= 3, got {degree_bound}")
     if degree_bound > carrier.total_degree_limit:
         raise BoundExceeded(
             f"total degree {degree_bound} exceeds the {structure.value} audit limit "
@@ -143,18 +148,26 @@ def check_laws(structure: Structure, variety: Variety, degree_bound: int) -> Law
         (True, slot[op1], op[op2]) if bracket == "ab" else (False, slot[op2], op[op1])
         for bracket, op1, op2 in position
     ]
+    # both caches are this audit's own, dropped when it returns
+    elements = lru_cache(maxsize=None)(carrier.elements)
+
+    @lru_cache(maxsize=None)
+    def products(d1: int, d2: int) -> list[list[tuple]]:
+        # one row per x of degree d1, holding (x.y, x*y) for each y of degree d2
+        ys = elements(d2)
+        return [[(dot(x, y), star(x, y)) for y in ys] for x in elements(d1)]
+
     checked = 0
     for total in range(3, degree_bound + 1):
         for d1 in range(1, total - 1):
             for d2 in range(1, total - d1):
-                firsts = carrier.elements(d1)
-                seconds = carrier.elements(d2)
-                thirds = carrier.elements(total - d1 - d2)
-                rows = [(b, [(c, (dot(b, c), star(b, c))) for c in thirds]) for b in seconds]
-                for a in firsts:
-                    for b, row in rows:
-                        ab = (dot(a, b), star(a, b))
-                        for c, bc in row:
+                d3 = total - d1 - d2
+                seconds = elements(d2)
+                thirds = elements(d3)
+                bc_rows = products(d2, d3)
+                for a, ab_row in zip(elements(d1), products(d1, d2)):
+                    for b, ab, bc_row in zip(seconds, ab_row, bc_rows):
+                        for c, bc in zip(thirds, bc_row):
                             checked += 1
                             values = [f(ab[i], c) if left else f(a, bc[i]) for left, i, f in plan]
                             for name, lhs, rhs in identities:

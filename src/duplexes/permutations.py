@@ -22,7 +22,7 @@ import re
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .decorated_trees import DecoratedTree, DuplexExpr, DuplexOps, Tag, leaf_expr
+from .decorated_trees import _DOT, _STAR, DecoratedTree, DuplexExpr, DuplexOps, Tag, leaf_expr
 from .errors import ParseError, check_degree
 from .planar_trees import _tree, _Value
 
@@ -97,6 +97,11 @@ class IndecKind(enum.Enum):
     S2 = "s2"  # indecomposable for both products at once
 
 
+# bound once, as decorated_trees binds the Tag members: an enum member
+# lookup takes a slow hook up to Python 3.11
+_SHARP, _NATURAL = IndecKind.SHARP, IndecKind.NATURAL
+
+
 def sharp(f: Permutation, g: Permutation) -> Permutation:
     """Diagonal block sum.
 
@@ -138,13 +143,13 @@ def sharp_factorize(f: Permutation) -> tuple[Permutation, ...]:
     >>> [str(g) for g in sharp_factorize(Permutation((3, 1, 2, 6, 5, 4)))]
     ['(3,1,2)', '(3,2,1)']
     """
-    return _factorize(f, Tag.DOT)
+    return _factorize(f, _DOT)
 
 
 def natural_factorize(f: Permutation) -> tuple[Permutation, ...]:
     """Unique factorization under the anti-diagonal block sum: splits at every
     prefix {1..i} that f maps onto its top i values."""
-    return _factorize(f, Tag.STAR)
+    return _factorize(f, _STAR)
 
 
 def _factorize(f: Permutation, tag: Tag) -> tuple[Permutation, ...]:
@@ -168,12 +173,12 @@ def is_indecomposable(f: Permutation, kind: IndecKind) -> bool:
     Degree 1 is indecomposable of every kind.  Uses running prefix extrema,
     so each test is linear in the degree.  These one-sided scans stay apart
     from :func:`_cut`: a test needs no cut position, and the both-ends scan,
-    which tests four conditions per step, made the slice enumerations and
-    law audits that call this per element measurably slower.
+    which tests four conditions per step, made the slice enumerations, which
+    run them per element, measurably slower.
     """
-    if kind is IndecKind.SHARP:
+    if kind is _SHARP:
         return _sharp_indecomposable(f.images)
-    if kind is IndecKind.NATURAL:
+    if kind is _NATURAL:
         return _natural_indecomposable(f.images)
     return _sharp_indecomposable(f.images) and _natural_indecomposable(f.images)
 
@@ -222,7 +227,13 @@ def enumerate_indecomposable(n: int, kind: IndecKind) -> tuple[Permutation, ...]
 
 @lru_cache(maxsize=None)
 def _indecomposables(n: int, kind: IndecKind) -> tuple[Permutation, ...]:
-    return tuple(f for f in enumerate_permutations(n) if is_indecomposable(f, kind))
+    # the doubly indecomposables filter the sharp slice, which keeps the
+    # lexicographic order and skips the permutations it already rejected
+    if kind is _SHARP:
+        return tuple([f for f in enumerate_permutations(n) if _sharp_indecomposable(f.images)])
+    if kind is _NATURAL:
+        return tuple([f for f in enumerate_permutations(n) if _natural_indecomposable(f.images)])
+    return tuple([f for f in _indecomposables(n, _SHARP) if _natural_indecomposable(f.images)])
 
 
 def count_indecomposable(n: int, kind: IndecKind) -> int:
@@ -242,9 +253,9 @@ def count_indecomposable(n: int, kind: IndecKind) -> int:
     check_degree(n, DEFAULT_PERMUTATION_BOUND)
     full = (1 << n) - 1
     forbidden = set()
-    if kind is not IndecKind.NATURAL:
+    if kind is not _NATURAL:
         forbidden.update((1 << i) - 1 for i in range(1, n))
-    if kind is not IndecKind.SHARP:
+    if kind is not _SHARP:
         forbidden.update(full ^ ((1 << i) - 1) for i in range(1, n))
     bits = [1 << v for v in range(n)]
     chains = [0] * (full + 1)
@@ -338,13 +349,13 @@ def _cut(images: tuple[int, ...], start: int, end: int, low: int) -> tuple[Tag, 
         if v < tail_min:
             tail_min = v
         if head_max == top:
-            return Tag.DOT, i + 1, True
+            return _DOT, i + 1, True
         if head_min == bottom:
-            return Tag.STAR, i + 1, True
+            return _STAR, i + 1, True
         if tail_min == bottom:
-            return Tag.DOT, j, False
+            return _DOT, j, False
         if tail_max == top:
-            return Tag.STAR, j, False
+            return _STAR, j, False
     return None
 
 
@@ -365,7 +376,7 @@ def _chain(
     while cut is not None and cut[0] is tag:
         at, from_head = cut[1], cut[2]
         # "." puts the piece before the cut at the bottom of the values, "*" at the top
-        if tag is Tag.DOT:
+        if tag is _DOT:
             before, after = low, low + at - start
         else:
             before, after = low + end - at, low
@@ -423,7 +434,7 @@ def _place_blocks(tree: DecoratedTree, blocks: Sequence[tuple[int, ...]]) -> Per
     # per open vertex: [its next free offset, whether it fills from the top];
     # the first entry stands for the root's parent
     fills = [[0, False]]
-    top_parity = 1 if tree.tag is Tag.STAR else 0  # len(fills) % 2 at a "*" vertex
+    top_parity = 1 if tree.tag is _STAR else 0  # len(fills) % 2 at a "*" vertex
     for ch in text:
         if ch == ")":
             fills.pop()
@@ -449,7 +460,13 @@ def _place_blocks(tree: DecoratedTree, blocks: Sequence[tuple[int, ...]]) -> Per
 
 
 def format_permutation(f: Permutation) -> str:
-    return "(" + ",".join(str(v) for v in f.images) + ")"
+    """``(3,1,2)``: the image tuple's repr without its spaces; the images
+    are exact ints, so the repr is their decimal text.  Degree 1 drops the
+    repr's trailing comma."""
+    images = f.images
+    if len(images) == 1:
+        return "(1)"
+    return repr(images).replace(" ", "")
 
 
 _PERM_TEXT = re.compile(r"\(\s*\d+\s*(?:,\s*\d+\s*)*\)")

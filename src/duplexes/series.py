@@ -144,8 +144,11 @@ def from_counts(source: str, order: int, alphabet_size: int = 1) -> Series:
     alternating block-sum formulas; the two routes must agree, and a
     disagreement names its first differing degree.  ``dupl`` counts
     label-decorated trees over an alphabet of ``alphabet_size`` generators,
-    by enumeration.
+    by enumeration.  An order below 1 has no coefficient to count, so it
+    raises ``InvalidDegree``.
     """
+    if order < 1:
+        raise InvalidDegree(f"order must be >= 1, got {order}")
     if source == "factorials":
         return Series((0,) + tuple(math.factorial(n) for n in range(1, order + 1)))
     if source == "super-catalan":

@@ -107,6 +107,14 @@ def test_enumerate():
         enumerate_cubes(17)
 
 
+def test_format_is_the_plain_join():
+    # the table-mapped join against the per-sign one, over every slice
+    assert format_cube(E) == "e"
+    for n in range(2, 17):
+        for a in enumerate_cubes(n):
+            assert format_cube(a) == "<" + ",".join("+1" if s == 1 else "-1" for s in a.signs) + ">"
+
+
 def test_text_format():
     assert format_cube(E) == "e"
     assert format_cube(V(-1, 1)) == "<-1,+1>"

@@ -4,7 +4,7 @@ from duplexes import laws
 from duplexes.binary_trees import BINARY_OPS, SINGLE_NODE, degree, enumerate_binary
 from duplexes.cubes import CUBE_OPS, SINGLETON, CubeVertex, cube_dot, cube_star, enumerate_cubes
 from duplexes.decorated_trees import DECORATED_OPS, GENERATOR_TREE, DuplexOps, enumerate_decorated
-from duplexes.errors import BoundExceeded
+from duplexes.errors import BoundExceeded, InvalidDegree
 from duplexes.laws import (
     LawReport,
     Structure,
@@ -75,10 +75,13 @@ def test_bound_limits():
         check_laws(Structure.CUBE, Variety.DUPLEX, 10)
 
 
-def test_trivial_bound_checks_nothing():
-    report = check_laws(Structure.PERM, Variety.DUPLEX, 2)
-    assert report.satisfied
-    assert report.triples_checked == 0
+def test_a_bound_below_three_is_rejected():
+    # an identity needs three elements of degree >= 1: a smaller bound checks nothing
+    for bound in (2, 0, -1):
+        for structure in Structure:
+            for variety in Variety:
+                with pytest.raises(InvalidDegree, match=f"^total degree bound must be >= 3, got {bound}$"):
+                    check_laws(structure, variety, bound)
 
 
 def test_format_element():
@@ -161,7 +164,7 @@ def test_identity_table_spells_each_name():
 def test_audit_matches_the_reference_on_every_pair():
     for structure in Structure:
         for variety in Variety:
-            for bound in range(2, 7):
+            for bound in range(3, 7):
                 expected = reference_check_laws(structure, variety, bound)
                 assert check_laws(structure, variety, bound) == expected, (structure, variety, bound)
 
@@ -194,5 +197,29 @@ def test_slices_are_read_once_per_split(monkeypatch):
     carrier = laws._CARRIERS[Structure.DECORATED]._replace(elements=counted)
     monkeypatch.setitem(laws._CARRIERS, Structure.DECORATED, carrier)
     assert check_laws(Structure.DECORATED, Variety.DUPLEX, 9).satisfied
-    splits = sum(1 for total in range(3, 10) for d1 in range(1, total - 1) for d2 in range(1, total - d1))
-    assert len(calls) <= 3 * splits
+    assert sorted(calls) == list(range(1, 8))  # each degree a split needs, once per audit
+
+
+def test_inner_products_are_built_once_per_audit(monkeypatch):
+    calls = 0
+
+    def counted(op):
+        def product(x, y):
+            nonlocal calls
+            calls += 1
+            return op(x, y)
+
+        return product
+
+    ops = DuplexOps(counted(DECORATED_OPS.dot), counted(DECORATED_OPS.star))
+    carrier = laws._CARRIERS[Structure.DECORATED]._replace(ops=ops)
+    monkeypatch.setitem(laws._CARRIERS, Structure.DECORATED, carrier)
+    report = check_laws(Structure.DECORATED, Variety.DUPLEX, 9)
+    assert report.triples_checked == 22149
+    pairs = sum(
+        len(enumerate_decorated(d1)) * len(enumerate_decorated(d2)) for d1 in range(1, 8) for d2 in range(1, 9 - d1)
+    )
+    assert pairs == 8557
+    # both inner products of each pair of degree sum <= 8, then the two
+    # associativity identities' four outer products per triple
+    assert calls == 2 * pairs + 4 * report.triples_checked

@@ -95,6 +95,14 @@ def test_parse_format_round_trip():
             assert parse_permutation(format_permutation(f)) == f
 
 
+def test_format_is_the_plain_join():
+    # the repr-based text against the per-image join, over every slice
+    assert format_permutation(P(1)) == "(1)"
+    for n in range(1, 9):
+        for f in enumerate_permutations(n):
+            assert format_permutation(f) == "(" + ",".join(str(v) for v in f.images) + ")"
+
+
 def test_parse_accepts_whitespace():
     assert parse_permutation(" ( 3 , 1 , 2 ) ") == P(3, 1, 2)
 
@@ -298,6 +306,15 @@ def test_chain_count_matches_scan():
     for kind in IndecKind:
         for n in range(1, 9):
             assert count_indecomposable(n, kind) == len(enumerate_indecomposable(n, kind)), (kind, n)
+
+
+def test_doubly_indecomposable_slice_is_both_slices_intersected():
+    for n in range(1, 9):
+        sharp_set = set(enumerate_indecomposable(n, IndecKind.SHARP))
+        natural_set = set(enumerate_indecomposable(n, IndecKind.NATURAL))
+        both = [f for f in enumerate_permutations(n) if f in sharp_set and f in natural_set]
+        assert list(enumerate_indecomposable(n, IndecKind.S2)) == both, n
+        assert len(both) == count_indecomposable(n, IndecKind.S2)
 
 
 def test_chain_count_bounds():

@@ -139,6 +139,14 @@ def test_from_counts_errors():
             from_counts(source, 9)
 
 
+@pytest.mark.parametrize("order", [0, -1])
+@pytest.mark.parametrize("source", series_module.SOURCES)
+def test_from_counts_rejects_an_order_below_one(source, order):
+    # an order below 1 has no coefficient to count
+    with pytest.raises(InvalidDegree, match=f"^order must be >= 1, got {order}$"):
+        from_counts(source, order)
+
+
 def test_indecomposable_counts_build_no_permutations(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a count built the permutations")
