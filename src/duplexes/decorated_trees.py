@@ -190,6 +190,16 @@ class DuplexExpr(_Value):
         return format_expr(self)
 
 
+def _expr(tree: DecoratedTree, labels: tuple) -> DuplexExpr:
+    """The expression of a tree and a tuple of one label per leaf that the
+    library built itself, with an open alphabet; unchecked."""
+    x = object.__new__(DuplexExpr)
+    object.__setattr__(x, "tree", tree)
+    object.__setattr__(x, "labels", labels)
+    object.__setattr__(x, "alphabet", None)
+    return x
+
+
 def leaf_expr(label: Hashable, alphabet: Iterable | None = None) -> DuplexExpr:
     """Degree-1 expression: the generator ``label``."""
     return DuplexExpr(GENERATOR_TREE, (label,), None if alphabet is None else frozenset(alphabet))

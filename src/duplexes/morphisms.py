@@ -14,7 +14,7 @@ from .binary_trees import BINARY_OPS, SINGLE_NODE
 from .cubes import CubeVertex, _cube
 from .decorated_trees import DuplexExpr, eval_hom, format_expr
 from .errors import DegreeTooSmall, StubNotSplittable
-from .permutations import Permutation, _perm, _place_blocks
+from .permutations import _ONE, Permutation, _place_blocks
 from .planar_trees import PlanarTree
 
 
@@ -34,7 +34,7 @@ def alpha(x: DuplexExpr) -> Permutation:
     """
     _single_generator(x)
     if x.tree.tag is None:
-        return _perm((1,))
+        return _ONE
     return _place_blocks(x.tree, [(1,)] * x.degree)
 
 

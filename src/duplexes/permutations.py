@@ -22,7 +22,7 @@ import re
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .decorated_trees import _DOT, _STAR, DecoratedTree, DuplexExpr, DuplexOps, Tag, leaf_expr
+from .decorated_trees import _DOT, _STAR, GENERATOR_TREE, DecoratedTree, DuplexExpr, DuplexOps, Tag, _decorated, _expr
 from .errors import ParseError, check_degree
 from .planar_trees import _tree, _Value
 
@@ -71,6 +71,9 @@ def _perm(images: tuple[int, ...]) -> Permutation:
     return f
 
 
+_ONE = _perm((1,))  # every degree-1 factor: the image of the generator under alpha
+
+
 def _validate_images(images: tuple[int, ...]) -> None:
     n = len(images)
     if n < 1:
@@ -99,7 +102,12 @@ class IndecKind(enum.Enum):
 
 # bound once, as decorated_trees binds the Tag members: an enum member
 # lookup takes a slow hook up to Python 3.11
-_SHARP, _NATURAL = IndecKind.SHARP, IndecKind.NATURAL
+_SHARP, _NATURAL, _S2 = IndecKind.SHARP, IndecKind.NATURAL, IndecKind.S2
+
+
+def _check_kind(kind: IndecKind) -> None:
+    if kind is not _SHARP and kind is not _NATURAL and kind is not _S2:
+        raise TypeError(f"kind must be IndecKind.SHARP, IndecKind.NATURAL or IndecKind.S2, got {kind!r}")
 
 
 def sharp(f: Permutation, g: Permutation) -> Permutation:
@@ -154,16 +162,19 @@ def natural_factorize(f: Permutation) -> tuple[Permutation, ...]:
 
 def _factorize(f: Permutation, tag: Tag) -> tuple[Permutation, ...]:
     """The factors of ``f`` under the product tagged ``tag``: the ranges of
-    the :func:`_chain` of its first cut, shifted down.  With no cut of that
-    product, including when it splits under the other one, ``f`` is its own
-    single factor."""
+    the :func:`_chain` of its first cut, shifted down, each degree-1 range
+    ``_ONE``.  With no cut of that product, including when it splits under
+    the other one, ``f`` is its own single factor."""
     images = f.images
     n = len(images)
     cut = _cut(images, 0, n, 1)
     if cut is None or cut[0] is not tag:
         return (f,)
     return tuple(
-        _perm(tuple(v - low + 1 for v in images[start:end])) for start, end, low, _ in _chain(images, 0, n, 1, cut)
+        [
+            _ONE if end - start == 1 else _perm(tuple([v - low + 1 for v in images[start:end]]))
+            for start, end, low, _ in reversed(_chain(images, 0, n, 1, cut))
+        ]
     )
 
 
@@ -174,12 +185,14 @@ def is_indecomposable(f: Permutation, kind: IndecKind) -> bool:
     so each test is linear in the degree.  These one-sided scans stay apart
     from :func:`_cut`: a test needs no cut position, and the both-ends scan,
     which tests four conditions per step, made the slice enumerations, which
-    run them per element, measurably slower.
+    run them per element, measurably slower.  A ``kind`` that is not an
+    :class:`IndecKind` member raises ``TypeError``.
     """
     if kind is _SHARP:
         return _sharp_indecomposable(f.images)
     if kind is _NATURAL:
         return _natural_indecomposable(f.images)
+    _check_kind(kind)
     return _sharp_indecomposable(f.images) and _natural_indecomposable(f.images)
 
 
@@ -221,7 +234,9 @@ def enumerate_permutations(n: int) -> tuple[Permutation, ...]:
 
 
 def enumerate_indecomposable(n: int, kind: IndecKind) -> tuple[Permutation, ...]:
-    """All degree-n indecomposables of the given kind, in lexicographic order."""
+    """All degree-n indecomposables of the given kind, in lexicographic order.
+    A ``kind`` that is not an :class:`IndecKind` member raises ``TypeError``."""
+    _check_kind(kind)
     return _indecomposables(n, kind)
 
 
@@ -245,11 +260,13 @@ def count_indecomposable(n: int, kind: IndecKind) -> int:
     anti-diagonal one exactly when it is ``{n-i+1..n}``.  So the count is the
     number of chains of value bitmasks that avoid those sets, summed in one
     pass over the masks in increasing order: O(2**n * n) additions.  The
-    bound and its message are those of :func:`enumerate_permutations`.
+    bound and its message are those of :func:`enumerate_permutations`; a
+    ``kind`` that is not an :class:`IndecKind` member raises ``TypeError``.
 
     >>> [count_indecomposable(n, IndecKind.S2) for n in range(1, 8)]
     [1, 0, 0, 2, 22, 202, 1854]
     """
+    _check_kind(kind)
     check_degree(n, DEFAULT_PERMUTATION_BOUND)
     full = (1 << n) - 1
     forbidden = set()
@@ -280,38 +297,47 @@ def duplex_factorize(f: Permutation) -> DuplexExpr:
 
     Factors are index ranges of ``f.images`` with their lowest value, so no
     block is copied and only the leaves become :class:`Permutation`
-    objects.  Each cut costs the size of the smaller piece it takes off
-    (:func:`_cut`), so the whole factorization is O(n log n) on every
-    shape.  The ranges sit on an explicit stack and the tree's text is
-    written in preorder as they are visited, so any depth works.
+    objects; every degree-1 range is the one leaf ``_ONE``, with no scan.
+    Each cut costs the size of the smaller piece it takes off (:func:`_cut`),
+    so the whole factorization is O(n log n) on every shape.  The pending
+    factors of all open chains sit on one flat stack, each chain's in pop
+    order above a ``None`` that closes it, and the tree's text is written in
+    preorder as they are popped, so any depth works.  The tree and the
+    labels are built here, so the result skips :class:`DuplexExpr`'s check.
     """
     images = f.images
     root = _cut(images, 0, len(images), 1)
     if root is None:
-        return leaf_expr(f)
+        return _expr(GENERATOR_TREE, (f,))
     labels: list[Permutation] = []
     # a chain's factors are tagged with the other product or are leaves, so
     # no root edge is contracted and the text is the plain nesting
     text = ["("]
-    stack = [iter(_chain(images, 0, len(images), 1, root))]  # unvisited factors per open chain
-    while stack:
-        for start, end, low, cut in stack[-1]:
-            if cut is _UNSCANNED:
-                cut = _cut(images, start, end, low)
-            if cut is not None:
-                text.append("(")
-                stack.append(iter(_chain(images, start, end, low, cut)))
-                break
+    pending = [None]  # per open chain: None, then its unvisited factors in pop order
+    pending += _chain(images, 0, len(images), 1, root)
+    pop, push = pending.pop, pending.extend
+    write, label = text.append, labels.append
+    while pending:
+        factor = pop()
+        if factor is None:
+            write(")")
+            continue
+        start, end, low, cut = factor
+        if end - start == 1:
+            label(_ONE)
+            write("|")
+            continue
+        if cut is False:
+            cut = _cut(images, start, end, low)
+        if cut is None:
             block = images[start:end]
-            labels.append(_perm(tuple(v - low + 1 for v in block) if low > 1 else block))
-            text.append("|")
+            label(_perm(tuple([v - low + 1 for v in block]) if low > 1 else block))
+            write("|")
         else:
-            stack.pop()
-            text.append(")")
-    return DuplexExpr(DecoratedTree(_tree("".join(text)), root[0]), labels)
-
-
-_UNSCANNED = "unscanned"  # a factor whose first cut is not yet looked for
+            write("(")
+            pending.append(None)
+            push(_chain(images, start, end, low, cut))
+    return _expr(_decorated(_tree("".join(text)), root[0]), tuple(labels))
 
 
 def _cut(images: tuple[int, ...], start: int, end: int, low: int) -> tuple[Tag, int, bool] | None:
@@ -361,18 +387,20 @@ def _cut(images: tuple[int, ...], start: int, end: int, low: int) -> tuple[Tag, 
 
 def _chain(
     images: tuple[int, ...], start: int, end: int, low: int, cut: tuple[Tag, int, bool]
-) -> list[tuple[int, int, int, object]]:
-    """The factors, left to right, of the range whose first cut found is
-    ``cut``, as (start, end, lowest value, first cut or _UNSCANNED).
+) -> list[tuple[int, int, int, tuple[Tag, int, bool] | bool | None]]:
+    """The factors of the range whose first cut found is ``cut``, in pop
+    order (right to left), as (start, end, lowest value, first cut), the
+    first cut ``False`` when the factor is not scanned yet.
 
     Each cut takes off its smaller piece as one factor, and the rest is
     scanned again.  Once the rest has no cut of the chain's product it is
-    the last factor, and the cut of the other product found there, or
-    None, is its own first cut.
+    the last factor scanned, and the cut of the other product found there,
+    or None, travels with it as its own first cut; a degree-1 rest is not
+    scanned and has None.
     """
     tag = cut[0]
-    head: list = []
-    tail: list = []  # factors taken off the end, last one first
+    head: list = []  # factors taken off the front, first one first
+    factors: list = []  # taken off the end, last one first: already in pop order
     while cut is not None and cut[0] is tag:
         at, from_head = cut[1], cut[2]
         # "." puts the piece before the cut at the bottom of the values, "*" at the top
@@ -381,15 +409,16 @@ def _chain(
         else:
             before, after = low + end - at, low
         if from_head:
-            head.append((start, at, before, _UNSCANNED))
+            head.append((start, at, before, False))
             start, low = at, after
         else:
-            tail.append((at, end, after, _UNSCANNED))
+            factors.append((at, end, after, False))
             end, low = at, before
-        cut = _cut(images, start, end, low)
-    head.append((start, end, low, cut))
-    head.extend(reversed(tail))
-    return head
+        cut = _cut(images, start, end, low) if end - start > 1 else None
+    factors.append((start, end, low, cut))
+    head.reverse()
+    factors += head
+    return factors
 
 
 def multiply_out(x: DuplexExpr) -> Permutation:
@@ -412,50 +441,63 @@ def _place_blocks(tree: DecoratedTree, blocks: Sequence[tuple[int, ...]]) -> Per
     The first pass sums the degree of every vertex.  The second gives each
     leaf a value offset: a ``.`` vertex fills its children's value ranges
     from the bottom, left to right, and a ``*`` vertex fills them from the
-    top.  The leaves' images, shifted, are the result's, concatenated.
+    top.  The leaves' images, shifted, are the result's, concatenated; a
+    degree-1 leaf, the block ``(1,)``, adds the one value ``offset + 1``.
+    Both passes read the root's interior and keep the vertex being read in
+    locals, its open ancestors' state on a stack.
     """
-    text = tree.shape.text
-    degrees: list[int] = []  # of the vertices, in preorder
-    open_vertices: list[int] = []  # their preorder indices
+    inner = tree.shape.text[1:-1]
+    degrees: list[int] = []  # of the vertices below the root, in preorder
+    sums: list[tuple[int, int]] = []  # per open ancestor: its preorder index, its degree so far
+    vertex, degree = -1, 0  # the root's: it never closes, so its index is not used
     leaf_degrees = map(len, blocks)
-    for ch in text:
-        if ch == "(":
-            open_vertices.append(len(degrees))
+    for ch in inner:
+        if ch == "|":
+            degree += next(leaf_degrees)
+        elif ch == "(":
+            sums.append((vertex, degree))
+            vertex = len(degrees)
             degrees.append(0)
-        elif ch == "|":
-            degrees[open_vertices[-1]] += next(leaf_degrees)
+            degree = 0
         else:
-            degree = degrees[open_vertices.pop()]
-            if open_vertices:
-                degrees[open_vertices[-1]] += degree
+            degrees[vertex] = degree
+            vertex, above = sums.pop()
+            degree += above
+    # degree is the root's now; from here on, free is the next free offset
+    # of the vertex being filled, and the stack holds its ancestors' fills
+    from_top = tree.tag is _STAR
+    free = degree if from_top else 0
+    fills: list[tuple[int, bool]] = []
     vertex_degrees = iter(degrees)
     leaves = iter(blocks)
     images: list[int] = []
-    # per open vertex: [its next free offset, whether it fills from the top];
-    # the first entry stands for the root's parent
-    fills = [[0, False]]
-    top_parity = 1 if tree.tag is _STAR else 0  # len(fills) % 2 at a "*" vertex
-    for ch in text:
-        if ch == ")":
-            fills.pop()
-            continue
-        if ch == "(":
-            degree = next(vertex_degrees)
-        else:
+    append, extend = images.append, images.extend
+    for ch in inner:
+        if ch == "|":
             block = next(leaves)
             degree = len(block)
-        fill = fills[-1]
-        if fill[1]:
-            fill[0] -= degree
-            offset = fill[0]
+            if from_top:
+                free -= degree
+                offset = free
+            else:
+                offset = free
+                free += degree
+            if degree == 1:
+                append(offset + 1)
+            else:
+                extend([v + offset for v in block])
+        elif ch == "(":
+            # the child vertex fills the range it takes the other way round
+            degree = next(vertex_degrees)
+            if from_top:
+                free -= degree
+                fills.append((free, True))
+            else:
+                fills.append((free + degree, False))
+                free += degree
+            from_top = not from_top
         else:
-            offset = fill[0]
-            fill[0] += degree
-        if ch == "(":
-            from_top = len(fills) % 2 == top_parity
-            fills.append([offset + degree if from_top else offset, from_top])
-        else:
-            images.extend([v + offset for v in block])
+            free, from_top = fills.pop()
     return _perm(tuple(images))
 
 

@@ -25,6 +25,7 @@ from duplexes.permutations import (
     sharp,
     sharp_factorize,
     xi,
+    _indecomposables,
     _validate_images,
 )
 
@@ -300,6 +301,19 @@ def test_enumerate_bounds():
         enumerate_permutations(9)
     with pytest.raises(InvalidDegree):
         enumerate_permutations(0)
+
+
+def test_kind_must_be_a_member():
+    # a string or None once answered silently for S2; no such key is cached
+    cached = _indecomposables.cache_info().currsize
+    for kind in ("sharp", "s2", None):
+        with pytest.raises(TypeError, match="IndecKind.SHARP, IndecKind.NATURAL or IndecKind.S2"):
+            is_indecomposable(P(2, 3, 1), kind)
+        with pytest.raises(TypeError, match="IndecKind.SHARP, IndecKind.NATURAL or IndecKind.S2"):
+            enumerate_indecomposable(3, kind)
+        with pytest.raises(TypeError, match="IndecKind.SHARP, IndecKind.NATURAL or IndecKind.S2"):
+            count_indecomposable(5, kind)
+    assert _indecomposables.cache_info().currsize == cached
 
 
 def test_chain_count_matches_scan():
