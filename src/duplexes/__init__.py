@@ -24,9 +24,9 @@ _EXPORTS = {
         "decorated_trees",
     ),
     **dict.fromkeys(
-        ("AlphabetMismatch", "ArityTooSmall", "BoundExceeded", "ComposeNonzeroConstant", "ContractLeaf",
-         "DegreeTooSmall", "DuplexError", "ExprSyntaxError", "InvalidDegree", "MixedChainError", "ParseError",
-         "StubNotSplittable", "UnboundGenerator", "UnknownGenerator"),
+        ("ArityTooSmall", "BoundExceeded", "ComposeNonzeroConstant", "ContractLeaf", "DegreeTooSmall",
+         "DuplexError", "ExprSyntaxError", "InvalidDegree", "MixedChainError", "ParseError", "StubNotSplittable",
+         "UnboundGenerator", "UnknownGenerator"),
         "errors",
     ),
     **dict.fromkeys(("LawReport", "Structure", "Variety", "check_laws", "generated_elements"), "laws"),

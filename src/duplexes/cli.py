@@ -7,11 +7,11 @@ subcommand takes ``--json`` for a machine-readable envelope
 Exit status: 0 success/verified, 1 refuted or witness found, 2 usage
 error (including requests that would check nothing: ``laws --bound`` below
 3, ``verify --order`` or ``count --max`` below 1), 3 resource bound exceeded
-(an enumeration bound, or input nested too deeply for a recursive
-routine), 4 internal error.  Errors are reported as one line on stderr,
-never as a traceback, so a crash cannot read as exit 1.  A reader that
-closes stdout early (``| head``) ends the output, not the command: the exit
-status is still the result's.
+(an enumeration bound; no routine recurses on its input, and a
+``RecursionError`` still exits 3 as a last boundary), 4 internal error.
+Errors are reported as one line on stderr, never as a traceback, so a
+crash cannot read as exit 1.  A reader that closes stdout early (``| head``)
+ends the output, not the command: the exit status is still the result's.
 """
 from __future__ import annotations
 

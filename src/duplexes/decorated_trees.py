@@ -21,15 +21,14 @@ parentheses (``e.e.e``) and requires parentheses to mix operations, e.g.
 from __future__ import annotations
 
 import enum
-import itertools
 import re
 from functools import lru_cache
 from typing import Any, Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
-    AlphabetMismatch,
     ExprSyntaxError,
     MixedChainError,
+    ParseError,
     UnboundGenerator,
     UnknownGenerator,
     check_degree,
@@ -149,16 +148,15 @@ def enumerate_decorated(n: int) -> tuple[DecoratedTree, ...]:
 
 
 class DuplexExpr(_Value):
-    """A decorated tree with one generator label per leaf.
+    """A decorated tree with one generator label per leaf; two expressions
+    are equal when their trees and labels are.
 
-    ``alphabet`` is the declared label set; ``None`` leaves the label domain
-    open (used when the labels are algebraic objects rather than names).
+    ``alphabet``, when given, is only checked: every label must be in it.
     """
 
-    __slots__ = ("tree", "labels", "alphabet")
+    __slots__ = ("tree", "labels")
     tree: DecoratedTree
     labels: tuple[Hashable, ...]
-    alphabet: frozenset | None
 
     def __init__(self, tree: DecoratedTree, labels: Iterable[Hashable], alphabet: Iterable | None = None):
         labels = tuple(labels)
@@ -172,15 +170,14 @@ class DuplexExpr(_Value):
                 raise ValueError(f"labels {stray!r} not in the declared alphabet")
         object.__setattr__(self, "tree", tree)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "alphabet", alphabet)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.tree, self.labels, self.alphabet) == (other.tree, other.labels, other.alphabet)
+        return self.tree == other.tree and self.labels == other.labels
 
     def __hash__(self) -> int:
-        return hash((self.tree, self.labels, self.alphabet))
+        return hash((self.tree, self.labels))
 
     @property
     def degree(self) -> int:
@@ -192,36 +189,24 @@ class DuplexExpr(_Value):
 
 def _expr(tree: DecoratedTree, labels: tuple) -> DuplexExpr:
     """The expression of a tree and a tuple of one label per leaf that the
-    library built itself, with an open alphabet; unchecked."""
+    library built itself; unchecked."""
     x = object.__new__(DuplexExpr)
     object.__setattr__(x, "tree", tree)
     object.__setattr__(x, "labels", labels)
-    object.__setattr__(x, "alphabet", None)
     return x
 
 
-def leaf_expr(label: Hashable, alphabet: Iterable | None = None) -> DuplexExpr:
+def leaf_expr(label: Hashable) -> DuplexExpr:
     """Degree-1 expression: the generator ``label``."""
-    return DuplexExpr(GENERATOR_TREE, (label,), None if alphabet is None else frozenset(alphabet))
-
-
-def _combine(tag: Tag, parts: Sequence[DuplexExpr]) -> DuplexExpr:
-    """The n-ary product of k >= 2 expressions: one graft, one label
-    concatenation and one alphabet check."""
-    alphabet = parts[0].alphabet
-    for part in parts:
-        if part.alphabet != alphabet:
-            raise AlphabetMismatch(f"cannot combine alphabets {alphabet!r} and {part.alphabet!r}")
-    labels = tuple(itertools.chain.from_iterable(part.labels for part in parts))
-    return DuplexExpr(_product(tag, [part.tree for part in parts]), labels, alphabet)
+    return _expr(GENERATOR_TREE, (label,))
 
 
 def dot(x: DuplexExpr, y: DuplexExpr) -> DuplexExpr:
-    return _combine(_DOT, (x, y))
+    return _expr(_graft(_DOT, x.tree, y.tree), x.labels + y.labels)
 
 
 def star(x: DuplexExpr, y: DuplexExpr) -> DuplexExpr:
-    return _combine(_STAR, (x, y))
+    return _expr(_graft(_STAR, x.tree, y.tree), x.labels + y.labels)
 
 
 def eval_hom(x: DuplexExpr, assignment: Mapping, ops: DuplexOps):
@@ -361,7 +346,7 @@ def parse_expr(text: str, alphabet: Iterable) -> DuplexExpr:
             if open_at is None:
                 if pos != len(tokens):
                     raise ExprSyntaxError(f"unexpected {tokens[pos][0]!r}", tokens[pos][1])
-                return DuplexExpr(atom, labels, alphabet)
+                return _expr(atom, tuple(labels))
             if pos >= len(tokens) or tokens[pos][0] != ")":
                 raise ExprSyntaxError("missing ')'", open_at)
             stack.pop()
@@ -402,10 +387,9 @@ def expr_from_machine(
     alphabet: Iterable | None = None,
 ) -> DuplexExpr:
     tree_text, tag_letter, labels = triple
-    tag = _LETTER_TAG[tag_letter]
+    try:
+        tag = _LETTER_TAG[tag_letter]
+    except KeyError:
+        raise ParseError(f"unknown tag letter {tag_letter!r}; expected 'd', 's' or '-'") from None
     tree = DecoratedTree(parse_tree(tree_text), tag)
-    return DuplexExpr(
-        tree,
-        tuple(parse_label(l) for l in labels),
-        None if alphabet is None else frozenset(alphabet),
-    )
+    return DuplexExpr(tree, [parse_label(l) for l in labels], alphabet)

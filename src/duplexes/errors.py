@@ -25,10 +25,6 @@ class StubNotSplittable(DuplexError):
     """The leaf placeholder of a binary tree has no root to split or evaluate."""
 
 
-class AlphabetMismatch(DuplexError):
-    """Expressions over different generator alphabets cannot be combined."""
-
-
 class UnboundGenerator(DuplexError):
     """Evaluation met a generator label with no assigned value."""
 

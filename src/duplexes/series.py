@@ -115,18 +115,19 @@ class Series(_Value):
 
 def sum_of_powers(g: Series, alternating: bool = False) -> Series:
     """Sum of ``g^k`` for k >= 1 (signs alternating if asked), truncated at
-    ``g``'s order; needs a zero constant term so the sum is finite."""
-    if g.coefficients[0] != 0:
+    ``g``'s order; needs a zero constant term so the sum is finite.
+
+    The sum S solves S = g + S*g (S = g - S*g when alternating), which
+    gives its coefficients one at a time in O(order^2), forming no power."""
+    c = g.coefficients
+    if c[0] != 0:
         raise ComposeNonzeroConstant("power sums need a zero constant term")
-    acc = Series.zeros(g.order)
-    power = g
-    sign = 1
-    for _ in range(1, g.order + 1):
-        acc = acc + power if sign > 0 else acc - power
-        power = power * g
-        if alternating:
-            sign = -sign
-    return acc
+    sign = -1 if alternating else 1
+    s = [0] * len(c)
+    for n in range(1, len(c)):
+        # (S*g)_n = sum of g_j * s_(n-j) over 1 <= j < n, as g_0 = s_0 = 0
+        s[n] = c[n] + sign * sum(map(operator.mul, c[1:n], reversed(s[1:n])))
+    return Series(s)
 
 
 # --- named coefficient sources -----------------------------------------------
@@ -144,11 +145,18 @@ def from_counts(source: str, order: int, alphabet_size: int = 1) -> Series:
     alternating block-sum formulas; the two routes must agree, and a
     disagreement names its first differing degree.  ``dupl`` counts
     label-decorated trees over an alphabet of ``alphabet_size`` generators,
-    by enumeration.  An order below 1 has no coefficient to count, so it
+    by enumeration; every other source counts unlabelled objects, so takes
+    only the size 1.  An order below 1 has no coefficient to count, so it
     raises ``InvalidDegree``.
     """
+    if source not in SOURCES:
+        raise ValueError(f"unknown count source {source!r}; known: {', '.join(SOURCES)}")
     if order < 1:
         raise InvalidDegree(f"order must be >= 1, got {order}")
+    if alphabet_size < 1:
+        raise ValueError(f"alphabet size must be >= 1, got {alphabet_size}")
+    if alphabet_size != 1 and source != "dupl":
+        raise ValueError(f"only 'dupl' counts over an alphabet; {source!r} takes size 1, got {alphabet_size}")
     if source == "factorials":
         return Series((0,) + tuple(math.factorial(n) for n in range(1, order + 1)))
     if source == "super-catalan":
@@ -161,13 +169,8 @@ def from_counts(source: str, order: int, alphabet_size: int = 1) -> Series:
         factorials = from_counts("factorials", order)
         formula = _sharp_indec_formula(order).scale(2) - factorials
         return _cross_checked(_count_indec("s2", order), formula, source)
-    if source == "dupl":
-        counts = [
-            len(decorated_trees.enumerate_decorated(n)) * alphabet_size**n
-            for n in range(1, order + 1)
-        ]
-        return Series((0, *counts))
-    raise ValueError(f"unknown count source {source!r}; known: {', '.join(SOURCES)}")
+    counts = [len(decorated_trees.enumerate_decorated(n)) * alphabet_size**n for n in range(1, order + 1)]
+    return Series((0, *counts))
 
 
 def _count_indec(kind: str, order: int) -> Series:

@@ -1,4 +1,6 @@
 import itertools
+import pickle
+import random
 from functools import reduce
 
 import pytest
@@ -24,17 +26,17 @@ from duplexes.decorated_trees import (
     _all_decorated,
 )
 from duplexes.errors import (
-    AlphabetMismatch,
     BoundExceeded,
     ExprSyntaxError,
     MixedChainError,
+    ParseError,
     UnboundGenerator,
     UnknownGenerator,
 )
 from duplexes.permutations import PERM_OPS, Permutation
 from duplexes.planar_trees import LEAF, PlanarTree, graft_contract, super_catalan
 
-E = leaf_expr("e", {"e"})
+E = leaf_expr("e")
 
 
 def expr(text):
@@ -177,13 +179,40 @@ def test_expr_label_validation():
         DuplexExpr(GENERATOR_TREE, ("x",), frozenset({"e"}))
 
 
-def test_combining_distinct_alphabets_fails():
-    with pytest.raises(AlphabetMismatch):
-        dot(leaf_expr("a", {"a"}), leaf_expr("b", {"b"}))
+def random_expr(rng, degree, labels):
+    """A random expression built by ``dot``/``star`` over ``leaf_expr``."""
+    if degree == 1:
+        return leaf_expr(rng.choice(labels))
+    k = rng.randint(1, degree - 1)
+    op = dot if rng.random() < 0.5 else star
+    return op(random_expr(rng, k, labels), random_expr(rng, degree - k, labels))
+
+
+def test_an_expression_is_its_tree_and_labels_whatever_built_it():
+    rng = random.Random(14)
+    alphabet = ("a", "b", "e12")
+    for _ in range(300):
+        x = random_expr(rng, rng.randint(1, 12), alphabet)
+        routes = [
+            parse_expr(format_expr(x), set(alphabet)),
+            expr_from_machine(expr_to_machine(x)),
+            pickle.loads(pickle.dumps(x)),
+            DuplexExpr(x.tree, x.labels, alphabet),
+        ]
+        for y in routes:
+            assert y == x and hash(y) == hash(x)
+            assert repr(y) == repr(x)
+
+
+def test_parsed_and_built_expressions_mix():
+    assert expr("e.e") == dot(E, E) and hash(expr("e.e")) == hash(dot(E, E))
+    assert dot(expr("e"), E) == expr("e.e")
+    assert star(parse_expr("a.b", "ab"), leaf_expr("c")) == parse_expr("(a.b)*c", "abc")
+    assert DuplexExpr.__slots__ == ("tree", "labels")
 
 
 def test_labels_concatenate():
-    x = star(dot(leaf_expr("a", "ab"), leaf_expr("b", "ab")), leaf_expr("a", "ab"))
+    x = star(dot(leaf_expr("a"), leaf_expr("b")), leaf_expr("a"))
     assert x.labels == ("a", "b", "a")
 
 
@@ -295,6 +324,13 @@ def test_machine_format_round_trip():
             x = DuplexExpr(t, ("e",) * n, frozenset("e"))
             triple = expr_to_machine(x)
             assert expr_from_machine(triple, alphabet={"e"}) == x
+
+
+def test_machine_format_rejects_an_unknown_tag_letter():
+    with pytest.raises(ParseError, match="'x'.*'d', 's' or '-'"):
+        expr_from_machine(("(||)", "x", ["e", "e"]))
+    with pytest.raises(ValueError, match="alphabet"):
+        expr_from_machine(("(||)", "d", ["e", "x"]), alphabet={"e"})
 
 
 def test_machine_format_example():

@@ -65,7 +65,7 @@ def test_a_subcommand_loads_only_what_it_runs(argv, absent):
 
 # the package's exports, sorted: every name the package resolves on first use, and its modules
 EXPORTS = [
-    "AlphabetMismatch", "ArityTooSmall", "BINARY_OPS", "BoundExceeded", "CUBE_OPS", "ComposeNonzeroConstant",
+    "ArityTooSmall", "BINARY_OPS", "BoundExceeded", "CUBE_OPS", "ComposeNonzeroConstant",
     "ContractLeaf", "CubeVertex", "DECORATED_OPS", "DecoratedTree", "DegreeTooSmall", "DuplexError",
     "DuplexExpr", "DuplexOps", "ExprSyntaxError", "IndecKind", "InvalidDegree", "LEAF", "LawReport",
     "MixedChainError", "PERM_OPS", "ParseError", "Permutation", "PlanarTree", "SINGLETON", "SINGLE_NODE",

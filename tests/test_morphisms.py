@@ -16,7 +16,7 @@ from duplexes.errors import DegreeTooSmall
 from duplexes.morphisms import alpha, leaf_sign_vector, phi, rho
 from duplexes.permutations import Permutation, duplex_factorize, enumerate_permutations
 
-E = leaf_expr("e", {"e"})
+E = leaf_expr("e")
 
 
 def expr(text):
@@ -121,7 +121,7 @@ def test_phi_is_a_homomorphism():
 
 
 def test_single_generator_required():
-    mixed = dot(leaf_expr("a", "ab"), leaf_expr("b", "ab"))
+    mixed = dot(leaf_expr("a"), leaf_expr("b"))
     with pytest.raises(ValueError, match="single-generator"):
         alpha(mixed)
     with pytest.raises(ValueError, match="single-generator"):

@@ -120,8 +120,8 @@ def test_results_pass_the_constructor_check():
     for f in small_permutations():
         x = duplex_factorize(f)
         assert type(x.labels) is tuple
-        assert x.alphabet is None
         assert DuplexExpr(x.tree, x.labels) == x
+        assert hash(DuplexExpr(x.tree, x.labels)) == hash(x)
 
 
 def test_degree_one_labels_are_the_generator_image():

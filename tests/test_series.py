@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -86,6 +88,23 @@ def test_sum_of_powers():
     assert sum_of_powers(g, alternating=True) == series(0, 1, -1, 1)
 
 
+def _powers_reference(g, alternating):
+    # the plain definition: add up g, g^2, ..., g^order
+    total, power = Series.zeros(g.order), g
+    for k in range(1, g.order + 1):
+        total = total - power if alternating and k % 2 == 0 else total + power
+        power = power * g
+    return total
+
+
+def test_sum_of_powers_matches_the_power_loop():
+    rng = random.Random(14)
+    for order in range(30):
+        for alternating in (False, True):
+            g = Series((0, *(rng.randint(-9, 9) for _ in range(order))))
+            assert sum_of_powers(g, alternating) == _powers_reference(g, alternating)
+
+
 def test_str():
     assert str(series(0, 1, 2)) == "1*T + 2*T^2"
     assert str(series(0, 1, -4)) == "1*T - 4*T^2"
@@ -134,6 +153,14 @@ def test_from_counts_labeled():
 def test_from_counts_errors():
     with pytest.raises(ValueError):
         from_counts("fibonacci", 5)
+    with pytest.raises(ValueError, match="^alphabet size must be >= 1, got -1$"):
+        from_counts("dupl", 4, -1)
+    for source in series_module.SOURCES:
+        with pytest.raises(ValueError, match="alphabet size"):
+            from_counts(source, 4, 0)
+        if source != "dupl":
+            with pytest.raises(ValueError, match=f"only 'dupl' counts over an alphabet; '{source}'"):
+                from_counts(source, 5, 3)
     for source in ("sharp-indec", "s2-indec"):
         with pytest.raises(BoundExceeded, match="^degree 9 exceeds the enumeration bound 8$"):
             from_counts(source, 9)

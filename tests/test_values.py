@@ -28,13 +28,13 @@ VALUES = [
     (
         parse_expr("e.(e*e)", "e"),
         "DuplexExpr(tree=DecoratedTree(shape=PlanarTree(text='(|(||))'), tag=<Tag.DOT: '.'>), "
-        "labels=('e', 'e', 'e'), alphabet=frozenset({'e'}))",
-        (DecoratedTree(PlanarTree((LEAF, CHERRY)), Tag.DOT), ("e", "e", "e"), frozenset("e")),
+        "labels=('e', 'e', 'e'))",
+        (DecoratedTree(PlanarTree((LEAF, CHERRY)), Tag.DOT), ("e", "e", "e")),
     ),
     (
         leaf_expr("e"),
-        "DuplexExpr(tree=DecoratedTree(shape=PlanarTree(text='|'), tag=None), labels=('e',), alphabet=None)",
-        (DecoratedTree(LEAF, None), ("e",), None),
+        "DuplexExpr(tree=DecoratedTree(shape=PlanarTree(text='|'), tag=None), labels=('e',))",
+        (DecoratedTree(LEAF, None), ("e",)),
     ),
     (sharp(Permutation((2, 1)), Permutation((1,))), "Permutation(images=(2, 1, 3))", ((2, 1, 3),)),
     (CubeVertex((1, -1)), "CubeVertex(signs=(1, -1))", ((1, -1),)),
