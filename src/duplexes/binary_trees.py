@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .decorated_trees import DuplexOps
 from .errors import InvalidDegree, ParseError, StubNotSplittable, check_degree
-from .planar_trees import LEAF, PlanarTree, _tree, format_tree, leaf_count, parse_tree
+from .planar_trees import LEAF, PlanarTree, _new, _set_text, _tree, format_tree, leaf_count, parse_tree
 
 DEFAULT_BINARY_BOUND = 10
 
@@ -34,13 +34,18 @@ def degree(u: PlanarTree) -> int:
 
 def over(u: PlanarTree, v: PlanarTree) -> PlanarTree:
     """Graft ``u`` onto the leftmost leaf of ``v``; stubs act neutrally."""
-    return _tree(v.text.replace("|", u.text, 1))
+    w = _new(PlanarTree)
+    _set_text(w, v.text.replace("|", u.text, 1))
+    return w
 
 
 def under(u: PlanarTree, v: PlanarTree) -> PlanarTree:
     """Graft ``v`` onto the rightmost leaf of ``u``; stubs act neutrally."""
-    i = u.text.rindex("|")
-    return _tree(u.text[:i] + v.text + u.text[i + 1 :])
+    text = u.text
+    i = text.rindex("|")
+    w = _new(PlanarTree)
+    _set_text(w, text[:i] + v.text + text[i + 1 :])
+    return w
 
 
 BINARY_OPS = DuplexOps(over, under)
@@ -86,10 +91,10 @@ def _all_binary(n: int) -> tuple[PlanarTree, ...]:
     if n == 0:
         return (LEAF,)
     return tuple(
-        _tree("(" + l.text + r.text + ")")
-        for i in range(n)
-        for l in _all_binary(i)
-        for r in _all_binary(n - 1 - i)
+        map(
+            _tree,
+            ["(" + l.text + r.text + ")" for i in range(n) for l in _all_binary(i) for r in _all_binary(n - 1 - i)],
+        )
     )
 
 

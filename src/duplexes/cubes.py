@@ -18,7 +18,7 @@ from typing import Iterable
 
 from .decorated_trees import _DOT, _STAR, DuplexOps, Tag
 from .errors import ParseError, check_degree
-from .planar_trees import _Value
+from .planar_trees import _new, _Value
 
 DEFAULT_CUBE_BOUND = 16
 
@@ -53,32 +53,41 @@ class CubeVertex(_Value):
         return format_cube(self)
 
 
+_set_signs = CubeVertex.signs.__set__
+
+
 def _cube(signs: tuple[int, ...]) -> CubeVertex:
     """The vertex of a sign tuple the library built itself; unchecked."""
-    a = object.__new__(CubeVertex)
-    object.__setattr__(a, "signs", signs)
+    a = _new(CubeVertex)
+    _set_signs(a, signs)
     return a
 
 
 SINGLETON = CubeVertex()
 
 
-def cube_product(a: CubeVertex, b: CubeVertex, op: Tag) -> CubeVertex:
-    """Concatenate with a ``-1`` (dot) or ``+1`` (star) separator; any other
-    ``op`` raises ``TypeError``."""
-    if op is _DOT:
-        return _cube(a.signs + (-1,) + b.signs)
-    if op is _STAR:
-        return _cube(a.signs + (1,) + b.signs)
-    raise TypeError(f"op must be Tag.DOT or Tag.STAR, got {op!r}")
-
-
 def cube_dot(a: CubeVertex, b: CubeVertex) -> CubeVertex:
-    return cube_product(a, b, _DOT)
+    """Concatenate around a ``-1`` separator."""
+    c = _new(CubeVertex)
+    _set_signs(c, a.signs + (-1,) + b.signs)
+    return c
 
 
 def cube_star(a: CubeVertex, b: CubeVertex) -> CubeVertex:
-    return cube_product(a, b, _STAR)
+    """Concatenate around a ``+1`` separator."""
+    c = _new(CubeVertex)
+    _set_signs(c, a.signs + (1,) + b.signs)
+    return c
+
+
+def cube_product(a: CubeVertex, b: CubeVertex, op: Tag) -> CubeVertex:
+    """:func:`cube_dot` for ``Tag.DOT``, :func:`cube_star` for ``Tag.STAR``;
+    any other ``op`` raises ``TypeError``."""
+    if op is _DOT:
+        return cube_dot(a, b)
+    if op is _STAR:
+        return cube_star(a, b)
+    raise TypeError(f"op must be Tag.DOT or Tag.STAR, got {op!r}")
 
 
 CUBE_OPS = DuplexOps(cube_dot, cube_star)

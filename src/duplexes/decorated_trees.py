@@ -33,7 +33,7 @@ from .errors import (
     UnknownGenerator,
     check_degree,
 )
-from .planar_trees import LEAF, PlanarTree, _all_trees, _tree, _Value, leaf_count, parse_tree
+from .planar_trees import LEAF, PlanarTree, _all_trees, _new, _set_text, _tree, _Value, leaf_count, parse_tree
 
 DEFAULT_DECORATED_BOUND = 8
 
@@ -82,11 +82,15 @@ class DecoratedTree(_Value):
         return leaf_count(self.shape)
 
 
+_set_shape = DecoratedTree.shape.__set__
+_set_tag = DecoratedTree.tag.__set__
+
+
 def _decorated(shape: PlanarTree, tag: Tag | None) -> DecoratedTree:
     """The decorated tree of a shape and tag the library built itself; unchecked."""
-    t = object.__new__(DecoratedTree)
-    object.__setattr__(t, "shape", shape)
-    object.__setattr__(t, "tag", tag)
+    t = _new(DecoratedTree)
+    _set_shape(t, shape)
+    _set_tag(t, tag)
     return t
 
 
@@ -106,25 +110,39 @@ def _product(tag: Tag, trees: Sequence[DecoratedTree]) -> DecoratedTree:
     return _decorated(_tree("(" + text + ")"), tag)
 
 
-def _graft(tag: Tag, t1: DecoratedTree, t2: DecoratedTree) -> DecoratedTree:
-    """``_product(tag, (t1, t2))`` with the two-operand join written out."""
+def tree_dot(t1: DecoratedTree, t2: DecoratedTree) -> DecoratedTree:
+    """The ``.`` product: graft and absorb dot-rooted arguments into the root.
+    ``_product(Tag.DOT, (t1, t2))`` written out in one frame, the result
+    built unchecked."""
     s1 = t1.shape.text
     s2 = t2.shape.text
-    if t1.tag is tag:
+    if t1.tag is _DOT:
         s1 = s1[1:-1]
-    if t2.tag is tag:
+    if t2.tag is _DOT:
         s2 = s2[1:-1]
-    return _decorated(_tree("(" + s1 + s2 + ")"), tag)
-
-
-def tree_dot(t1: DecoratedTree, t2: DecoratedTree) -> DecoratedTree:
-    """The ``.`` product: graft and absorb dot-rooted arguments into the root."""
-    return _graft(_DOT, t1, t2)
+    shape = _new(PlanarTree)
+    _set_text(shape, "(" + s1 + s2 + ")")
+    t = _new(DecoratedTree)
+    _set_shape(t, shape)
+    _set_tag(t, _DOT)
+    return t
 
 
 def tree_star(t1: DecoratedTree, t2: DecoratedTree) -> DecoratedTree:
-    """The ``*`` product: graft and absorb star-rooted arguments into the root."""
-    return _graft(_STAR, t1, t2)
+    """The ``*`` product: graft and absorb star-rooted arguments into the root.
+    ``_product(Tag.STAR, (t1, t2))`` written out like :func:`tree_dot`."""
+    s1 = t1.shape.text
+    s2 = t2.shape.text
+    if t1.tag is _STAR:
+        s1 = s1[1:-1]
+    if t2.tag is _STAR:
+        s2 = s2[1:-1]
+    shape = _new(PlanarTree)
+    _set_text(shape, "(" + s1 + s2 + ")")
+    t = _new(DecoratedTree)
+    _set_shape(t, shape)
+    _set_tag(t, _STAR)
+    return t
 
 
 DECORATED_OPS = DuplexOps(tree_dot, tree_star)
@@ -134,9 +152,7 @@ DECORATED_OPS = DuplexOps(tree_dot, tree_star)
 def _all_decorated(n: int) -> tuple[DecoratedTree, ...]:
     if n == 1:
         return (GENERATOR_TREE,)
-    return tuple(
-        DecoratedTree(shape, tag) for shape in _all_trees(n) for tag in (_DOT, _STAR)
-    )
+    return tuple(_decorated(shape, tag) for shape in _all_trees(n) for tag in (_DOT, _STAR))
 
 
 def enumerate_decorated(n: int) -> tuple[DecoratedTree, ...]:
@@ -187,12 +203,16 @@ class DuplexExpr(_Value):
         return format_expr(self)
 
 
+_set_expr_tree = DuplexExpr.tree.__set__
+_set_labels = DuplexExpr.labels.__set__
+
+
 def _expr(tree: DecoratedTree, labels: tuple) -> DuplexExpr:
     """The expression of a tree and a tuple of one label per leaf that the
     library built itself; unchecked."""
-    x = object.__new__(DuplexExpr)
-    object.__setattr__(x, "tree", tree)
-    object.__setattr__(x, "labels", labels)
+    x = _new(DuplexExpr)
+    _set_expr_tree(x, tree)
+    _set_labels(x, labels)
     return x
 
 
@@ -202,11 +222,11 @@ def leaf_expr(label: Hashable) -> DuplexExpr:
 
 
 def dot(x: DuplexExpr, y: DuplexExpr) -> DuplexExpr:
-    return _expr(_graft(_DOT, x.tree, y.tree), x.labels + y.labels)
+    return _expr(tree_dot(x.tree, y.tree), x.labels + y.labels)
 
 
 def star(x: DuplexExpr, y: DuplexExpr) -> DuplexExpr:
-    return _expr(_graft(_STAR, x.tree, y.tree), x.labels + y.labels)
+    return _expr(tree_star(x.tree, y.tree), x.labels + y.labels)
 
 
 def eval_hom(x: DuplexExpr, assignment: Mapping, ops: DuplexOps):
@@ -386,10 +406,23 @@ def expr_from_machine(
     parse_label: Callable[[str], Hashable] = str,
     alphabet: Iterable | None = None,
 ) -> DuplexExpr:
-    tree_text, tag_letter, labels = triple
+    """Rebuild an expression from its (tree text, tag letter, label list)
+    form, as JSON carries it.  A triple of another length, a tree text that
+    is not a string, a tag letter other than ``d``, ``s`` or ``-`` (a list
+    included) and a label list that cannot be iterated raise ``ParseError``."""
+    try:
+        tree_text, tag_letter, labels = triple
+    except (TypeError, ValueError):
+        raise ParseError(f"expected a (tree text, tag letter, label list) triple, got {triple!r}") from None
+    if not isinstance(tree_text, str):
+        raise ParseError(f"expected the tree text as a string, got {tree_text!r}")
     try:
         tag = _LETTER_TAG[tag_letter]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ParseError(f"unknown tag letter {tag_letter!r}; expected 'd', 's' or '-'") from None
+    try:
+        labels = list(labels)
+    except TypeError:
+        raise ParseError(f"expected a list of labels, got {labels!r}") from None
     tree = DecoratedTree(parse_tree(tree_text), tag)
     return DuplexExpr(tree, [parse_label(l) for l in labels], alphabet)

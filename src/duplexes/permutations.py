@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from .decorated_trees import _DOT, _STAR, GENERATOR_TREE, DecoratedTree, DuplexExpr, DuplexOps, Tag, _decorated, _expr
 from .errors import ParseError, check_degree
-from .planar_trees import _tree, _Value
+from .planar_trees import _new, _tree, _Value
 
 DEFAULT_PERMUTATION_BOUND = 8
 
@@ -63,11 +63,14 @@ class Permutation(_Value):
         return format_permutation(self)
 
 
+_set_images = Permutation.images.__set__
+
+
 def _perm(images: tuple[int, ...]) -> Permutation:
     """The permutation of an image tuple the library built from valid ones;
     unchecked."""
-    f = object.__new__(Permutation)
-    object.__setattr__(f, "images", images)
+    f = _new(Permutation)
+    _set_images(f, images)
     return f
 
 
@@ -116,8 +119,11 @@ def sharp(f: Permutation, g: Permutation) -> Permutation:
     >>> str(sharp(Permutation((3, 1, 2)), Permutation((3, 2, 1))))
     '(3,1,2,6,5,4)'
     """
-    n = f.degree
-    return _perm(f.images + tuple(n + v for v in g.images))
+    images = f.images
+    n = len(images)
+    h = _new(Permutation)
+    _set_images(h, images + tuple([n + v for v in g.images]))
+    return h
 
 
 def natural(f: Permutation, g: Permutation) -> Permutation:
@@ -126,8 +132,11 @@ def natural(f: Permutation, g: Permutation) -> Permutation:
     >>> str(natural(Permutation((3, 1, 2)), Permutation((3, 2, 1))))
     '(6,4,5,3,2,1)'
     """
-    m = g.degree
-    return _perm(tuple(m + v for v in f.images) + g.images)
+    images = g.images
+    m = len(images)
+    h = _new(Permutation)
+    _set_images(h, tuple([m + v for v in f.images]) + images)
+    return h
 
 
 # convention used everywhere: sharp plays ".", natural plays "*"

@@ -32,8 +32,13 @@ class _Value:
     subclass's ``__slots__``, set once in its ``__init__`` through
     ``object.__setattr__``; each subclass writes its own ``__eq__``, true
     only within its class, and ``__hash__``, the hash of the field tuple.
-    Pickling and copying call the class with the fields again, so the
-    constructor's checks run (a tree is rebuilt by parsing its text)."""
+    Values the library builds from parts it knows are valid (products,
+    enumerations, parsers past their checks) skip ``__init__``: they are
+    made by ``object.__new__`` and filled through each slot's descriptor
+    setter (``PlanarTree.text.__set__``), both bound to module names once,
+    so each is one C call with no lookup of the field by name.  Pickling
+    and copying call the class with the fields again, so the constructor's
+    checks run (a tree is rebuilt by parsing its text)."""
 
     __slots__ = ()
 
@@ -100,10 +105,14 @@ class PlanarTree(_Value):
         return self.text
 
 
+_new = object.__new__
+_set_text = PlanarTree.text.__set__
+
+
 def _tree(text: str) -> PlanarTree:
     """The tree of a canonical text the library built itself; unchecked."""
-    t = object.__new__(PlanarTree)
-    object.__setattr__(t, "text", text)
+    t = _new(PlanarTree)
+    _set_text(t, text)
     return t
 
 
@@ -150,9 +159,10 @@ def _all_trees(n: int) -> tuple[PlanarTree, ...]:
     found: list[PlanarTree] = []
     for m in range(1, n):
         rests = [s.text for s in _all_trees(n - m)]
+        tails = [s[1:] for s in rests if s != "|"] + [s + ")" for s in rests]
         for t in _all_trees(m):
-            found.extend(_tree("(" + t.text + s[1:]) for s in rests if s != "|")
-            found.extend(_tree("(" + t.text + s + ")") for s in rests)
+            head = "(" + t.text
+            found.extend(map(_tree, [head + tail for tail in tails]))
     return tuple(found)
 
 

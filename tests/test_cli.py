@@ -204,11 +204,16 @@ def test_alpha_and_perm_eval_of_a_deep_nest(capsys):
 
 def test_cube_eval_reads_the_leaf_signs(capsys, monkeypatch):
     # eval --target cube reads the operator word as map --morphism leafsigns
-    # does, so it needs no cube product even on a 10^4-deep nest
+    # does, so it needs no cube product even on a 10^4-deep nest.  Each
+    # product is its own function and CUBE_OPS holds them, not cube_product,
+    # so every route to a product is replaced.
     def no_products(*args):
         raise AssertionError("cube eval must not multiply cube vertices")
 
     monkeypatch.setattr(cubes, "cube_product", no_products)
+    monkeypatch.setattr(cubes, "cube_dot", no_products)
+    monkeypatch.setattr(cubes, "cube_star", no_products)
+    monkeypatch.setattr(cubes, "CUBE_OPS", cubes.DuplexOps(no_products, no_products))
     nest = nest_text(alternating(10**4))
     code, out, err = run(capsys, "eval", "--target", "cube", "--expr", nest)
     assert code == 0, err

@@ -333,6 +333,27 @@ def test_machine_format_rejects_an_unknown_tag_letter():
         expr_from_machine(("(||)", "d", ["e", "x"]), alphabet={"e"})
 
 
+@pytest.mark.parametrize(
+    "triple, message",
+    [
+        (("(||)", ["d"], ["e", "e"]), r"tag letter \['d'\]"),
+        (("(||)", {"d": 1}, ["e", "e"]), "tag letter"),
+        (("(||)", "d"), "triple"),
+        (("(||)", "d", ["e", "e"], "extra"), "triple"),
+        (None, "triple"),
+        (5, "triple"),
+        (("(||)", "d", None), "labels, got None"),
+        (("(||)", "d", 7), "labels, got 7"),
+        ((None, "d", ["e", "e"]), "tree text"),
+        ((["(||)"], "d", ["e", "e"]), "tree text"),
+    ],
+)
+def test_machine_format_rejects_a_malformed_triple(triple, message):
+    # the triple arrives from JSON, so any of its parts can be the wrong type
+    with pytest.raises(ParseError, match=message):
+        expr_from_machine(triple)
+
+
 def test_machine_format_example():
     x = expr("(e.e.e)*(e.(e*e))")
     assert expr_to_machine(x) == ("((|||)(|(||)))", "s", ["e"] * 6)

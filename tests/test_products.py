@@ -1,0 +1,122 @@
+"""The carrier products and enumerations build their values unchecked, in
+one frame.  Each result must equal, field for field and hash for hash, the
+value the validating constructors build from a reference written another
+way, so a slip in the inlined code cannot hide behind the skipped checks."""
+import math
+
+import pytest
+
+from duplexes.binary_trees import catalan, enumerate_binary, over, parse_binary, under
+from duplexes.cubes import CubeVertex, cube_dot, cube_product, cube_star, enumerate_cubes
+from duplexes.decorated_trees import DecoratedTree, Tag, _product, enumerate_decorated, tree_dot, tree_star
+from duplexes.permutations import Permutation, enumerate_permutations, natural, sharp
+from duplexes.planar_trees import LEAF, PlanarTree, enumerate_trees, parse_tree, super_catalan
+
+MAX_TOTAL = 7
+
+
+def pairs(enumerate_slice, lowest):
+    """Every pair of elements of degrees d1, d2 >= ``lowest`` with d1 + d2 <= MAX_TOTAL."""
+    for d1 in range(lowest, MAX_TOTAL + 1 - lowest):
+        for d2 in range(lowest, MAX_TOTAL + 1 - d1):
+            for a in enumerate_slice(d1):
+                for b in enumerate_slice(d2):
+                    yield a, b
+
+
+def pair_count(size, lowest):
+    """The number of pairs ``pairs`` yields, from a slice size formula."""
+    return sum(
+        size(d1) * size(d2) for d1 in range(lowest, MAX_TOTAL + 1) for d2 in range(lowest, MAX_TOTAL + 1 - d1)
+    )
+
+
+def same_value(x, reference):
+    assert type(x) is type(reference)
+    assert x == reference and hash(x) == hash(reference)
+    assert repr(x) == repr(reference)
+
+
+def test_decorated_products_equal_the_n_ary_graft():
+    count = 0
+    for a, b in pairs(enumerate_decorated, 1):
+        for product, tag in ((tree_dot, Tag.DOT), (tree_star, Tag.STAR)):
+            x = product(a, b)
+            same_value(x, _product(tag, (a, b)))
+            same_value(x, DecoratedTree(parse_tree(x.shape.text), tag))
+            assert type(x.shape) is PlanarTree and x.tag is tag
+            count += 1
+    assert count == 2 * pair_count(lambda n: 1 if n == 1 else 2 * super_catalan(n), 1)
+
+
+def graft_on_leftmost_leaf(u, v):
+    # over, by its definition: v's leftmost leaf becomes u
+    if v.is_leaf:
+        return u
+    left, right = v.children
+    return PlanarTree((graft_on_leftmost_leaf(u, left), right))
+
+
+def graft_on_rightmost_leaf(u, v):
+    # under, by its definition: u's rightmost leaf becomes v
+    if u.is_leaf:
+        return v
+    left, right = u.children
+    return PlanarTree((left, graft_on_rightmost_leaf(right, v)))
+
+
+def binary_slice(n):
+    # the stub LEAF is degree 0; the products take it too
+    return (LEAF,) if n == 0 else enumerate_binary(n)
+
+
+def test_binary_products_equal_the_grafts_by_definition():
+    count = 0
+    for u, v in pairs(binary_slice, 0):
+        x, y = over(u, v), under(u, v)
+        same_value(x, graft_on_leftmost_leaf(u, v))
+        same_value(y, graft_on_rightmost_leaf(u, v))
+        same_value(x, parse_binary(x.text))
+        same_value(y, parse_binary(y.text))
+        count += 1
+    assert count == pair_count(lambda n: catalan(n) if n else 1, 0)
+
+
+def test_cube_products_equal_the_checked_concatenation():
+    count = 0
+    for a, b in pairs(enumerate_cubes, 1):
+        for product, tag, separator in ((cube_dot, Tag.DOT, -1), (cube_star, Tag.STAR, 1)):
+            x = product(a, b)
+            same_value(x, CubeVertex(a.signs + (separator,) + b.signs))
+            same_value(cube_product(a, b, tag), x)
+            count += 1
+    assert count == 2 * pair_count(lambda n: 2 ** (n - 1), 1)
+
+
+def test_block_sums_equal_their_pointwise_definitions():
+    count = 0
+    for f, g in pairs(enumerate_permutations, 1):
+        n, m = f.degree, g.degree
+        points = range(1, n + m + 1)
+        same_value(sharp(f, g), Permutation([f(i) if i <= n else n + g(i - n) for i in points]))
+        same_value(natural(f, g), Permutation([m + f(i) if i <= n else g(i - n) for i in points]))
+        count += 1
+    assert count == pair_count(math.factorial, 1)
+
+
+REBUILDS = [
+    (enumerate_trees, range(1, 11), lambda t: parse_tree(t.text)),
+    (enumerate_binary, range(1, 11), lambda u: parse_binary(u.text)),
+    (enumerate_decorated, range(1, 9), lambda t: DecoratedTree(parse_tree(t.shape.text), t.tag)),
+    (enumerate_permutations, range(1, 9), lambda f: Permutation(f.images)),
+    (enumerate_cubes, range(1, 17), lambda a: CubeVertex(a.signs)),
+]
+
+
+@pytest.mark.parametrize(
+    "enumerate_slice, degrees, rebuild", REBUILDS, ids=[e.__name__ for e, _, _ in REBUILDS]
+)
+def test_every_enumerated_slice_equals_its_validated_rebuild(enumerate_slice, degrees, rebuild):
+    for n in degrees:
+        for x in enumerate_slice(n):
+            same_value(x, rebuild(x))

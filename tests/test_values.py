@@ -7,8 +7,9 @@ import pickle
 import pytest
 
 from duplexes import laws
-from duplexes.cubes import CUBE_OPS, CubeVertex
-from duplexes.decorated_trees import DecoratedTree, DuplexOps, Tag, leaf_expr, parse_expr
+from duplexes.binary_trees import over
+from duplexes.cubes import CUBE_OPS, CubeVertex, cube_dot
+from duplexes.decorated_trees import GENERATOR_TREE, DecoratedTree, DuplexOps, Tag, leaf_expr, parse_expr, tree_dot
 from duplexes.laws import Structure, Variety, check_laws
 from duplexes.permutations import Permutation, sharp
 from duplexes.planar_trees import LEAF, PlanarTree
@@ -41,6 +42,20 @@ VALUES = [
     (CubeVertex(), "CubeVertex(signs=())", ((),)),
     (Series((0, 1, 2)), "Series(coefficients=(0, 1, 2))", ((0, 1, 2),)),
 ]
+
+# one result of a product per kind of field: the products build their values
+# without the constructors, and the values keep the same contract; each
+# case's test id is the product's name
+PRODUCTS = {
+    "over": (over(CHERRY, CHERRY), "PlanarTree(text='((||)|)')", ("((||)|)",)),
+    "tree_dot": (
+        tree_dot(DecoratedTree(CHERRY, Tag.STAR), GENERATOR_TREE),
+        "DecoratedTree(shape=PlanarTree(text='((||)|)'), tag=<Tag.DOT: '.'>)",
+        (PlanarTree((CHERRY, LEAF)), Tag.DOT),
+    ),
+    "cube_dot": (cube_dot(CubeVertex((1,)), CubeVertex((1,))), "CubeVertex(signs=(1, -1, 1))", ((1, -1, 1),)),
+}
+VALUES += PRODUCTS.values()
 
 REPORT = check_laws(Structure.CUBE, Variety.DUPLEX, 3)
 VERIFICATION = verify_identity("ass", 1)
@@ -78,7 +93,8 @@ ALL = VALUES + RECORDS
 
 
 def names(cases):
-    return [type(x).__name__ for x, _, _ in cases]
+    product_of = {id(case): name for name, case in PRODUCTS.items()}
+    return [product_of.get(id(case), type(case[0]).__name__) for case in cases]
 
 
 @pytest.mark.parametrize("x, text, fields", ALL, ids=names(ALL))
