@@ -15,7 +15,7 @@ _EXPORTS = {
         "binary_trees",
     ),
     **dict.fromkeys(
-        ("CUBE_OPS", "SINGLETON", "CubeVertex", "cube_product", "enumerate_cubes"),
+        ("CUBE_OPS", "SINGLETON", "CubeVertex", "enumerate_cubes"),
         "cubes",
     ),
     **dict.fromkeys(
@@ -24,8 +24,8 @@ _EXPORTS = {
         "decorated_trees",
     ),
     **dict.fromkeys(
-        ("ArityTooSmall", "BoundExceeded", "ComposeNonzeroConstant", "ContractLeaf", "DegreeTooSmall",
-         "DuplexError", "ExprSyntaxError", "InvalidDegree", "MixedChainError", "ParseError", "StubNotSplittable",
+        ("ArityTooSmall", "BoundExceeded", "ComposeNonzeroConstant", "ContractLeaf", "DuplexError",
+         "ExprSyntaxError", "InvalidDegree", "MixedChainError", "ParseError", "StubNotSplittable",
          "UnboundGenerator", "UnknownGenerator"),
         "errors",
     ),

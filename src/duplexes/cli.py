@@ -247,7 +247,7 @@ def _cmd_eval(args) -> int:
     elif args.target == "binary":
         rendered = planar_trees.format_tree(morphisms.rho(expr))
     else:  # every bracketing of a word has one cube value: read the word
-        rendered = cubes.format_cube(cubes.SINGLETON if expr.degree == 1 else morphisms.leaf_sign_vector(expr))
+        rendered = cubes.format_cube(morphisms.leaf_sign_vector(expr))
     _emit(args, {"expr": args.expr, "target": args.target}, rendered, [rendered])
     return EXIT_OK
 

@@ -16,8 +16,8 @@ import operator
 import re
 from typing import Iterable
 
-from .decorated_trees import _DOT, _STAR, DuplexOps, Tag
-from .errors import ParseError, check_degree
+from .decorated_trees import DuplexOps
+from .errors import ParseError, check_degree, check_text
 from .planar_trees import _new, _Value
 
 DEFAULT_CUBE_BOUND = 16
@@ -80,16 +80,6 @@ def cube_star(a: CubeVertex, b: CubeVertex) -> CubeVertex:
     return c
 
 
-def cube_product(a: CubeVertex, b: CubeVertex, op: Tag) -> CubeVertex:
-    """:func:`cube_dot` for ``Tag.DOT``, :func:`cube_star` for ``Tag.STAR``;
-    any other ``op`` raises ``TypeError``."""
-    if op is _DOT:
-        return cube_dot(a, b)
-    if op is _STAR:
-        return cube_star(a, b)
-    raise TypeError(f"op must be Tag.DOT or Tag.STAR, got {op!r}")
-
-
 CUBE_OPS = DuplexOps(cube_dot, cube_star)
 
 
@@ -113,6 +103,7 @@ _CUBE_TEXT = re.compile(r"<\s*[+-]?1\s*(?:,\s*[+-]?1\s*)*>")
 
 
 def parse_cube(text: str) -> CubeVertex:
+    check_text(text)
     stripped = text.strip()
     if stripped == "e":
         return SINGLETON

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import re
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Any, Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -32,6 +32,7 @@ from .errors import (
     UnboundGenerator,
     UnknownGenerator,
     check_degree,
+    check_text,
 )
 from .planar_trees import LEAF, PlanarTree, _all_trees, _new, _set_text, _tree, _Value, leaf_count, parse_tree
 
@@ -235,14 +236,9 @@ def eval_hom(x: DuplexExpr, assignment: Mapping, ops: DuplexOps):
 
     Well defined because a tagged tree factors uniquely over the opposite
     sign class: each vertex is the product, under its derived sign's
-    operation, of its children's values.  One loop over the shape's text
-    computes them, taking the labels left to right, so any depth works.
-
-    A vertex folds its k children's values as a balanced product, pairing
-    neighbours until one value is left.  The operations are associative, so
-    this equals the left-to-right product exactly; in a carrier whose
-    product costs the size of its operands, a vertex with values of total
-    size m then costs O(m log k) instead of O(m k).
+    operation, of its children's values, folded left to right.  One loop
+    over the shape's text computes them, taking the labels left to right,
+    so any depth works; the cost is that of the carrier's products.
     """
     labels = iter(x.labels)
 
@@ -264,17 +260,8 @@ def eval_hom(x: DuplexExpr, assignment: Mapping, ops: DuplexOps):
             stack[-1].append(value(next(labels)))
         else:
             values = stack.pop()
-            stack[-1].append(_balanced_product(op_of_level[len(stack) % 2], values))
-    return _balanced_product(op_of_level[0], stack[0])
-
-
-def _balanced_product(op: Callable[[Any, Any], Any], values: list):
-    while len(values) > 1:
-        paired = [op(values[i], values[i + 1]) for i in range(0, len(values) - 1, 2)]
-        if len(values) % 2:
-            paired.append(values[-1])
-        values = paired
-    return values[0]
+            stack[-1].append(reduce(op_of_level[len(stack) % 2], values))
+    return reduce(op_of_level[0], stack[0])
 
 
 # --- text format ------------------------------------------------------------
@@ -327,6 +314,7 @@ def parse_expr(text: str, alphabet: Iterable) -> DuplexExpr:
     tree text copies its parts' texts, so a nest copies O(n·depth)
     characters in all.
     """
+    check_text(text)
     alphabet = frozenset(alphabet)
     tokens = _tokenize(text.replace("·", "."))
     labels: list[str] = []

@@ -29,10 +29,6 @@ class UnboundGenerator(DuplexError):
     """Evaluation met a generator label with no assigned value."""
 
 
-class DegreeTooSmall(DuplexError):
-    """The operation needs an element of higher degree."""
-
-
 class ComposeNonzeroConstant(DuplexError):
     """Series substitution requires the inner series to have zero constant term."""
 
@@ -63,3 +59,9 @@ def check_degree(n: int, bound: int) -> None:
         raise InvalidDegree(f"degree must be >= 1, got {n}")
     if n > bound:
         raise BoundExceeded(f"degree {n} exceeds the enumeration bound {bound}")
+
+
+def check_text(text) -> None:
+    """Reject a parser input that is not a string."""
+    if not isinstance(text, str):
+        raise ParseError(f"expected a string, got {text!r}")

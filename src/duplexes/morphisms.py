@@ -10,12 +10,11 @@ All four maps are determined by where the degree-1 generator goes:
 """
 from __future__ import annotations
 
-from .binary_trees import BINARY_OPS, SINGLE_NODE
 from .cubes import CubeVertex, _cube
-from .decorated_trees import DuplexExpr, eval_hom, format_expr
-from .errors import DegreeTooSmall, StubNotSplittable
+from .decorated_trees import DuplexExpr, format_expr
+from .errors import StubNotSplittable
 from .permutations import _ONE, Permutation, _place_blocks
-from .planar_trees import PlanarTree
+from .planar_trees import PlanarTree, _tree
 
 
 def _single_generator(x: DuplexExpr):
@@ -40,8 +39,33 @@ def alpha(x: DuplexExpr) -> Permutation:
 
 def rho(x: DuplexExpr) -> PlanarTree:
     """Evaluate in binary trees with the generator at the one-node tree;
-    surjective degree for degree."""
-    return eval_hom(x, {_single_generator(x): SINGLE_NODE}, BINARY_OPS)
+    surjective degree for degree.
+
+    This is the shape of the decreasing tree of ``alpha(x)``, the tree
+    whose root is the largest value, with the values left and right of it
+    as its two branches: that map sends ``(1)`` to the one-node tree,
+    ``sharp`` to ``over`` and ``natural`` to ``under``.  The subtree of the
+    value at position i spans the stubs from just after its nearest larger
+    value on the left to just before its nearest larger value on the
+    right, so one stack pass counts the ``(`` before and the ``)`` after
+    each stub, at any depth.
+
+    >>> from duplexes.decorated_trees import parse_expr
+    >>> rho(parse_expr("e*(e.e)", "e")).text
+    '(|((||)|))'
+    """
+    images = alpha(x).images
+    opens = [0] * (len(images) + 1)  # per stub: the subtrees that start at it
+    closes = opens.copy()  # per stub: the subtrees that end at it
+    larger = []  # positions still waiting for a larger value; their values decrease
+    for i, value in enumerate(images):
+        while larger and images[larger[-1]] < value:
+            larger.pop()
+            closes[i] += 1
+        opens[larger[-1] + 1 if larger else 0] += 1
+        larger.append(i)
+    closes[-1] += len(larger)
+    return _tree("".join("(" * o + "|" + ")" * c for o, c in zip(opens, closes)))
 
 
 def phi(u: PlanarTree) -> CubeVertex:
@@ -77,7 +101,5 @@ def leaf_sign_vector(x: DuplexExpr) -> CubeVertex:
     That is the operator word of ``x``'s text, so it is read off
     :func:`format_expr` with the labels left out, at any depth.
     """
-    if x.degree < 2:
-        raise DegreeTooSmall("the sign vector needs degree >= 2")
     word = format_expr(x, lambda _: "").replace("(", "").replace(")", "")
     return _cube(tuple(-1 if op == "." else 1 for op in word))

@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .decorated_trees import _DOT, _STAR, GENERATOR_TREE, DecoratedTree, DuplexExpr, DuplexOps, Tag, _decorated, _expr
-from .errors import ParseError, check_degree
+from .errors import ParseError, check_degree, check_text
 from .planar_trees import _new, _tree, _Value
 
 DEFAULT_PERMUTATION_BOUND = 8
@@ -526,6 +526,7 @@ _PERM_TEXT = re.compile(r"\(\s*\d+\s*(?:,\s*\d+\s*)*\)")
 def parse_permutation(text: str) -> Permutation:
     """Parse ``"(3,1,2)"``; whitespace is insignificant.  Rejects sequences
     that are not bijections, naming the repeated or missing value."""
+    check_text(text)
     stripped = text.strip()
     if not _PERM_TEXT.fullmatch(stripped):
         raise ParseError(f"expected a parenthesized list of integers, got {text!r}")

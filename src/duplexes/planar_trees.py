@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import ArityTooSmall, ContractLeaf, InvalidDegree, ParseError, check_degree
+from .errors import ArityTooSmall, ContractLeaf, InvalidDegree, ParseError, check_degree, check_text
 
 DEFAULT_TREE_BOUND = 10
 
@@ -208,6 +208,7 @@ def format_tree(t: PlanarTree) -> str:
 def parse_tree(text: str) -> PlanarTree:
     """Parse the ``|`` / ``(...)`` tree format; whitespace is ignored.  A
     text that passes the scan is canonical once stripped, and is kept."""
+    check_text(text)
     stripped = "".join(text.split())
     end = len(stripped)
     # children counted so far of each open vertex, below a slot for the result

@@ -19,11 +19,10 @@ from duplexes.binary_trees import (
     split,
     under,
 )
-from duplexes.cubes import SINGLETON, CubeVertex, cube_product
+from duplexes.cubes import SINGLETON, CubeVertex, cube_dot, cube_star
 from duplexes.decorated_trees import (
     DuplexExpr,
     GENERATOR_TREE,
-    Tag,
     dot,
     enumerate_decorated,
     star,
@@ -212,12 +211,12 @@ def test_criterion_11_cube_identities_and_bracketings():
             for i, op in enumerate(word):
                 for left in bracketings(word[:i]):
                     for right in bracketings(word[i + 1 :]):
-                        out.add(cube_product(left, right, op))
+                        out.add(op(left, right))
             return out
 
         for length in range(1, 7):
-            for word in itertools.product((Tag.DOT, Tag.STAR), repeat=length):
-                assert bracketings(word) == {CubeVertex(-1 if op is Tag.DOT else 1 for op in word)}
+            for word in itertools.product((cube_dot, cube_star), repeat=length):
+                assert bracketings(word) == {CubeVertex(-1 if op is cube_dot else 1 for op in word)}
 
 
 def test_criterion_12_morphism_coherence():
@@ -233,8 +232,8 @@ def test_criterion_12_morphism_coherence():
                         assert rho(star(x, y)) == under(rho(x), rho(y))
                 for u in enumerate_binary(d1):
                     for v in enumerate_binary(d2):
-                        assert phi(over(u, v)) == cube_product(phi(u), phi(v), Tag.DOT)
-                        assert phi(under(u, v)) == cube_product(phi(u), phi(v), Tag.STAR)
+                        assert phi(over(u, v)) == cube_dot(phi(u), phi(v))
+                        assert phi(under(u, v)) == cube_star(phi(u), phi(v))
         for n in range(2, 7):
             for t in enumerate_decorated(n):
                 x = over_e(t)

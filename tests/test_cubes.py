@@ -9,13 +9,11 @@ from duplexes.cubes import (
     SINGLETON,
     CubeVertex,
     cube_dot,
-    cube_product,
     cube_star,
     enumerate_cubes,
     format_cube,
     parse_cube,
 )
-from duplexes.decorated_trees import Tag
 from duplexes.errors import BoundExceeded, InvalidDegree, ParseError
 
 E = SINGLETON
@@ -38,14 +36,6 @@ def test_all_eight_defining_products():
     assert cube_star(a, b) == V(1, -1, 1, -1)
 
 
-def test_cube_product_dispatch():
-    assert cube_product(E, E, Tag.DOT) == V(-1)
-    assert cube_product(V(-1), V(1), Tag.DOT) == V(-1, -1, 1)
-    assert cube_product(E, E, Tag.STAR) == V(1)
-    with pytest.raises(TypeError):
-        cube_product(E, E, ".")
-
-
 def test_degrees_add():
     assert cube_dot(V(1, 1), V(-1)).degree == 5
     assert E.degree == 1
@@ -65,8 +55,8 @@ def test_words():
     # spell the slice in enumeration order: position i is -1 for dot, +1 for star
     for n in range(1, 6):
         values = tuple(
-            reduce(lambda a, op: cube_product(a, E, op), word, E)
-            for word in itertools.product((Tag.DOT, Tag.STAR), repeat=n - 1)
+            reduce(lambda a, op: op(a, E), word, E)
+            for word in itertools.product(CUBE_OPS, repeat=n - 1)
         )
         assert values == enumerate_cubes(n)
 

@@ -1,12 +1,14 @@
 import itertools
 import pickle
 import random
+import re
 from functools import reduce
 
 import pytest
 
 from conftest import compositions
-from duplexes.cubes import CUBE_OPS, CubeVertex, SINGLETON
+from duplexes.binary_trees import parse_binary
+from duplexes.cubes import CUBE_OPS, CubeVertex, SINGLETON, parse_cube
 from duplexes.decorated_trees import (
     DecoratedTree,
     DuplexExpr,
@@ -33,8 +35,8 @@ from duplexes.errors import (
     UnboundGenerator,
     UnknownGenerator,
 )
-from duplexes.permutations import PERM_OPS, Permutation
-from duplexes.planar_trees import LEAF, PlanarTree, graft_contract, super_catalan
+from duplexes.permutations import PERM_OPS, Permutation, parse_permutation
+from duplexes.planar_trees import LEAF, PlanarTree, graft_contract, parse_tree, super_catalan
 
 E = leaf_expr("e")
 
@@ -352,6 +354,22 @@ def test_machine_format_rejects_a_malformed_triple(triple, message):
     # the triple arrives from JSON, so any of its parts can be the wrong type
     with pytest.raises(ParseError, match=message):
         expr_from_machine(triple)
+
+
+@pytest.mark.parametrize("value", [None, 5, b"|"])
+@pytest.mark.parametrize(
+    "parse",
+    [parse_tree, parse_binary, parse_cube, parse_permutation, lambda text: parse_expr(text, "e")],
+    ids=["tree", "binary", "cube", "perm", "expr"],
+)
+def test_parsers_reject_a_value_that_is_not_a_string(parse, value):
+    with pytest.raises(ParseError, match=re.escape(f"expected a string, got {value!r}")):
+        parse(value)
+
+
+def test_machine_format_rejects_a_label_that_is_not_a_string():
+    with pytest.raises(ParseError, match="expected a string, got 5"):
+        expr_from_machine(("|", "-", [5]), parse_permutation)
 
 
 def test_machine_format_example():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ONE, alternating, nest_images, nest_permutation, nest_text
-from duplexes.binary_trees import eval_duplexes1, format_binary, parse_binary
+from duplexes.binary_trees import BINARY_OPS, SINGLE_NODE, eval_duplexes1, format_binary, parse_binary
 from duplexes.cubes import CUBE_OPS, SINGLETON, CubeVertex
 from duplexes.decorated_trees import (
     DuplexExpr,
@@ -84,6 +84,13 @@ def test_binary_tree_morphisms_at_depth():
         x = parse_expr(text, "e")
         assert phi(rho(x)) == leaf_sign_vector(x)
     assert phi(rho(parse_expr(nest_text(word), "e"))) == nest_signs(word)
+
+
+def test_rho_equals_the_fold_into_binary_trees_at_depth():
+    word = alternating(DEEP)
+    for text in (nest_text(word), right_nest_text(word), ".".join(["e"] * DEEP), "*".join(["e"] * DEEP)):
+        x = parse_expr(text, "e")
+        assert rho(x) == eval_hom(x, {"e": SINGLE_NODE}, BINARY_OPS)
 
 
 def test_phi_matches_the_generic_fold_at_moderate_depth():

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from duplexes.binary_trees import SINGLE_NODE, enumerate_binary, over, under
+from duplexes.binary_trees import BINARY_OPS, SINGLE_NODE, enumerate_binary, over, under
 from duplexes.cubes import CubeVertex, enumerate_cubes
 from duplexes.decorated_trees import (
     DecoratedTree,
@@ -8,11 +10,12 @@ from duplexes.decorated_trees import (
     Tag,
     dot,
     enumerate_decorated,
+    eval_hom,
+    format_expr,
     leaf_expr,
     parse_expr,
     star,
 )
-from duplexes.errors import DegreeTooSmall
 from duplexes.morphisms import alpha, leaf_sign_vector, phi, rho
 from duplexes.permutations import Permutation, duplex_factorize, enumerate_permutations
 
@@ -64,6 +67,32 @@ def test_rho_matches_direct_recursion():
             assert rho(over_e(t)) == _rho_oracle(t)
 
 
+def fold_into_binary_trees(x):
+    # the route rho replaces: the nodewise fold into over and under
+    return eval_hom(x, {"e": SINGLE_NODE}, BINARY_OPS)
+
+
+def random_expr(rng, leaves):
+    """A random bracketing of ``leaves`` generators: join a random pair of
+    neighbours by a random product until one expression is left."""
+    parts = [E] * leaves
+    while len(parts) > 1:
+        i = rng.randrange(len(parts) - 1)
+        parts[i : i + 2] = [rng.choice((dot, star))(parts[i], parts[i + 1])]
+    return parts[0]
+
+
+def test_rho_equals_the_fold_into_binary_trees():
+    for n in range(1, 8):
+        for t in enumerate_decorated(n):
+            x = over_e(t)
+            assert rho(x) == fold_into_binary_trees(x), format_expr(x)
+    rng = random.Random(16)
+    for _ in range(200):
+        x = random_expr(rng, rng.randint(1, 40))
+        assert rho(x) == fold_into_binary_trees(x), format_expr(x)
+
+
 def test_rho_surjective_small():
     for n in range(1, 6):
         image = {rho(over_e(t)) for t in enumerate_decorated(n)}
@@ -86,8 +115,7 @@ def test_leaf_sign_examples():
     assert leaf_sign_vector(expr("e.e")) == CubeVertex((-1,))
     assert leaf_sign_vector(expr("e*e")) == CubeVertex((1,))
     assert leaf_sign_vector(expr("(e.e.e)*(e.(e*e))")) == CubeVertex((-1, -1, 1, -1, 1))
-    with pytest.raises(DegreeTooSmall):
-        leaf_sign_vector(E)
+    assert leaf_sign_vector(E) == CubeVertex(()) == phi(rho(E))
 
 
 def test_leaf_signs_equal_phi_rho():

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from duplexes.binary_trees import catalan, enumerate_binary, over, parse_binary, under
-from duplexes.cubes import CubeVertex, cube_dot, cube_product, cube_star, enumerate_cubes
+from duplexes.cubes import CubeVertex, cube_dot, cube_star, enumerate_cubes
 from duplexes.decorated_trees import DecoratedTree, Tag, _product, enumerate_decorated, tree_dot, tree_star
 from duplexes.permutations import Permutation, enumerate_permutations, natural, sharp
 from duplexes.planar_trees import LEAF, PlanarTree, enumerate_trees, parse_tree, super_catalan
@@ -85,10 +85,8 @@ def test_binary_products_equal_the_grafts_by_definition():
 def test_cube_products_equal_the_checked_concatenation():
     count = 0
     for a, b in pairs(enumerate_cubes, 1):
-        for product, tag, separator in ((cube_dot, Tag.DOT, -1), (cube_star, Tag.STAR, 1)):
-            x = product(a, b)
-            same_value(x, CubeVertex(a.signs + (separator,) + b.signs))
-            same_value(cube_product(a, b, tag), x)
+        for product, separator in ((cube_dot, -1), (cube_star, 1)):
+            same_value(product(a, b), CubeVertex(a.signs + (separator,) + b.signs))
             count += 1
     assert count == 2 * pair_count(lambda n: 2 ** (n - 1), 1)
 
