@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .decorated_trees import DuplexOps
 from .errors import InvalidDegree, ParseError, StubNotSplittable, check_degree
-from .planar_trees import LEAF, PlanarTree, _new, _set_text, _tree, format_tree, leaf_count, parse_tree
+from .planar_trees import LEAF, PlanarTree, _build, _new, _set_text, format_tree, leaf_count, parse_tree
 
 DEFAULT_BINARY_BOUND = 10
 
@@ -90,11 +90,10 @@ def _all_binary(n: int) -> tuple[PlanarTree, ...]:
     # ascending left size, then left, then right: already the canonical order
     if n == 0:
         return (LEAF,)
-    return tuple(
-        map(
-            _tree,
-            ["(" + l.text + r.text + ")" for i in range(n) for l in _all_binary(i) for r in _all_binary(n - 1 - i)],
-        )
+    return _build(
+        PlanarTree,
+        _set_text,
+        ["(" + l.text + r.text + ")" for i in range(n) for l in _all_binary(i) for r in _all_binary(n - 1 - i)],
     )
 
 

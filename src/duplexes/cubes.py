@@ -7,59 +7,75 @@ products are associative and satisfy both mixed-bracketing identities,
 so any word in the two operations evaluates independently of
 parenthesization.
 
-Text format: ``e`` for degree 1, otherwise ``<-1,+1,...>``.
+Text format: ``e`` for degree 1, otherwise ``<-1,+1,...>``.  The text
+determines the vertex, so a vertex *is* its text, the one stored field,
+as a planar tree is: equality and hashing compare strings, the products
+splice strings with ``e`` as the empty word, and printing returns the
+field itself.
 """
 from __future__ import annotations
 
-import itertools
 import operator
 import re
+from itertools import product
 from typing import Iterable
 
 from .decorated_trees import DuplexOps
 from .errors import ParseError, check_degree, check_text
-from .planar_trees import _new, _Value
+from .planar_trees import _build, _new, _Value
 
 DEFAULT_CUBE_BOUND = 16
 
 
 class CubeVertex(_Value):
-    """A sign sequence; the signs must be integers (``operator.index``),
-    else ``TypeError``, and each -1 or +1, else ``ValueError``."""
+    """A sign sequence, held as its canonical text; the signs must be
+    integers (``operator.index``), else ``TypeError``, and each -1 or +1,
+    else ``ValueError``."""
 
-    __slots__ = ("signs",)
-    signs: tuple[int, ...]
+    __slots__ = ("text",)
+    text: str
 
     def __init__(self, signs: Iterable[int] = ()):
         signs = tuple(map(operator.index, signs))
         if signs.count(1) + signs.count(-1) != len(signs):
             stray = next(s for s in signs if s not in (-1, 1))
             raise ValueError(f"signs must be -1 or +1, got {stray}")
-        object.__setattr__(self, "signs", signs)
+        text = "<" + ",".join(map(_SIGN_TEXT.__getitem__, signs)) + ">" if signs else "e"
+        object.__setattr__(self, "text", text)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.signs == other.signs
+        return self.text == other.text
 
     def __hash__(self) -> int:
-        return hash((self.signs,))
+        return hash((self.text,))
+
+    def __reduce__(self):
+        return parse_cube, (self.text,)
+
+    @property
+    def signs(self) -> tuple[int, ...]:
+        text = self.text
+        return () if text == "e" else tuple(map(int, text[1:-1].split(",")))
 
     @property
     def degree(self) -> int:
-        return len(self.signs) + 1
+        # k >= 1 signs take 3k + 1 characters, and "e" takes 1
+        return (len(self.text) + 2) // 3
 
     def __str__(self) -> str:
-        return format_cube(self)
+        return self.text
 
 
-_set_signs = CubeVertex.signs.__set__
+_SIGN_TEXT = {1: "+1", -1: "-1"}
+_set_text = CubeVertex.text.__set__
 
 
-def _cube(signs: tuple[int, ...]) -> CubeVertex:
-    """The vertex of a sign tuple the library built itself; unchecked."""
+def _cube(text: str) -> CubeVertex:
+    """The vertex of a canonical text the library built itself; unchecked."""
     a = _new(CubeVertex)
-    _set_signs(a, signs)
+    _set_text(a, text)
     return a
 
 
@@ -67,16 +83,32 @@ SINGLETON = CubeVertex()
 
 
 def cube_dot(a: CubeVertex, b: CubeVertex) -> CubeVertex:
-    """Concatenate around a ``-1`` separator."""
+    """Concatenate around a ``-1`` separator.  Two texts ``<...>`` meet
+    only at the ``><`` of their concatenation, where the separator goes;
+    ``e`` is the empty word."""
+    s = a.text
+    t = b.text
     c = _new(CubeVertex)
-    _set_signs(c, a.signs + (-1,) + b.signs)
+    if s == "e":
+        _set_text(c, "<-1>" if t == "e" else "<-1," + t[1:])
+    elif t == "e":
+        _set_text(c, s[:-1] + ",-1>")
+    else:
+        _set_text(c, (s + t).replace("><", ",-1,"))
     return c
 
 
 def cube_star(a: CubeVertex, b: CubeVertex) -> CubeVertex:
     """Concatenate around a ``+1`` separator."""
+    s = a.text
+    t = b.text
     c = _new(CubeVertex)
-    _set_signs(c, a.signs + (1,) + b.signs)
+    if s == "e":
+        _set_text(c, "<+1>" if t == "e" else "<+1," + t[1:])
+    elif t == "e":
+        _set_text(c, s[:-1] + ",+1>")
+    else:
+        _set_text(c, (s + t).replace("><", ",+1,"))
     return c
 
 
@@ -87,26 +119,28 @@ def enumerate_cubes(n: int) -> tuple[CubeVertex, ...]:
     """All 2**(n-1) degree-n vertices, in lexicographic sign order, for
     n <= ``DEFAULT_CUBE_BOUND``."""
     check_degree(n, DEFAULT_CUBE_BOUND)
-    return tuple(map(_cube, itertools.product((-1, 1), repeat=n - 1)))
-
-
-_SIGN_TEXT = {1: "+1", -1: "-1"}
+    if n == 1:
+        return (SINGLETON,)
+    # each sign with the text before it, so one join writes a vertex
+    pieces = product(("<-1", "<+1"), *[(",-1", ",+1")] * (n - 2), (">",))
+    return _build(CubeVertex, _set_text, list(map("".join, pieces)))
 
 
 def format_cube(a: CubeVertex) -> str:
-    if not a.signs:
-        return "e"
-    return "<" + ",".join(map(_SIGN_TEXT.__getitem__, a.signs)) + ">"
+    return a.text
 
 
 _CUBE_TEXT = re.compile(r"<\s*[+-]?1\s*(?:,\s*[+-]?1\s*)*>")
 
 
 def parse_cube(text: str) -> CubeVertex:
+    """Parse ``e`` or ``<-1,+1,...>``; whitespace around the signs is
+    ignored and an unsigned ``1`` reads as ``+1``, so the vertex holds the
+    canonical text."""
     check_text(text)
     stripped = text.strip()
     if stripped == "e":
         return SINGLETON
     if not _CUBE_TEXT.fullmatch(stripped):
         raise ParseError(f"expected 'e' or a sign list like '<-1,+1>', got {text!r}")
-    return _cube(tuple(int(part) for part in stripped[1:-1].split(",")))
+    return _cube("<" + ",".join(["-1" if "-" in part else "+1" for part in stripped[1:-1].split(",")]) + ">")

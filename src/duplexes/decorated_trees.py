@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import enum
 import re
+from collections import deque
 from functools import lru_cache, reduce
+from itertools import chain, cycle
 from typing import Any, Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -34,7 +36,7 @@ from .errors import (
     check_degree,
     check_text,
 )
-from .planar_trees import LEAF, PlanarTree, _all_trees, _new, _set_text, _tree, _Value, leaf_count, parse_tree
+from .planar_trees import LEAF, PlanarTree, _all_trees, _build, _new, _set_text, _tree, _Value, leaf_count, parse_tree
 
 DEFAULT_DECORATED_BOUND = 8
 
@@ -153,7 +155,10 @@ DECORATED_OPS = DuplexOps(tree_dot, tree_star)
 def _all_decorated(n: int) -> tuple[DecoratedTree, ...]:
     if n == 1:
         return (GENERATOR_TREE,)
-    return tuple(_decorated(shape, tag) for shape in _all_trees(n) for tag in (_DOT, _STAR))
+    shapes = _all_trees(n)
+    trees = _build(DecoratedTree, _set_shape, list(chain.from_iterable(zip(shapes, shapes))))
+    deque(map(_set_tag, trees, cycle((_DOT, _STAR))), maxlen=0)
+    return trees
 
 
 def enumerate_decorated(n: int) -> tuple[DecoratedTree, ...]:

@@ -102,7 +102,16 @@ _CARRIERS: dict[Structure, _Carrier] = {
 }
 
 
+def _check_member(name: str, value, members: type[enum.Enum]) -> None:
+    if value.__class__ is not members:
+        *rest, last = [f"{members.__name__}.{m.name}" for m in members]
+        raise TypeError(f"{name} must be {', '.join(rest)} or {last}, got {value!r}")
+
+
 def format_element(structure: Structure, element) -> str:
+    """The element's text in its carrier's format.  A ``structure`` that is
+    not a :class:`Structure` member raises ``TypeError``."""
+    _check_member("structure", structure, Structure)
     return _CARRIERS[structure].format(element)
 
 
@@ -123,7 +132,12 @@ def check_laws(structure: Structure, variety: Variety, degree_bound: int) -> Law
     roles across every split.  Each outer product is built once per
     triple, shared by every identity that compares it.  The order and the
     reports are those of evaluating each identity's two sides afresh.
+
+    A ``structure`` or ``variety`` that is not a :class:`Structure` or
+    :class:`Variety` member raises ``TypeError``.
     """
+    _check_member("structure", structure, Structure)
+    _check_member("variety", variety, Variety)
     carrier = _CARRIERS[structure]
     if degree_bound < 3:
         raise InvalidDegree(f"total degree bound must be >= 3, got {degree_bound}")

@@ -86,10 +86,10 @@ def phi(u: PlanarTree) -> CubeVertex:
     signs = []
     for before, ch in zip(text, text[1:]):
         if before == ")" and ch != ")":
-            signs.append(-1)
+            signs.append("-1")
         if ch == "(" and before != "(":
-            signs.append(1)
-    return _cube(tuple(signs))
+            signs.append("+1")
+    return _cube("<" + ",".join(signs) + ">" if signs else "e")
 
 
 def leaf_sign_vector(x: DuplexExpr) -> CubeVertex:
@@ -102,4 +102,4 @@ def leaf_sign_vector(x: DuplexExpr) -> CubeVertex:
     :func:`format_expr` with the labels left out, at any depth.
     """
     word = format_expr(x, lambda _: "").replace("(", "").replace(")", "")
-    return _cube(tuple(-1 if op == "." else 1 for op in word))
+    return _cube("<" + ",".join(word).replace(".", "-1").replace("*", "+1") + ">" if word else "e")

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from .decorated_trees import _DOT, _STAR, GENERATOR_TREE, DecoratedTree, DuplexExpr, DuplexOps, Tag, _decorated, _expr
 from .errors import ParseError, check_degree, check_text
-from .planar_trees import _new, _tree, _Value
+from .planar_trees import _build, _new, _tree, _Value
 
 DEFAULT_PERMUTATION_BOUND = 8
 
@@ -232,7 +232,7 @@ def _natural_indecomposable(images: tuple[int, ...]) -> bool:
 
 @lru_cache(maxsize=None)
 def _all_permutations(n: int) -> tuple[Permutation, ...]:
-    return tuple(map(_perm, itertools.permutations(range(1, n + 1))))
+    return _build(Permutation, _set_images, list(itertools.permutations(range(1, n + 1))))
 
 
 def enumerate_permutations(n: int) -> tuple[Permutation, ...]:
@@ -511,13 +511,19 @@ def _place_blocks(tree: DecoratedTree, blocks: Sequence[tuple[int, ...]]) -> Per
 
 
 def format_permutation(f: Permutation) -> str:
-    """``(3,1,2)``: the image tuple's repr without its spaces; the images
-    are exact ints, so the repr is their decimal text.  Degree 1 drops the
-    repr's trailing comma."""
+    """``(3,1,2)``: the images, exact ints, through the degree's ``%d``
+    template.  Degree 1, the most common label in normal forms, returns
+    its one text without a lookup."""
     images = f.images
     if len(images) == 1:
         return "(1)"
-    return repr(images).replace(" ", "")
+    return _template(len(images)) % images
+
+
+@lru_cache(maxsize=64)
+def _template(n: int) -> str:
+    """``(%d,...,%d)`` with n fields."""
+    return "(" + ",".join(["%d"] * n) + ")"
 
 
 _PERM_TEXT = re.compile(r"\(\s*\d+\s*(?:,\s*\d+\s*)*\)")

@@ -19,7 +19,9 @@ characters, so any depth works.
 """
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .errors import ArityTooSmall, ContractLeaf, InvalidDegree, ParseError, check_degree, check_text
@@ -36,9 +38,11 @@ class _Value:
     enumerations, parsers past their checks) skip ``__init__``: they are
     made by ``object.__new__`` and filled through each slot's descriptor
     setter (``PlanarTree.text.__set__``), both bound to module names once,
-    so each is one C call with no lookup of the field by name.  Pickling
-    and copying call the class with the fields again, so the constructor's
-    checks run (a tree is rebuilt by parsing its text)."""
+    so each is one C call with no lookup of the field by name; a whole
+    slice is made by :func:`_build`, with no Python frame per element.
+    Pickling and copying call the class with the fields again, so the
+    constructor's checks run (a tree or a cube vertex is rebuilt by parsing
+    its text)."""
 
     __slots__ = ()
 
@@ -116,6 +120,15 @@ def _tree(text: str) -> PlanarTree:
     return t
 
 
+def _build(cls: type, setter, fields: Sequence) -> tuple:
+    """One unchecked ``cls`` instance per field, its slot filled by the
+    slot's ``setter``: both loops run in C (``map``, drained by a
+    zero-length ``deque``), so a slice costs no Python frame per element."""
+    values = tuple(map(_new, repeat(cls, len(fields))))
+    deque(map(setter, values, fields), maxlen=0)
+    return values
+
+
 LEAF = PlanarTree()
 
 
@@ -156,14 +169,14 @@ def _all_trees(n: int) -> tuple[PlanarTree, ...]:
     # In text, t followed by the children of s is "(" + t + s[1:].
     if n == 1:
         return (LEAF,)
-    found: list[PlanarTree] = []
+    texts: list[str] = []
     for m in range(1, n):
         rests = [s.text for s in _all_trees(n - m)]
         tails = [s[1:] for s in rests if s != "|"] + [s + ")" for s in rests]
         for t in _all_trees(m):
             head = "(" + t.text
-            found.extend(map(_tree, [head + tail for tail in tails]))
-    return tuple(found)
+            texts += [head + tail for tail in tails]
+    return _build(PlanarTree, _set_text, texts)
 
 
 def enumerate_trees(n: int) -> tuple[PlanarTree, ...]:

@@ -98,7 +98,7 @@ def test_enumerate():
 
 
 def test_format_is_the_plain_join():
-    # the table-mapped join against the per-sign one, over every slice
+    # the stored text against the per-sign join, over every slice
     assert format_cube(E) == "e"
     for n in range(2, 17):
         for a in enumerate_cubes(n):
@@ -117,4 +117,15 @@ def test_text_format():
     with pytest.raises(ParseError):
         parse_cube("<-1,0>")
     with pytest.raises(ParseError):
+        parse_cube("<- 1>")
+    with pytest.raises(ParseError):
         parse_cube("1,-1")
+
+
+def test_parse_holds_the_canonical_text():
+    # a vertex is its text: whitespace goes and an unsigned 1 is +1, so the
+    # parse equals, hashes and prints as the validated vertex
+    a = parse_cube(" < 1 , -1 > ")
+    assert a.text == "<+1,-1>" == format_cube(a)
+    assert (a, hash(a), repr(a)) == (V(1, -1), hash(V(1, -1)), repr(V(1, -1)))
+    assert parse_cube(" e ").text == "e"

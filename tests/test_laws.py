@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from duplexes import laws
@@ -89,6 +91,23 @@ def test_format_element():
     assert format_element(Structure.CUBE, SINGLETON) == "e"
     assert format_element(Structure.BINARY, SINGLE_NODE) == "(||)"
     assert format_element(Structure.DECORATED, GENERATOR_TREE) == "|[-]"
+
+
+STRUCTURES = "Structure.PERM, Structure.DECORATED, Structure.BINARY or Structure.CUBE"
+VARIETIES = "Variety.DUPLEX, Variety.DUPLEXES1, Variety.DUPLEXES2 or Variety.DIMONOID"
+
+
+@pytest.mark.parametrize("structure, variety", [("cube", "duplex"), (None, None), (Variety.DUPLEX, Structure.CUBE)])
+def test_a_value_that_is_not_a_member_is_a_type_error(structure, variety):
+    # a member's value or a member of the other enum is not a member; the check
+    # comes before the bound's
+    for bound in (5, 2):
+        with pytest.raises(TypeError, match=f"^structure must be {STRUCTURES}, got {re.escape(repr(structure))}$"):
+            check_laws(structure, Variety.DUPLEX, bound)
+        with pytest.raises(TypeError, match=f"^variety must be {VARIETIES}, got {re.escape(repr(variety))}$"):
+            check_laws(Structure.CUBE, variety, bound)
+    with pytest.raises(TypeError, match=f"^structure must be {STRUCTURES}, got {re.escape(repr(structure))}$"):
+        format_element(structure, SINGLETON)
 
 
 def test_generated_elements_closures():

@@ -125,6 +125,22 @@ def test_leaf_signs_equal_phi_rho():
             assert phi(rho(x)) == leaf_sign_vector(x)
 
 
+def same_vertex(a):
+    # the vertex phi or leaf_sign_vector wrote as text, against the validated one
+    b = CubeVertex(a.signs)
+    assert type(a) is CubeVertex
+    assert (a, hash(a), repr(a)) == (b, hash(b), repr(b))
+
+
+def test_written_vertices_equal_their_validated_rebuild():
+    for n in range(1, 8):
+        for u in enumerate_binary(n):
+            same_vertex(phi(u))
+    for n in range(1, 7):
+        for t in enumerate_decorated(n):
+            same_vertex(leaf_sign_vector(over_e(t)))
+
+
 def test_alpha_and_rho_are_homomorphisms():
     from duplexes.permutations import natural, sharp
 

@@ -97,11 +97,24 @@ def test_parse_format_round_trip():
 
 
 def test_format_is_the_plain_join():
-    # the repr-based text against the per-image join, over every slice
+    # the degree template against the per-image join, over every slice
     assert format_permutation(P(1)) == "(1)"
     for n in range(1, 9):
         for f in enumerate_permutations(n):
             assert format_permutation(f) == "(" + ",".join(str(v) for v in f.images) + ")"
+
+
+def test_format_is_the_spaceless_repr_at_every_degree():
+    # up to 200 and back down: past the template cache's 64 entries both ways,
+    # so evicted templates are built again
+    def spaceless_repr(images):
+        return repr(images).replace(" ", "").replace(",)", ")")
+
+    for n in [*range(1, 201), *range(200, 0, -1)]:
+        for images in (tuple(range(1, n + 1)), tuple(range(n, 0, -1))):
+            assert format_permutation(Permutation(images)) == spaceless_repr(images)
+    identity = tuple(range(1, 20001))
+    assert format_permutation(Permutation(identity)) == spaceless_repr(identity)
 
 
 def test_parse_accepts_whitespace():

@@ -38,8 +38,8 @@ VALUES = [
         (DecoratedTree(LEAF, None), ("e",)),
     ),
     (sharp(Permutation((2, 1)), Permutation((1,))), "Permutation(images=(2, 1, 3))", ((2, 1, 3),)),
-    (CubeVertex((1, -1)), "CubeVertex(signs=(1, -1))", ((1, -1),)),
-    (CubeVertex(), "CubeVertex(signs=())", ((),)),
+    (CubeVertex((1, -1)), "CubeVertex(text='<+1,-1>')", ("<+1,-1>",)),
+    (CubeVertex(), "CubeVertex(text='e')", ("e",)),
     (Series((0, 1, 2)), "Series(coefficients=(0, 1, 2))", ((0, 1, 2),)),
 ]
 
@@ -53,7 +53,7 @@ PRODUCTS = {
         "DecoratedTree(shape=PlanarTree(text='((||)|)'), tag=<Tag.DOT: '.'>)",
         (PlanarTree((CHERRY, LEAF)), Tag.DOT),
     ),
-    "cube_dot": (cube_dot(CubeVertex((1,)), CubeVertex((1,))), "CubeVertex(signs=(1, -1, 1))", ((1, -1, 1),)),
+    "cube_dot": (cube_dot(CubeVertex((1,)), CubeVertex((1,))), "CubeVertex(text='<+1,-1,+1>')", ("<+1,-1,+1>",)),
 }
 VALUES += PRODUCTS.values()
 
