@@ -86,22 +86,19 @@ def eval_duplexes1(u: PlanarTree, a, ops: DuplexOps):
 
 
 @lru_cache(maxsize=None)
-def _all_binary(n: int) -> tuple[PlanarTree, ...]:
+def _binary_texts(n: int) -> tuple[str, ...]:
     # ascending left size, then left, then right: already the canonical order
     if n == 0:
-        return (LEAF,)
-    return _build(
-        PlanarTree,
-        _set_text,
-        ["(" + l.text + r.text + ")" for i in range(n) for l in _all_binary(i) for r in _all_binary(n - 1 - i)],
-    )
+        return ("|",)
+    return tuple(["(" + l + r + ")" for i in range(n) for l in _binary_texts(i) for r in _binary_texts(n - 1 - i)])
 
 
 def enumerate_binary(n: int) -> tuple[PlanarTree, ...]:
     """All degree-n binary trees in canonical order, for n <= ``DEFAULT_BINARY_BOUND``;
-    never includes the stub."""
+    never includes the stub.  Only the texts are cached: each call builds
+    fresh trees, equal to the last."""
     check_degree(n, DEFAULT_BINARY_BOUND)
-    return _all_binary(n)
+    return _build(PlanarTree, _set_text, _binary_texts(n))
 
 
 def catalan(n: int) -> int:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import re
 from collections import deque
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import chain, cycle
 from typing import Any, Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -36,7 +36,18 @@ from .errors import (
     check_degree,
     check_text,
 )
-from .planar_trees import LEAF, PlanarTree, _all_trees, _build, _new, _set_text, _tree, _Value, leaf_count, parse_tree
+from .planar_trees import (
+    LEAF,
+    PlanarTree,
+    _build,
+    _new,
+    _set_text,
+    _tree,
+    _Value,
+    enumerate_trees,
+    leaf_count,
+    parse_tree,
+)
 
 DEFAULT_DECORATED_BOUND = 8
 
@@ -151,11 +162,10 @@ def tree_star(t1: DecoratedTree, t2: DecoratedTree) -> DecoratedTree:
 DECORATED_OPS = DuplexOps(tree_dot, tree_star)
 
 
-@lru_cache(maxsize=None)
 def _all_decorated(n: int) -> tuple[DecoratedTree, ...]:
     if n == 1:
         return (GENERATOR_TREE,)
-    shapes = _all_trees(n)
+    shapes = enumerate_trees(n)
     trees = _build(DecoratedTree, _set_shape, list(chain.from_iterable(zip(shapes, shapes))))
     deque(map(_set_tag, trees, cycle((_DOT, _STAR))), maxlen=0)
     return trees
@@ -164,7 +174,8 @@ def _all_decorated(n: int) -> tuple[DecoratedTree, ...]:
 def enumerate_decorated(n: int) -> tuple[DecoratedTree, ...]:
     """All decorated trees of degree ``n``: each shape with each tag (2 per
     shape for n >= 2), shapes in canonical order with ``.`` before ``*``;
-    n <= ``DEFAULT_DECORATED_BOUND``."""
+    n <= ``DEFAULT_DECORATED_BOUND``.  Nothing is cached but the shapes'
+    texts: each call builds fresh trees, equal to the last."""
     check_degree(n, DEFAULT_DECORATED_BOUND)
     return _all_decorated(n)
 

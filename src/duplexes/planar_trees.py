@@ -159,7 +159,7 @@ def graft_contract(positions: Iterable[int], children: Sequence[PlanarTree]) -> 
 
 
 @lru_cache(maxsize=None)
-def _all_trees(n: int) -> tuple[PlanarTree, ...]:
+def _tree_texts(n: int) -> tuple[str, ...]:
     # Canonical order compares leaf counts, then the children's keys left to
     # right.  Split a tree into its first child t (m leaves) and the rest: the
     # rest is either the children of an internal tree s with n - m leaves, or
@@ -167,27 +167,29 @@ def _all_trees(n: int) -> tuple[PlanarTree, ...]:
     # single-child tail because its first child has fewer leaves.  So ascending
     # m, then t, then tails in that order is already the canonical order.
     # In text, t followed by the children of s is "(" + t + s[1:].
+    # The cache holds strings, which the garbage collector does not track.
     if n == 1:
-        return (LEAF,)
+        return ("|",)
     texts: list[str] = []
     for m in range(1, n):
-        rests = [s.text for s in _all_trees(n - m)]
+        rests = _tree_texts(n - m)
         tails = [s[1:] for s in rests if s != "|"] + [s + ")" for s in rests]
-        for t in _all_trees(m):
-            head = "(" + t.text
+        for t in _tree_texts(m):
+            head = "(" + t
             texts += [head + tail for tail in tails]
-    return _build(PlanarTree, _set_text, texts)
+    return tuple(texts)
 
 
 def enumerate_trees(n: int) -> tuple[PlanarTree, ...]:
     """All trees with ``n`` leaves, in canonical order: fewer leaves first,
-    then lexicographic on the children; n <= ``DEFAULT_TREE_BOUND``.
+    then lexicographic on the children; n <= ``DEFAULT_TREE_BOUND``.  Only
+    the texts are cached: each call builds fresh trees, equal to the last.
 
     >>> [format_tree(t) for t in enumerate_trees(3)]
     ['(|||)', '(|(||))', '((||)|)']
     """
     check_degree(n, DEFAULT_TREE_BOUND)
-    return _all_trees(n)
+    return _build(PlanarTree, _set_text, _tree_texts(n))
 
 
 @lru_cache(maxsize=None)

@@ -169,8 +169,13 @@ def from_counts(source: str, order: int, alphabet_size: int = 1) -> Series:
         factorials = from_counts("factorials", order)
         formula = _sharp_indec_formula(order).scale(2) - factorials
         return _cross_checked(_count_indec("s2", order), formula, source)
-    counts = [len(decorated_trees.enumerate_decorated(n)) * alphabet_size**n for n in range(1, order + 1)]
-    return Series((0, *counts))
+    unlabelled = Series((0, *(len(decorated_trees.enumerate_decorated(n)) for n in range(1, order + 1))))
+    return _over_alphabet(unlabelled, alphabet_size)
+
+
+def _over_alphabet(unlabelled: Series, alphabet_size: int) -> Series:
+    # a decorated tree of degree n takes any of s^n labelings
+    return Series(tuple(c * alphabet_size**n for n, c in enumerate(unlabelled.coefficients)))
 
 
 def _count_indec(kind: str, order: int) -> Series:
@@ -299,9 +304,11 @@ def _check_tree_series_doubling(order: int) -> list[CheckResult]:
 
 def _check_labeled_duplex_series(order: int) -> list[CheckResult]:
     # enumerated label counts against s*T + 2*sum_{n>=2} C_n (sT)^n
+    # the slices are enumerated once, then counted over both alphabets
+    unlabelled = from_counts("dupl", order)
     results = []
     for s in (1, 2):
-        counted = from_counts("dupl", order, alphabet_size=s)
+        counted = _over_alphabet(unlabelled, s)
         tail = Series(
             (0, 0) + tuple(planar_trees.super_catalan(n) * s**n for n in range(2, order + 1))
         )

@@ -1,13 +1,17 @@
+import gc
 from math import comb
 
 import pytest
 from hypothesis import given
 
 from conftest import planar_tree_strategy, sort_key
+from duplexes.binary_trees import _binary_texts, enumerate_binary
+from duplexes.decorated_trees import DecoratedTree, enumerate_decorated
 from duplexes.errors import ArityTooSmall, BoundExceeded, ContractLeaf, InvalidDegree, ParseError
 from duplexes.planar_trees import (
     LEAF,
     PlanarTree,
+    _tree_texts,
     enumerate_trees,
     format_tree,
     graft_contract,
@@ -103,6 +107,32 @@ def test_enumerate_bounds():
         enumerate_trees(11)
     with pytest.raises(InvalidDegree, match="^degree must be >= 1, got 0$"):
         enumerate_trees(0)
+
+
+SLICES = ((enumerate_trees, 10), (enumerate_binary, 10), (enumerate_decorated, 8))
+
+
+def test_slice_caches_keep_texts_not_trees():
+    # the caches hold canonical texts, so the trees of a slice die with the
+    # caller's last reference to it, and each call builds them afresh
+    def alive():
+        return sum(1 for o in gc.get_objects() if o.__class__ is PlanarTree or o.__class__ is DecoratedTree)
+
+    gc.collect()
+    before = alive()
+    slices = [enumerate_slice(n) for enumerate_slice, bound in SLICES for n in range(1, bound + 1)]
+    assert sum(map(len, slices)) > 150_000
+    del slices
+    gc.collect()
+    assert alive() <= before
+    for texts, degrees in ((_tree_texts, range(1, 11)), (_binary_texts, range(11))):
+        for n in degrees:
+            assert all(text.__class__ is str for text in texts(n))
+    for enumerate_slice, bound in SLICES:
+        for n in range(1, bound + 1):
+            first = enumerate_slice(n)
+            second = enumerate_slice(n)
+            assert second == first and second is not first
 
 
 def test_super_catalan_values():
