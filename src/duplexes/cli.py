@@ -8,7 +8,9 @@ Exit status: 0 success/verified, 1 refuted or witness found, 2 usage
 error (including requests that would check nothing: ``laws --bound`` below
 3, ``verify --order`` or ``count --max`` below 1), 3 resource bound exceeded
 (an enumeration bound; no routine recurses on its input, and a
-``RecursionError`` still exits 3 as a last boundary), 4 internal error.
+``RecursionError`` still exits 3 as a last boundary), 4 internal error
+(an unexpected exception, or a ``CountRouteMismatch``: two count routes
+that disagree).
 Errors are reported as one line on stderr, never as a traceback, so a
 crash cannot read as exit 1.  A reader that closes stdout early (``| head``)
 ends the output, not the command: the exit status is still the result's.
@@ -21,7 +23,7 @@ import os
 import re
 import sys
 
-from .errors import BoundExceeded, DuplexError
+from .errors import BoundExceeded, CountRouteMismatch, DuplexError
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -115,6 +117,9 @@ def main(argv: list[str] | None = None) -> int:
     except BoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND
+    except CountRouteMismatch as exc:  # a failed internal cross-check, not a usage error
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (DuplexError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -4,14 +4,16 @@ A decorated tree is a planar tree whose internal vertices carry alternating
 ``.`` / ``*`` signs by level parity.  Only the sign class of the root is
 stored (the tag); every other vertex sign is derived, so an inconsistent
 decoration cannot be built.  The single leaf tree is untagged and plays the
-role of the generator.
+role of the generator.  A decorated tree is one object holding the tree's
+canonical text (see :mod:`duplexes.planar_trees`) and the tag; no
+``PlanarTree`` is built unless ``.shape`` is read.
 
 The two products join trees under a fresh root and then contract the root
 edges of exactly those arguments whose root already carries the sign being
-applied.  Both products are associative, and every tagged tree factors
-uniquely into arguments of the opposite class, which is what makes
-evaluation into any other two-operation structure well defined
-(:func:`eval_hom`).
+applied: they splice the texts and build one object each.  Both products
+are associative, and every tagged tree factors uniquely into arguments of
+the opposite class, which is what makes evaluation into any other
+two-operation structure well defined (:func:`eval_hom`).
 
 Expressions (``DuplexExpr``) pair a decorated tree with one generator label
 per leaf.  The text grammar accepts chains of a single operation without
@@ -41,11 +43,9 @@ from .planar_trees import (
     PlanarTree,
     _build,
     _new,
-    _set_text,
     _tree,
+    _tree_texts,
     _Value,
-    enumerate_trees,
-    leaf_count,
     parse_tree,
 )
 
@@ -71,39 +71,58 @@ class DuplexOps(NamedTuple):
 
 
 class DecoratedTree(_Value):
-    """A planar tree with derived vertex signs; untagged iff it is the leaf."""
+    """A planar tree with derived vertex signs; untagged iff it is the leaf.
 
-    __slots__ = ("shape", "tag")
-    shape: PlanarTree
+    One object holds the tree's canonical text and the root's tag, as a
+    ``PlanarTree`` holds its text; ``.shape`` builds the ``PlanarTree`` of
+    that text on each read.  The constructor takes the shape and checks it
+    against the tag, and the repr, hash, pickle and copy are those of the
+    field tuple ``(shape, tag)``."""
+
+    __slots__ = ("text", "tag")
+    text: str
     tag: Tag | None
 
     def __init__(self, shape: PlanarTree, tag: Tag | None):
         if shape.is_leaf != (tag is None):
             raise ValueError("exactly the leaf tree carries no tag")
-        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "text", shape.text)
         object.__setattr__(self, "tag", tag)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.tag is other.tag and self.shape.text == other.shape.text
+        return self.tag is other.tag and self.text == other.text
 
     def __hash__(self) -> int:
-        return hash((self.shape, self.tag))
+        # a tuple hashes through its items' hashes, and the shape's is that
+        # of (text,): so this is hash((shape, tag)), with no tree built
+        return hash(((self.text,), self.tag))
+
+    def __repr__(self) -> str:
+        return f"DecoratedTree(shape={self.shape!r}, tag={self.tag!r})"
+
+    def __reduce__(self):
+        return DecoratedTree, (self.shape, self.tag)
+
+    @property
+    def shape(self) -> PlanarTree:
+        return _tree(self.text)
 
     @property
     def degree(self) -> int:
-        return leaf_count(self.shape)
+        return self.text.count("|")
 
 
-_set_shape = DecoratedTree.shape.__set__
+_set_decorated_text = DecoratedTree.text.__set__
 _set_tag = DecoratedTree.tag.__set__
 
 
-def _decorated(shape: PlanarTree, tag: Tag | None) -> DecoratedTree:
-    """The decorated tree of a shape and tag the library built itself; unchecked."""
+def _decorated(text: str, tag: Tag | None) -> DecoratedTree:
+    """The decorated tree of a canonical tree text and a tag that the
+    library built itself; unchecked."""
     t = _new(DecoratedTree)
-    _set_shape(t, shape)
+    _set_decorated_text(t, text)
     _set_tag(t, tag)
     return t
 
@@ -120,24 +139,22 @@ def _product(tag: Tag, trees: Sequence[DecoratedTree]) -> DecoratedTree:
     equals any bracketing of the binary products, without rebuilding the
     root at every step.  An argument already tagged ``tag`` has its root
     edge contracted: its text enters without its outer parentheses."""
-    text = "".join(t.shape.text[1:-1] if t.tag is tag else t.shape.text for t in trees)
-    return _decorated(_tree("(" + text + ")"), tag)
+    text = "".join(t.text[1:-1] if t.tag is tag else t.text for t in trees)
+    return _decorated("(" + text + ")", tag)
 
 
 def tree_dot(t1: DecoratedTree, t2: DecoratedTree) -> DecoratedTree:
     """The ``.`` product: graft and absorb dot-rooted arguments into the root.
     ``_product(Tag.DOT, (t1, t2))`` written out in one frame, the result
     built unchecked."""
-    s1 = t1.shape.text
-    s2 = t2.shape.text
+    s1 = t1.text
+    s2 = t2.text
     if t1.tag is _DOT:
         s1 = s1[1:-1]
     if t2.tag is _DOT:
         s2 = s2[1:-1]
-    shape = _new(PlanarTree)
-    _set_text(shape, "(" + s1 + s2 + ")")
     t = _new(DecoratedTree)
-    _set_shape(t, shape)
+    _set_decorated_text(t, "(" + s1 + s2 + ")")
     _set_tag(t, _DOT)
     return t
 
@@ -145,16 +162,14 @@ def tree_dot(t1: DecoratedTree, t2: DecoratedTree) -> DecoratedTree:
 def tree_star(t1: DecoratedTree, t2: DecoratedTree) -> DecoratedTree:
     """The ``*`` product: graft and absorb star-rooted arguments into the root.
     ``_product(Tag.STAR, (t1, t2))`` written out like :func:`tree_dot`."""
-    s1 = t1.shape.text
-    s2 = t2.shape.text
+    s1 = t1.text
+    s2 = t2.text
     if t1.tag is _STAR:
         s1 = s1[1:-1]
     if t2.tag is _STAR:
         s2 = s2[1:-1]
-    shape = _new(PlanarTree)
-    _set_text(shape, "(" + s1 + s2 + ")")
     t = _new(DecoratedTree)
-    _set_shape(t, shape)
+    _set_decorated_text(t, "(" + s1 + s2 + ")")
     _set_tag(t, _STAR)
     return t
 
@@ -165,8 +180,8 @@ DECORATED_OPS = DuplexOps(tree_dot, tree_star)
 def _all_decorated(n: int) -> tuple[DecoratedTree, ...]:
     if n == 1:
         return (GENERATOR_TREE,)
-    shapes = enumerate_trees(n)
-    trees = _build(DecoratedTree, _set_shape, list(chain.from_iterable(zip(shapes, shapes))))
+    texts = _tree_texts(n)
+    trees = _build(DecoratedTree, _set_decorated_text, list(chain.from_iterable(zip(texts, texts))))
     deque(map(_set_tag, trees, cycle((_DOT, _STAR))), maxlen=0)
     return trees
 
@@ -269,7 +284,7 @@ def eval_hom(x: DuplexExpr, assignment: Mapping, ops: DuplexOps):
         return value(x.labels[0])
     op_of_level = (ops.dot, ops.star) if tag is _DOT else (ops.star, ops.dot)
     stack: list[list] = [[]]  # a vertex at depth d has its values at stack[d]
-    for ch in x.tree.shape.text[1:-1]:
+    for ch in x.tree.text[1:-1]:
         if ch == "(":
             stack.append([])
         elif ch == "|":
@@ -305,7 +320,7 @@ def format_expr(x: DuplexExpr, format_label: Callable[[Any], str] = str) -> str:
     # every child is followed by its parent's symbol; a vertex closing turns
     # the symbol after its last child into ")" (at the root: drops it)
     depth = 0  # of the innermost open vertex; the root's is 0
-    for ch in x.tree.shape.text[1:-1]:
+    for ch in x.tree.text[1:-1]:
         if ch == "(":
             out.append("(")
             depth += 1
@@ -402,7 +417,7 @@ _LETTER_TAG = {v: k for k, v in _TAG_LETTER.items()}
 def expr_to_machine(x: DuplexExpr, format_label: Callable[[Any], str] = str) -> tuple[str, str, list[str]]:
     """(tree text, tag letter, label list) form; round-trips via
     :func:`expr_from_machine`."""
-    return x.tree.shape.text, _TAG_LETTER[x.tree.tag], [format_label(l) for l in x.labels]
+    return x.tree.text, _TAG_LETTER[x.tree.tag], [format_label(l) for l in x.labels]
 
 
 def expr_from_machine(

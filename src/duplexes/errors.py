@@ -33,6 +33,18 @@ class ComposeNonzeroConstant(DuplexError):
     """Series substitution requires the inner series to have zero constant term."""
 
 
+class CountRouteMismatch(DuplexError, RuntimeError):
+    """Two independent routes to the same counts disagree: a fault of the
+    package, not of the request, so the CLI exits 4 (internal error).
+    ``check`` is the failed comparison, a ``series.CheckResult`` naming the
+    first differing degree and both coefficients.  It is also a
+    ``RuntimeError``, the kind of fault it reports."""
+
+    def __init__(self, message: str, check):
+        super().__init__(message)
+        self.check = check
+
+
 class ParseError(DuplexError):
     """A textual representation could not be parsed."""
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import enum
 from functools import lru_cache
+from itertools import compress, product, starmap
+from operator import eq, not_
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
 
 from . import binary_trees, cubes, decorated_trees, permutations, planar_trees
@@ -67,6 +69,24 @@ VARIETY_IDENTITIES: dict[Variety, tuple[str, ...]] = {
 }
 
 
+def _stream(bracket: str, op1: str, op2: str) -> tuple[int, int]:
+    """Where an audit finds an outer product's operand pairs, and its outer
+    operation: (a op1 b) op2 c applies op2 to the pairs (a op1 b, c), and
+    a op1 (b op2 c) applies op1 to the pairs (a, b op2 c).  The pairs are
+    numbered in a split's ``(a, b.c), (a, b*c), (a.b, c), (a*b, c)`` order,
+    the operations ``.`` 0 and ``*`` 1, as in :class:`DuplexOps`."""
+    if bracket == "ab":
+        return 2 + ".*".index(op1), ".*".index(op2)
+    return ".*".index(op2), ".*".index(op1)
+
+
+# each variety's identities: (name, left side's stream, right side's stream)
+_PLANS = {
+    variety: tuple((name, *(_stream(*side) for side in _IDENTITIES[name])) for name in names)
+    for variety, names in VARIETY_IDENTITIES.items()
+}
+
+
 class _Carrier(NamedTuple):
     elements: Callable[[int], tuple]
     ops: DuplexOps
@@ -85,7 +105,7 @@ _CARRIERS: dict[Structure, _Carrier] = {
         decorated_trees.enumerate_decorated,
         decorated_trees.DECORATED_OPS,
         9,
-        lambda t: f"{t.shape}[{'-' if t.tag is None else t.tag.value}]",
+        lambda t: f"{t.text}[{'-' if t.tag is None else t.tag.value}]",
     ),
     Structure.BINARY: _Carrier(
         binary_trees.enumerate_binary,
@@ -125,13 +145,23 @@ def check_laws(structure: Structure, variety: Variety, degree_bound: int) -> Law
     declared order.  The first failure is returned, so reports are
     deterministic.
 
-    Each product is built once per audit.  A slice is read the first time
-    a split needs its degree.  The inner products ``(x.y, x*y)`` of all x
-    of degree d1 and y of degree d2 form one table, built the first time a
-    split needs the degree pair, and shared by the ``a.b`` and ``b.c``
-    roles across every split.  Each outer product is built once per
-    triple, shared by every identity that compares it.  The order and the
-    reports are those of evaluating each identity's two sides afresh.
+    A slice is read the first time a split needs its degree.  The inner
+    products ``x.y`` and ``x*y`` of all x of degree d1 and y of degree d2
+    form one table of two flat tuples, built once per audit, the first time
+    a split needs the degree pair, and shared by the ``a.b`` and ``b.c``
+    roles across every split.  Each identity then streams a split: each
+    side is its outer operation mapped over the ``itertools.product`` of
+    an operand column and an inner-product tuple, which yields the outer
+    products in triple order, and one ``compress`` over ``map(eq, ...)``
+    finds the first triple where the sides differ.  So the audit adds no
+    Python frame per triple to those of the products and ``==``, and no
+    outer product is kept once it is compared.  An outer product that two
+    identities share (only ``dimonoid`` has one) is built once per
+    identity.  After a failure, each later identity is scanned only up to
+    the failing index, so the report names the first failing triple and,
+    at that triple, the first declared identity; a failing split may still
+    build products past its first failure.  The order and the reports are
+    those of evaluating each identity's two sides afresh.
 
     A ``structure`` or ``variety`` that is not a :class:`Structure` or
     :class:`Variety` member raises ``TypeError``.
@@ -146,55 +176,43 @@ def check_laws(structure: Structure, variety: Variety, degree_bound: int) -> Law
             f"total degree {degree_bound} exceeds the {structure.value} audit limit "
             f"{carrier.total_degree_limit}"
         )
-    dot, star = carrier.ops
-    op = {".": dot, "*": star}
-    slot = {".": 0, "*": 1}  # where an inner product sits in its (x.y, x*y) pair
-    # each outer product the variety names, in first-use order -> its place in a triple's values
-    position: dict[tuple[str, str, str], int] = {}
-    identities = []
-    for name in VARIETY_IDENTITIES[variety]:
-        lhs, rhs = _IDENTITIES[name]
-        identities.append(
-            (name, position.setdefault(lhs, len(position)), position.setdefault(rhs, len(position)))
-        )
-    # (a op1 b) op2 c reads slot op1 of (a.b, a*b); a op1 (b op2 c) slot op2 of (b.c, b*c)
-    plan = [
-        (True, slot[op1], op[op2]) if bracket == "ab" else (False, slot[op2], op[op1])
-        for bracket, op1, op2 in position
-    ]
+    ops = carrier.ops
+    dot, star = ops
     # both caches are this audit's own, dropped when it returns
     elements = lru_cache(maxsize=None)(carrier.elements)
 
     @lru_cache(maxsize=None)
-    def products(d1: int, d2: int) -> list[list[tuple]]:
-        # one row per x of degree d1, holding (x.y, x*y) for each y of degree d2
-        ys = elements(d2)
-        return [[(dot(x, y), star(x, y)) for y in ys] for x in elements(d1)]
+    def products(d1: int, d2: int) -> tuple[tuple, tuple]:
+        # x.y and x*y for every x of degree d1 and y of degree d2, x major
+        xs, ys = elements(d1), elements(d2)
+        return tuple(starmap(dot, product(xs, ys))), tuple(starmap(star, product(xs, ys)))
 
     checked = 0
     for total in range(3, degree_bound + 1):
         for d1 in range(1, total - 1):
             for d2 in range(1, total - d1):
                 d3 = total - d1 - d2
-                seconds = elements(d2)
-                thirds = elements(d3)
-                bc_rows = products(d2, d3)
-                for a, ab_row in zip(elements(d1), products(d1, d2)):
-                    for b, ab, bc_row in zip(seconds, ab_row, bc_rows):
-                        for c, bc in zip(thirds, bc_row):
-                            checked += 1
-                            values = [f(ab[i], c) if left else f(a, bc[i]) for left, i, f in plan]
-                            for name, lhs, rhs in identities:
-                                if values[lhs] != values[rhs]:
-                                    return LawReport(
-                                        structure,
-                                        variety,
-                                        degree_bound,
-                                        False,
-                                        name,
-                                        (a, b, c),
-                                        checked,
-                                    )
+                firsts, seconds, thirds = elements(d1), elements(d2), elements(d3)
+                (ab_dot, ab_star), (bc_dot, bc_star) = products(d1, d2), products(d2, d3)
+                pairs = ((firsts, bc_dot), (firsts, bc_star), (ab_dot, thirds), (ab_star, thirds))
+                # triple k = (i·n2 + j)·n3 + l is (firsts[i], seconds[j], thirds[l]),
+                # and the k-th of each side's pairs is taken from it
+                n3 = len(thirds)
+                n23 = len(seconds) * n3
+                end = len(firsts) * n23  # triples to scan: a failure cuts it to its index
+                failing = None
+                for name, (lhs_pairs, lhs_op), (rhs_pairs, rhs_op) in _PLANS[variety]:
+                    lhs = starmap(ops[lhs_op], product(*pairs[lhs_pairs]))
+                    rhs = starmap(ops[rhs_op], product(*pairs[rhs_pairs]))
+                    k = next(compress(range(end), map(not_, map(eq, lhs, rhs))), None)
+                    if k is not None:  # a later identity wins only before k
+                        end, failing = k, name
+                if failing is not None:
+                    i, jl = divmod(end, n23)
+                    j, l = divmod(jl, n3)
+                    witness = (firsts[i], seconds[j], thirds[l])
+                    return LawReport(structure, variety, degree_bound, False, failing, witness, checked + end + 1)
+                checked += end
     return LawReport(structure, variety, degree_bound, True, None, None, checked)
 
 

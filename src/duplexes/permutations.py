@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from .decorated_trees import _DOT, _STAR, GENERATOR_TREE, DecoratedTree, DuplexExpr, DuplexOps, Tag, _decorated, _expr
 from .errors import ParseError, check_degree, check_text
-from .planar_trees import _build, _new, _tree, _Value
+from .planar_trees import _build, _new, _Value
 
 DEFAULT_PERMUTATION_BOUND = 8
 
@@ -346,7 +346,7 @@ def duplex_factorize(f: Permutation) -> DuplexExpr:
             write("(")
             pending.append(None)
             push(_chain(images, start, end, low, cut))
-    return _expr(_decorated(_tree("".join(text)), root[0]), tuple(labels))
+    return _expr(_decorated("".join(text), root[0]), tuple(labels))
 
 
 def _cut(images: tuple[int, ...], start: int, end: int, low: int) -> tuple[Tag, int, bool] | None:
@@ -455,7 +455,7 @@ def _place_blocks(tree: DecoratedTree, blocks: Sequence[tuple[int, ...]]) -> Per
     Both passes read the root's interior and keep the vertex being read in
     locals, its open ancestors' state on a stack.
     """
-    inner = tree.shape.text[1:-1]
+    inner = tree.text[1:-1]
     degrees: list[int] = []  # of the vertices below the root, in preorder
     sums: list[tuple[int, int]] = []  # per open ancestor: its preorder index, its degree so far
     vertex, degree = -1, 0  # the root's: it never closes, so its index is not used

@@ -14,7 +14,7 @@ import operator
 from typing import Iterable, NamedTuple
 
 from . import binary_trees, decorated_trees, planar_trees
-from .errors import BoundExceeded, ComposeNonzeroConstant, InvalidDegree
+from .errors import BoundExceeded, ComposeNonzeroConstant, CountRouteMismatch, InvalidDegree
 from .planar_trees import _Value
 
 
@@ -143,7 +143,8 @@ def from_counts(source: str, order: int, alphabet_size: int = 1) -> Series:
     ``sharp-indec`` and ``s2-indec`` are computed both by the chain count
     :func:`~duplexes.permutations.count_indecomposable` and by the
     alternating block-sum formulas; the two routes must agree, and a
-    disagreement names its first differing degree.  ``dupl`` counts
+    disagreement raises :class:`~duplexes.errors.CountRouteMismatch`, which
+    names its first differing degree and carries the comparison.  ``dupl`` counts
     label-decorated trees over an alphabet of ``alphabet_size`` generators,
     by enumeration; every other source counts unlabelled objects, so takes
     only the size 1.  An order below 1 has no coefficient to count, so it
@@ -194,9 +195,10 @@ def _sharp_indec_formula(order: int) -> Series:
 def _cross_checked(counted: Series, formula: Series, source: str) -> Series:
     check = _compare(source, counted, formula)
     if not check.ok:
-        raise RuntimeError(
+        raise CountRouteMismatch(
             f"count routes disagree for {source}: first differing coefficient at degree "
-            f"{check.mismatch_degree}: chain count={check.lhs_coefficient} formula={check.rhs_coefficient}"
+            f"{check.mismatch_degree}: chain count={check.lhs_coefficient} formula={check.rhs_coefficient}",
+            check,
         )
     return counted
 

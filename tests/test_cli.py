@@ -243,6 +243,19 @@ def test_unexpected_exception_exits_internal(capsys, monkeypatch):
     assert err == "internal error: RuntimeError: count routes disagree\n"
 
 
+def test_count_route_mismatch_exits_internal(capsys, monkeypatch):
+    # a DuplexError, yet a fault of the package: exit 4, not the usage exit 2
+    formula = series._sharp_indec_formula
+    monkeypatch.setattr(series, "_sharp_indec_formula", lambda order: formula(order) + series.Series.monomial(5, order))
+    code, out, err = run(capsys, "count", "--sequence", "u", "--max", "7", "--json")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == (
+        "internal error: count routes disagree for sharp-indec: "
+        "first differing coefficient at degree 5: chain count=71 formula=72\n"
+    )
+
+
 def test_recursion_error_exits_bound(capsys, monkeypatch):
     def too_deep(args):
         raise RecursionError("maximum recursion depth exceeded")

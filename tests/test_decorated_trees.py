@@ -1,3 +1,4 @@
+import gc
 import itertools
 import pickle
 import random
@@ -169,6 +170,38 @@ def test_enumerate_bound():
     with pytest.raises(BoundExceeded):
         enumerate_decorated(9)
     assert len(_all_decorated(9)) == 2 * super_catalan(9)
+
+
+# --- representation ----------------------------------------------------------------
+
+
+def test_a_decorated_tree_is_its_text_and_tag():
+    assert DecoratedTree.__slots__ == ("text", "tag")
+    for n in range(1, 7):
+        for t in decorated(n):
+            assert t.text.__class__ is str
+            assert t.shape == parse_tree(t.text)
+            assert t == DecoratedTree(t.shape, t.tag)
+            assert hash(t) == hash((t.shape, t.tag))
+    cherry = PlanarTree([LEAF, LEAF])
+    for shape, tag in ((LEAF, Tag.DOT), (LEAF, Tag.STAR), (cherry, None)):
+        with pytest.raises(ValueError, match="^exactly the leaf tree carries no tag$"):
+            DecoratedTree(shape, tag)
+
+
+def test_slices_and_products_build_no_planar_tree():
+    # a decorated tree is one object: neither the slice nor a product keeps,
+    # or builds, a PlanarTree for its shape
+    def planar_alive():
+        return sum(1 for o in gc.get_objects() if o.__class__ is PlanarTree)
+
+    gc.collect()
+    before = planar_alive()
+    slice8 = enumerate_decorated(8)
+    fours = enumerate_decorated(4)
+    products = [op(x, y) for x in fours for y in fours for op in (tree_dot, tree_star)]
+    assert len(slice8) == 2 * super_catalan(8) and len(products) == 2 * 22 * 22
+    assert planar_alive() == before
 
 
 # --- expressions: labels, evaluation ------------------------------------------------

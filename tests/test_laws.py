@@ -5,7 +5,14 @@ import pytest
 from duplexes import laws
 from duplexes.binary_trees import BINARY_OPS, SINGLE_NODE, degree, enumerate_binary
 from duplexes.cubes import CUBE_OPS, SINGLETON, CubeVertex, cube_dot, cube_star, enumerate_cubes
-from duplexes.decorated_trees import DECORATED_OPS, GENERATOR_TREE, DuplexOps, enumerate_decorated
+from duplexes.decorated_trees import (
+    DECORATED_OPS,
+    GENERATOR_TREE,
+    DuplexOps,
+    enumerate_decorated,
+    tree_dot,
+    tree_star,
+)
 from duplexes.errors import BoundExceeded, InvalidDegree
 from duplexes.laws import (
     LawReport,
@@ -204,6 +211,78 @@ def test_audit_matches_the_reference_on_a_late_counterexample(monkeypatch):
     report = check_laws(Structure.CUBE, Variety.DUPLEX, 6)
     assert report.failing_identity == "(a.b).c = a.(b.c)"
     assert report.witness == (CubeVertex((1,)), CubeVertex((1,)), SINGLETON)
+
+
+# Faulty decorated carriers: each product is swapped for the other on the
+# listed operand pairs.  Decorated trees are free, so a pair (a, b.c) with b
+# and c both star-rooted is built by the audit only at the triple (a, b, c)
+# (b.c splits only as b, c), and so on: each fault below first shows at the
+# one triple named with it (a scan found these, and the reference agrees).
+E = GENERATOR_TREE
+E_DOT_E, E_STAR_E = tree_dot(E, E), tree_star(E, E)
+
+
+def patch_faulty_decorated(monkeypatch, dot_at=(), star_at=()):
+    def dot(x, y):
+        return tree_star(x, y) if (x, y) in dot_at else tree_dot(x, y)
+
+    def star(x, y):
+        return tree_dot(x, y) if (x, y) in star_at else tree_star(x, y)
+
+    faulty = laws._CARRIERS[Structure.DECORATED]._replace(ops=DuplexOps(dot, star))
+    monkeypatch.setitem(laws._CARRIERS, Structure.DECORATED, faulty)
+
+
+def audit_faulty_decorated(bound):
+    report = check_laws(Structure.DECORATED, Variety.DUPLEX, bound)
+    assert report == reference_check_laws(Structure.DECORATED, Variety.DUPLEX, bound)
+    return report
+
+
+def test_a_failure_past_the_first_element_of_every_slice(monkeypatch):
+    # a.(b.c) is wrong at a = b = c = e*e: in the split (2, 2, 2), each the
+    # second tree of its slice, so the witness's index splits into three
+    # nonzero positions
+    a = b = c = E_STAR_E
+    patch_faulty_decorated(monkeypatch, dot_at=[(a, tree_dot(b, c))])
+    report = audit_faulty_decorated(6)
+    assert report.failing_identity == "(a.b).c = a.(b.c)"
+    assert report.witness == (a, b, c)
+    assert [enumerate_decorated(2).index(x) for x in report.witness] == [1, 1, 1]
+    assert report.triples_checked == 117 + 8  # every triple of the earlier splits, then 8 of this one
+
+
+def test_a_later_identity_failing_earlier_in_the_split_is_reported(monkeypatch):
+    # in the split (2, 2, 2), associativity of . first fails at its 8th
+    # triple and that of *, declared after it, at its 2nd
+    dot_triple = (E_STAR_E, E_STAR_E, E_STAR_E)
+    star_triple = (E_DOT_E, E_DOT_E, E_STAR_E)
+    a, b, c = dot_triple
+    x, y, z = star_triple
+    patch_faulty_decorated(monkeypatch, dot_at=[(a, tree_dot(b, c))], star_at=[(x, tree_star(y, z))])
+    report = audit_faulty_decorated(6)
+    assert report.failing_identity == "(a*b)*c = a*(b*c)"
+    assert report.witness == star_triple
+    assert report.triples_checked == 117 + 2
+    # the dot fault alone fails . six triples later in the same split
+    patch_faulty_decorated(monkeypatch, dot_at=[(a, tree_dot(b, c))])
+    assert audit_faulty_decorated(6).triples_checked == report.triples_checked + 6
+
+
+def test_two_identities_failing_at_one_triple_report_the_first_declared(monkeypatch):
+    # (a.b).c and a*(b*c) are both wrong at a = c = e, b = (e*(e.e)).e, the
+    # 19th triple of the split (1, 4, 1)
+    b = tree_dot(tree_star(E, E_DOT_E), E)
+    patch_faulty_decorated(monkeypatch, dot_at=[(tree_dot(E, b), E)], star_at=[(E, tree_star(b, E))])
+    report = audit_faulty_decorated(6)
+    assert report.failing_identity == "(a.b).c = a.(b.c)"
+    assert report.witness == (E, b, E)
+    # the star fault alone fails the other identity at the same triple
+    patch_faulty_decorated(monkeypatch, star_at=[(E, tree_star(b, E))])
+    alone = audit_faulty_decorated(6)
+    assert alone.failing_identity == "(a*b)*c = a*(b*c)"
+    assert (alone.witness, alone.triples_checked) == (report.witness, report.triples_checked)
+    assert enumerate_decorated(4).index(b) == 18
 
 
 def test_slices_are_read_once_per_split(monkeypatch):

@@ -5,9 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from duplexes import permutations, series as series_module
-from duplexes.errors import BoundExceeded, ComposeNonzeroConstant, InvalidDegree
+from duplexes.errors import BoundExceeded, ComposeNonzeroConstant, CountRouteMismatch, DuplexError, InvalidDegree
 from duplexes.series import (
     CHECKS,
+    CheckResult,
     Series,
     _compare,
     from_counts,
@@ -192,10 +193,14 @@ def test_count_route_mismatch_names_its_witness(monkeypatch):
         series_module, "_sharp_indec_formula", lambda order: formula(order) + Series.monomial(5, order)
     )
     message = "first differing coefficient at degree 5: chain count=71 formula=72"
-    with pytest.raises(RuntimeError, match=f"^count routes disagree for sharp-indec: {message}$"):
+    with pytest.raises(RuntimeError, match=f"^count routes disagree for sharp-indec: {message}$") as caught:
         from_counts("sharp-indec", 7)
-    with pytest.raises(RuntimeError, match="count routes disagree for s2-indec: first differing"):
+    assert isinstance(caught.value, CountRouteMismatch) and isinstance(caught.value, DuplexError)
+    assert caught.value.check == CheckResult("sharp-indec", False, 5, 71, 72)
+    with pytest.raises(RuntimeError, match="count routes disagree for s2-indec: first differing") as caught:
         from_counts("s2-indec", 7)
+    # s2 = 2·sharp - n!: the formula route moves by 2 at degree 5
+    assert caught.value.check == CheckResult("s2-indec", False, 5, 22, 24)
 
 
 # --- the named identities ------------------------------------------------------------
