@@ -428,7 +428,9 @@ def expr_from_machine(
     """Rebuild an expression from its (tree text, tag letter, label list)
     form, as JSON carries it.  A triple of another length, a tree text that
     is not a string, a tag letter other than ``d``, ``s`` or ``-`` (a list
-    included) and a label list that cannot be iterated raise ``ParseError``."""
+    included) or that does not fit the tree (``-`` is the leaf's, and only
+    its), and a label list that cannot be iterated or does not hold one
+    label per leaf raise ``ParseError``."""
     try:
         tree_text, tag_letter, labels = triple
     except (TypeError, ValueError):
@@ -443,5 +445,10 @@ def expr_from_machine(
         labels = list(labels)
     except TypeError:
         raise ParseError(f"expected a list of labels, got {labels!r}") from None
-    tree = DecoratedTree(parse_tree(tree_text), tag)
+    shape = parse_tree(tree_text)
+    if shape.is_leaf != (tag is None):
+        raise ParseError(f"tag letter {tag_letter!r} does not fit the tree {tree_text!r}: only the leaf '|' takes '-'")
+    tree = DecoratedTree(shape, tag)
+    if len(labels) != tree.degree:
+        raise ParseError(f"expected {tree.degree} labels, one per leaf of the tree {tree_text!r}, got {len(labels)}")
     return DuplexExpr(tree, [parse_label(l) for l in labels], alphabet)

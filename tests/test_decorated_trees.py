@@ -381,10 +381,17 @@ def test_machine_format_rejects_an_unknown_tag_letter():
         (("(||)", "d", 7), "labels, got 7"),
         ((None, "d", ["e", "e"]), "tree text"),
         ((["(||)"], "d", ["e", "e"]), "tree text"),
+        (("(||)", "-", ["e", "e"]), r"^tag letter '-' does not fit the tree '\(\|\|\)': only the leaf"),
+        (("|", "d", ["e"]), r"^tag letter 'd' does not fit the tree '\|'"),
+        (("|", "s", ["e"]), r"^tag letter 's' does not fit the tree '\|'"),
+        (("(||)", "d", ["e"]), r"^expected 2 labels, one per leaf of the tree '\(\|\|\)', got 1$"),
+        (("(||)", "s", ["e", "e", "e"]), r"^expected 2 labels, one per leaf of the tree '\(\|\|\)', got 3$"),
+        (("|", "-", []), r"^expected 1 labels, one per leaf of the tree '\|', got 0$"),
     ],
 )
 def test_machine_format_rejects_a_malformed_triple(triple, message):
-    # the triple arrives from JSON, so any of its parts can be the wrong type
+    # the triple arrives from JSON, so any of its parts can be the wrong type,
+    # and its tag letter or label count may not fit its tree
     with pytest.raises(ParseError, match=message):
         expr_from_machine(triple)
 

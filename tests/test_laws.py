@@ -1,10 +1,11 @@
 import re
+from itertools import product
 
 import pytest
 
-from duplexes import laws
+from duplexes import binary_trees, cubes, decorated_trees, laws, permutations
 from duplexes.binary_trees import BINARY_OPS, SINGLE_NODE, degree, enumerate_binary
-from duplexes.cubes import CUBE_OPS, SINGLETON, CubeVertex, cube_dot, cube_star, enumerate_cubes
+from duplexes.cubes import CUBE_OPS, SINGLETON, CubeVertex, cube_dot, enumerate_cubes
 from duplexes.decorated_trees import (
     DECORATED_OPS,
     GENERATOR_TREE,
@@ -22,7 +23,7 @@ from duplexes.laws import (
     format_element,
     generated_elements,
 )
-from duplexes.permutations import Permutation
+from duplexes.permutations import PERM_OPS, Permutation
 
 
 def test_associativity_holds_everywhere():
@@ -160,8 +161,18 @@ REFERENCE_SIDES = {
 }
 
 
-def reference_check_laws(structure, variety, degree_bound):
+CARRIERS = dict(laws._CARRIERS)  # as the library defines them, for tests that patch them
+OPS = {
+    Structure.PERM: PERM_OPS,
+    Structure.DECORATED: DECORATED_OPS,
+    Structure.BINARY: BINARY_OPS,
+    Structure.CUBE: CUBE_OPS,
+}
+
+
+def reference_check_laws(structure, variety, degree_bound, ops=None):
     carrier = laws._CARRIERS[structure]
+    ops = OPS[structure] if ops is None else ops
     checked = 0
     for total in range(3, degree_bound + 1):
         for d1 in range(1, total - 1):
@@ -172,7 +183,7 @@ def reference_check_laws(structure, variety, degree_bound):
                             checked += 1
                             for name in laws.VARIETY_IDENTITIES[variety]:
                                 lhs, rhs = REFERENCE_SIDES[name]
-                                if lhs(carrier.ops, a, b, c) != rhs(carrier.ops, a, b, c):
+                                if lhs(ops, a, b, c) != rhs(ops, a, b, c):
                                     return LawReport(structure, variety, degree_bound, False, name, (a, b, c), checked)
     return LawReport(structure, variety, degree_bound, True, None, None, checked)
 
@@ -195,18 +206,36 @@ def test_audit_matches_the_reference_on_every_pair():
                 assert check_laws(structure, variety, bound) == expected, (structure, variety, bound)
 
 
+def patch_faulty(monkeypatch, structure, dot_at=(), star_at=()):
+    """Make the audit's products of ``structure`` swap each product for the
+    other on the listed operand pairs, and return scalar operations with the
+    same faults, for the reference."""
+    carrier = CARRIERS[structure]
+    dot, star = OPS[structure]
+    form, products = carrier.form, carrier.products
+    swapped_at = {".": {(form(x), form(y)) for x, y in dot_at}, "*": {(form(x), form(y)) for x, y in star_at}}
+
+    def faulty_products(op, xs, ys):
+        other = "*" if op == "." else "."
+        return [
+            swapped if pair in swapped_at[op] else right
+            for pair, right, swapped in zip(product(xs, ys), products(op, xs, ys), products(other, xs, ys))
+        ]
+
+    monkeypatch.setitem(laws._CARRIERS, structure, carrier._replace(products=faulty_products))
+    return DuplexOps(
+        lambda x, y: star(x, y) if (x, y) in dot_at else dot(x, y),
+        lambda x, y: dot(x, y) if (x, y) in star_at else star(x, y),
+    )
+
+
 def test_audit_matches_the_reference_on_a_late_counterexample(monkeypatch):
     # a dot that is wrong only on (<+1>.<+1>).e, so associativity first fails
     # at a = b = <+1>, c = e: inside the split (2, 2, 1), past its first a and b
     wrong_at = cube_dot(CubeVertex((1,)), CubeVertex((1,)))
-
-    def faulty_dot(x, y):
-        return cube_star(x, y) if x == wrong_at and y == SINGLETON else cube_dot(x, y)
-
-    faulty = laws._CARRIERS[Structure.CUBE]._replace(ops=DuplexOps(faulty_dot, cube_star))
-    monkeypatch.setitem(laws._CARRIERS, Structure.CUBE, faulty)
+    faulty_ops = patch_faulty(monkeypatch, Structure.CUBE, dot_at=[(wrong_at, SINGLETON)])
     for variety in Variety:
-        expected = reference_check_laws(Structure.CUBE, variety, 6)
+        expected = reference_check_laws(Structure.CUBE, variety, 6, faulty_ops)
         assert check_laws(Structure.CUBE, variety, 6) == expected, variety
     report = check_laws(Structure.CUBE, Variety.DUPLEX, 6)
     assert report.failing_identity == "(a.b).c = a.(b.c)"
@@ -222,20 +251,10 @@ E = GENERATOR_TREE
 E_DOT_E, E_STAR_E = tree_dot(E, E), tree_star(E, E)
 
 
-def patch_faulty_decorated(monkeypatch, dot_at=(), star_at=()):
-    def dot(x, y):
-        return tree_star(x, y) if (x, y) in dot_at else tree_dot(x, y)
-
-    def star(x, y):
-        return tree_dot(x, y) if (x, y) in star_at else tree_star(x, y)
-
-    faulty = laws._CARRIERS[Structure.DECORATED]._replace(ops=DuplexOps(dot, star))
-    monkeypatch.setitem(laws._CARRIERS, Structure.DECORATED, faulty)
-
-
-def audit_faulty_decorated(bound):
+def audit_faulty_decorated(monkeypatch, bound, dot_at=(), star_at=()):
+    faulty_ops = patch_faulty(monkeypatch, Structure.DECORATED, dot_at, star_at)
     report = check_laws(Structure.DECORATED, Variety.DUPLEX, bound)
-    assert report == reference_check_laws(Structure.DECORATED, Variety.DUPLEX, bound)
+    assert report == reference_check_laws(Structure.DECORATED, Variety.DUPLEX, bound, faulty_ops)
     return report
 
 
@@ -244,8 +263,7 @@ def test_a_failure_past_the_first_element_of_every_slice(monkeypatch):
     # second tree of its slice, so the witness's index splits into three
     # nonzero positions
     a = b = c = E_STAR_E
-    patch_faulty_decorated(monkeypatch, dot_at=[(a, tree_dot(b, c))])
-    report = audit_faulty_decorated(6)
+    report = audit_faulty_decorated(monkeypatch, 6, dot_at=[(a, tree_dot(b, c))])
     assert report.failing_identity == "(a.b).c = a.(b.c)"
     assert report.witness == (a, b, c)
     assert [enumerate_decorated(2).index(x) for x in report.witness] == [1, 1, 1]
@@ -259,27 +277,24 @@ def test_a_later_identity_failing_earlier_in_the_split_is_reported(monkeypatch):
     star_triple = (E_DOT_E, E_DOT_E, E_STAR_E)
     a, b, c = dot_triple
     x, y, z = star_triple
-    patch_faulty_decorated(monkeypatch, dot_at=[(a, tree_dot(b, c))], star_at=[(x, tree_star(y, z))])
-    report = audit_faulty_decorated(6)
+    report = audit_faulty_decorated(monkeypatch, 6, dot_at=[(a, tree_dot(b, c))], star_at=[(x, tree_star(y, z))])
     assert report.failing_identity == "(a*b)*c = a*(b*c)"
     assert report.witness == star_triple
     assert report.triples_checked == 117 + 2
     # the dot fault alone fails . six triples later in the same split
-    patch_faulty_decorated(monkeypatch, dot_at=[(a, tree_dot(b, c))])
-    assert audit_faulty_decorated(6).triples_checked == report.triples_checked + 6
+    alone = audit_faulty_decorated(monkeypatch, 6, dot_at=[(a, tree_dot(b, c))])
+    assert alone.triples_checked == report.triples_checked + 6
 
 
 def test_two_identities_failing_at_one_triple_report_the_first_declared(monkeypatch):
     # (a.b).c and a*(b*c) are both wrong at a = c = e, b = (e*(e.e)).e, the
     # 19th triple of the split (1, 4, 1)
     b = tree_dot(tree_star(E, E_DOT_E), E)
-    patch_faulty_decorated(monkeypatch, dot_at=[(tree_dot(E, b), E)], star_at=[(E, tree_star(b, E))])
-    report = audit_faulty_decorated(6)
+    report = audit_faulty_decorated(monkeypatch, 6, dot_at=[(tree_dot(E, b), E)], star_at=[(E, tree_star(b, E))])
     assert report.failing_identity == "(a.b).c = a.(b.c)"
     assert report.witness == (E, b, E)
     # the star fault alone fails the other identity at the same triple
-    patch_faulty_decorated(monkeypatch, star_at=[(E, tree_star(b, E))])
-    alone = audit_faulty_decorated(6)
+    alone = audit_faulty_decorated(monkeypatch, 6, star_at=[(E, tree_star(b, E))])
     assert alone.failing_identity == "(a*b)*c = a*(b*c)"
     assert (alone.witness, alone.triples_checked) == (report.witness, report.triples_checked)
     assert enumerate_decorated(4).index(b) == 18
@@ -300,18 +315,15 @@ def test_slices_are_read_once_per_split(monkeypatch):
 
 def test_inner_products_are_built_once_per_audit(monkeypatch):
     calls = 0
+    carrier = laws._CARRIERS[Structure.DECORATED]
 
-    def counted(op):
-        def product(x, y):
-            nonlocal calls
-            calls += 1
-            return op(x, y)
+    def counted(op, xs, ys):
+        nonlocal calls
+        forms = list(carrier.products(op, xs, ys))
+        calls += len(forms)
+        return forms
 
-        return product
-
-    ops = DuplexOps(counted(DECORATED_OPS.dot), counted(DECORATED_OPS.star))
-    carrier = laws._CARRIERS[Structure.DECORATED]._replace(ops=ops)
-    monkeypatch.setitem(laws._CARRIERS, Structure.DECORATED, carrier)
+    monkeypatch.setitem(laws._CARRIERS, Structure.DECORATED, carrier._replace(products=counted))
     report = check_laws(Structure.DECORATED, Variety.DUPLEX, 9)
     assert report.triples_checked == 22149
     pairs = sum(
@@ -321,3 +333,50 @@ def test_inner_products_are_built_once_per_audit(monkeypatch):
     # both inner products of each pair of degree sum <= 8, then the two
     # associativity identities' four outer products per triple
     assert calls == 2 * pairs + 4 * report.triples_checked
+
+
+LIMITS = [(structure, laws._CARRIERS[structure].total_degree_limit) for structure in Structure]
+
+
+@pytest.mark.parametrize("structure, limit", LIMITS, ids=[s.value for s, _ in LIMITS])
+def test_bulk_products_are_the_scalar_products(structure, limit):
+    # every pair (x, y) with deg x + deg y <= limit: every pair an audit forms
+    carrier = laws._CARRIERS[structure]
+    forms = [carrier.form(x) for d in range(1, limit) for x in carrier.elements(d)]
+    assert len(set(forms)) == len(forms)  # equal forms are equal elements
+    for d1 in range(1, limit):
+        xs = carrier.elements(d1)
+        for d2 in range(1, limit - d1 + 1):
+            ys = carrier.elements(d2)
+            x_forms, y_forms = tuple(map(carrier.form, xs)), tuple(map(carrier.form, ys))
+            for op, scalar in zip(".*", OPS[structure]):
+                bulk = list(carrier.products(op, x_forms, y_forms))
+                assert bulk == [carrier.form(scalar(x, y)) for x, y in product(xs, ys)], (op, d1, d2)
+
+
+def test_audits_run_no_scalar_product(monkeypatch):
+    expected = {(s, v): check_laws(s, v, limit) for s, limit in LIMITS for v in Variety}
+
+    def raising(x, y):
+        raise AssertionError("a scalar product ran")
+
+    scalars = {
+        decorated_trees: ("tree_dot", "tree_star", "DECORATED_OPS"),
+        binary_trees: ("over", "under", "BINARY_OPS"),
+        cubes: ("cube_dot", "cube_star", "CUBE_OPS"),
+        permutations: ("sharp", "natural", "PERM_OPS"),
+    }
+    for module, names in scalars.items():
+        for name in names[:2]:
+            monkeypatch.setattr(module, name, raising)
+        monkeypatch.setattr(module, names[2], DuplexOps(raising, raising))
+    for (structure, variety), report in expected.items():
+        assert check_laws(structure, variety, report.degree_bound) == report
+    # the paper's claims: each carrier is a duplex, binary trees satisfy
+    # duplexes1 and cube vertices duplexes2 (so duplexes1)
+    assert {key for key, report in expected.items() if report.satisfied} == {
+        *((s, Variety.DUPLEX) for s in Structure),
+        (Structure.BINARY, Variety.DUPLEXES1),
+        (Structure.CUBE, Variety.DUPLEXES1),
+        (Structure.CUBE, Variety.DUPLEXES2),
+    }
