@@ -24,12 +24,12 @@ _EXPORTS = {
         "decorated_trees",
     ),
     **dict.fromkeys(
-        ("ArityTooSmall", "BoundExceeded", "ComposeNonzeroConstant", "ContractLeaf", "DuplexError",
+        ("ArityTooSmall", "BoundExceeded", "ComposeNonzeroConstant", "DuplexError",
          "ExprSyntaxError", "InvalidDegree", "MixedChainError", "ParseError", "StubNotSplittable",
          "UnboundGenerator", "UnknownGenerator"),
         "errors",
     ),
-    **dict.fromkeys(("LawReport", "Structure", "Variety", "check_laws", "generated_elements"), "laws"),
+    **dict.fromkeys(("LawReport", "Structure", "Variety", "check_laws"), "laws"),
     **dict.fromkeys(("alpha", "leaf_sign_vector", "phi", "rho"), "morphisms"),
     **dict.fromkeys(
         ("PERM_OPS", "IndecKind", "Permutation", "count_indecomposable", "duplex_factorize",
@@ -38,7 +38,7 @@ _EXPORTS = {
         "permutations",
     ),
     **dict.fromkeys(
-        ("LEAF", "PlanarTree", "enumerate_trees", "graft_contract", "leaf_count", "super_catalan"),
+        ("LEAF", "PlanarTree", "enumerate_trees", "leaf_count", "super_catalan"),
         "planar_trees",
     ),
     **dict.fromkeys(("Series", "from_counts", "sum_of_powers", "verify_identity"), "series"),

@@ -17,10 +17,23 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import product, starmap
+from operator import mod
+from typing import Iterable
 
 from .decorated_trees import DuplexOps
 from .errors import InvalidDegree, ParseError, StubNotSplittable, check_degree
-from .planar_trees import LEAF, PlanarTree, _build, _new, _set_text, format_tree, leaf_count, parse_tree
+from .planar_trees import (
+    LEAF,
+    PlanarTree,
+    _build,
+    _per_column,
+    _set_text,
+    _tree,
+    format_tree,
+    leaf_count,
+    parse_tree,
+)
 
 DEFAULT_BINARY_BOUND = 10
 
@@ -32,20 +45,38 @@ def degree(u: PlanarTree) -> int:
     return leaf_count(u) - 1
 
 
+# Each product's one rule puts one operand's text in place of the other's
+# first or last leaf, through a ``%`` template (a tree text never holds a
+# "%"): over(u, v) fills v's first-leaf template with u, under(u, v) fills
+# u's last-leaf template with v.
+def _first_leaf_templates(texts: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple([v.replace("|", "%s", 1) for v in texts])
+
+
+def _last_leaf_templates(texts: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(["%s".join(u.rsplit("|", 1)) for u in texts])
+
+
+_column_first_leaf_templates = _per_column(_first_leaf_templates)
+_column_last_leaf_templates = _per_column(_last_leaf_templates)
+
+
+def products(op: str, xs: tuple[str, ...], ys: tuple[str, ...]) -> Iterable[str]:
+    """The texts of ``x op y`` for every x of the texts ``xs`` and y of
+    ``ys``, x major, ``op`` being ``"."`` (over) or ``"*"`` (under)."""
+    if op == ".":
+        return starmap(str.__rmod__, product(xs, _column_first_leaf_templates(ys)))
+    return starmap(mod, product(_column_last_leaf_templates(xs), ys))
+
+
 def over(u: PlanarTree, v: PlanarTree) -> PlanarTree:
     """Graft ``u`` onto the leftmost leaf of ``v``; stubs act neutrally."""
-    w = _new(PlanarTree)
-    _set_text(w, v.text.replace("|", u.text, 1))
-    return w
+    return _tree(_first_leaf_templates((v.text,))[0] % u.text)
 
 
 def under(u: PlanarTree, v: PlanarTree) -> PlanarTree:
     """Graft ``v`` onto the rightmost leaf of ``u``; stubs act neutrally."""
-    text = u.text
-    i = text.rindex("|")
-    w = _new(PlanarTree)
-    _set_text(w, text[:i] + v.text + text[i + 1 :])
-    return w
+    return _tree(_last_leaf_templates((u.text,))[0] % v.text)
 
 
 BINARY_OPS = DuplexOps(over, under)

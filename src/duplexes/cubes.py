@@ -9,9 +9,10 @@ parenthesization.
 
 Text format: ``e`` for degree 1, otherwise ``<-1,+1,...>``.  The text
 determines the vertex, so a vertex *is* its text, the one stored field,
-as a planar tree is: equality and hashing compare strings, the products
-splice strings with ``e`` as the empty word, and printing returns the
-field itself.
+as a planar tree is: equality and hashing compare strings, and printing
+returns the field itself.  Each product is one ``%`` template on the
+vertices' comma bodies (:func:`form`), applied to a pair by the scalar
+product and to every pair of two columns by :func:`products`.
 """
 from __future__ import annotations
 
@@ -82,34 +83,31 @@ def _cube(text: str) -> CubeVertex:
 SINGLETON = CubeVertex()
 
 
+def form(a: CubeVertex) -> str:
+    """The comma body of the text, a law audit's form of the vertex: ``""``
+    for ``e``, ``",-1,+1"`` for ``<-1,+1>``."""
+    text = a.text
+    return "" if text == "e" else "," + text[1:-1]
+
+
+# Each product's one rule: the comma bodies of a pair around the separator.
+_TEMPLATES = {".": "%s,-1%s".__mod__, "*": "%s,+1%s".__mod__}
+
+
+def products(op: str, xs: tuple[str, ...], ys: tuple[str, ...]) -> Iterable[str]:
+    """The forms of ``x op y`` for every x of the forms ``xs`` and y of
+    ``ys``, x major, for ``op`` ``"."`` or ``"*"``."""
+    return map(_TEMPLATES[op], product(xs, ys))
+
+
 def cube_dot(a: CubeVertex, b: CubeVertex) -> CubeVertex:
-    """Concatenate around a ``-1`` separator.  Two texts ``<...>`` meet
-    only at the ``><`` of their concatenation, where the separator goes;
-    ``e`` is the empty word."""
-    s = a.text
-    t = b.text
-    c = _new(CubeVertex)
-    if s == "e":
-        _set_text(c, "<-1>" if t == "e" else "<-1," + t[1:])
-    elif t == "e":
-        _set_text(c, s[:-1] + ",-1>")
-    else:
-        _set_text(c, (s + t).replace("><", ",-1,"))
-    return c
+    """Concatenate around a ``-1`` separator."""
+    return _cube("<" + _TEMPLATES["."]((form(a), form(b)))[1:] + ">")
 
 
 def cube_star(a: CubeVertex, b: CubeVertex) -> CubeVertex:
     """Concatenate around a ``+1`` separator."""
-    s = a.text
-    t = b.text
-    c = _new(CubeVertex)
-    if s == "e":
-        _set_text(c, "<+1>" if t == "e" else "<+1," + t[1:])
-    elif t == "e":
-        _set_text(c, s[:-1] + ",+1>")
-    else:
-        _set_text(c, (s + t).replace("><", ",+1,"))
-    return c
+    return _cube("<" + _TEMPLATES["*"]((form(a), form(b)))[1:] + ">")
 
 
 CUBE_OPS = DuplexOps(cube_dot, cube_star)

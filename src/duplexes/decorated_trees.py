@@ -10,10 +10,13 @@ canonical text (see :mod:`duplexes.planar_trees`) and the tag; no
 
 The two products join trees under a fresh root and then contract the root
 edges of exactly those arguments whose root already carries the sign being
-applied: they splice the texts and build one object each.  Both products
-are associative, and every tagged tree factors uniquely into arguments of
-the opposite class, which is what makes evaluation into any other
-two-operation structure well defined (:func:`eval_hom`).
+applied.  That rule is written once, on the trees' texts and root symbols
+(their forms): the scalar products apply it to one pair, :func:`products`
+to every pair of two columns at once, and :func:`parse_expr` to a whole
+chain.  Both products are associative, and every tagged tree factors
+uniquely into arguments of the opposite class, which is what makes
+evaluation into any other two-operation structure well defined
+(:func:`eval_hom`).
 
 Expressions (``DuplexExpr``) pair a decorated tree with one generator label
 per leaf.  The text grammar accepts chains of a single operation without
@@ -26,7 +29,7 @@ import enum
 import re
 from collections import deque
 from functools import reduce
-from itertools import chain, cycle
+from itertools import chain, cycle, product
 from typing import Any, Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -43,6 +46,7 @@ from .planar_trees import (
     PlanarTree,
     _build,
     _new,
+    _per_column,
     _tree,
     _tree_texts,
     _Value,
@@ -75,15 +79,20 @@ class DecoratedTree(_Value):
 
     One object holds the tree's canonical text and the root's tag, as a
     ``PlanarTree`` holds its text; ``.shape`` builds the ``PlanarTree`` of
-    that text on each read.  The constructor takes the shape and checks it
-    against the tag, and the repr, hash, pickle and copy are those of the
-    field tuple ``(shape, tag)``."""
+    that text on each read.  The constructor takes a ``PlanarTree`` shape
+    and a tag, ``Tag.DOT``, ``Tag.STAR`` or ``None`` (else ``TypeError``),
+    that fits the shape (else ``ValueError``), and the repr, hash, pickle
+    and copy are those of the field tuple ``(shape, tag)``."""
 
     __slots__ = ("text", "tag")
     text: str
     tag: Tag | None
 
     def __init__(self, shape: PlanarTree, tag: Tag | None):
+        if not isinstance(shape, PlanarTree):
+            raise TypeError(f"shape must be a PlanarTree, got {shape!r}")
+        if tag is not None and tag.__class__ is not Tag:
+            raise TypeError(f"tag must be Tag.DOT, Tag.STAR or None, got {tag!r}")
         if shape.is_leaf != (tag is None):
             raise ValueError("exactly the leaf tree carries no tag")
         object.__setattr__(self, "text", shape.text)
@@ -134,44 +143,53 @@ GENERATOR_TREE = DecoratedTree(LEAF, None)
 _DOT, _STAR = Tag.DOT, Tag.STAR
 
 
-def _product(tag: Tag, trees: Sequence[DecoratedTree]) -> DecoratedTree:
-    """The n-ary product of k >= 2 trees in one graft: by associativity it
-    equals any bracketing of the binary products, without rebuilding the
-    root at every step.  An argument already tagged ``tag`` has its root
-    edge contracted: its text enters without its outer parentheses."""
-    text = "".join(t.text[1:-1] if t.tag is tag else t.text for t in trees)
-    return _decorated("(" + text + ")", tag)
+# A law audit's form of a tree is its text and its root's symbol, "|" for
+# the leaf: "(||)." is the dot-rooted 2-leaf tree.
+_SYMBOLS = {None: "|", _DOT: ".", _STAR: "*"}
+_TAGS = {symbol: tag for tag, symbol in _SYMBOLS.items()}
+
+
+def form(t: DecoratedTree) -> str:
+    """The tree's text and its root's symbol (``"|"`` for the leaf)."""
+    return t.text + _SYMBOLS[t.tag]
+
+
+def _from_form(f: str) -> DecoratedTree:
+    return _decorated(f[:-1], _TAGS[f[-1]])
+
+
+# Each product's one rule: a factor of an op-product enters as its text,
+# without the root's parentheses when the root is op's own (the root edge
+# is contracted); a binary product joins two factors under a new root.
+def _tree_parts(op: str, forms: Iterable[str]) -> tuple[str, ...]:
+    return tuple([f[1:-2] if f[-1] == op else f[:-1] for f in forms])
+
+
+_column_tree_parts = _per_column(_tree_parts)
+_TEMPLATES = {op: f"(%s%s){op}".__mod__ for op in ".*"}
+
+
+def products(op: str, xs: tuple[str, ...], ys: tuple[str, ...]) -> Iterable[str]:
+    """The forms of ``x op y`` for every x of the forms ``xs`` and y of
+    ``ys``, x major, ``op`` being ``"."`` or ``"*"``."""
+    return map(_TEMPLATES[op], product(_column_tree_parts(op, xs), _column_tree_parts(op, ys)))
 
 
 def tree_dot(t1: DecoratedTree, t2: DecoratedTree) -> DecoratedTree:
-    """The ``.`` product: graft and absorb dot-rooted arguments into the root.
-    ``_product(Tag.DOT, (t1, t2))`` written out in one frame, the result
-    built unchecked."""
-    s1 = t1.text
-    s2 = t2.text
-    if t1.tag is _DOT:
-        s1 = s1[1:-1]
-    if t2.tag is _DOT:
-        s2 = s2[1:-1]
-    t = _new(DecoratedTree)
-    _set_decorated_text(t, "(" + s1 + s2 + ")")
-    _set_tag(t, _DOT)
-    return t
+    """The ``.`` product: graft and absorb dot-rooted arguments into the root."""
+    return _from_form(_TEMPLATES["."](_tree_parts(".", (form(t1), form(t2)))))
 
 
 def tree_star(t1: DecoratedTree, t2: DecoratedTree) -> DecoratedTree:
-    """The ``*`` product: graft and absorb star-rooted arguments into the root.
-    ``_product(Tag.STAR, (t1, t2))`` written out like :func:`tree_dot`."""
-    s1 = t1.text
-    s2 = t2.text
-    if t1.tag is _STAR:
-        s1 = s1[1:-1]
-    if t2.tag is _STAR:
-        s2 = s2[1:-1]
-    t = _new(DecoratedTree)
-    _set_decorated_text(t, "(" + s1 + s2 + ")")
-    _set_tag(t, _STAR)
-    return t
+    """The ``*`` product: graft and absorb star-rooted arguments into the root."""
+    return _from_form(_TEMPLATES["*"](_tree_parts("*", (form(t1), form(t2)))))
+
+
+def _chain(op: str, forms: Sequence[str]) -> str:
+    """The form of the n-ary ``op`` product of k >= 2 forms in one graft: by
+    associativity it equals any bracketing of the binary products, without
+    rebuilding the root at every step."""
+    return "(" + "".join(_tree_parts(op, forms)) + ")" + op
 
 
 DECORATED_OPS = DuplexOps(tree_dot, tree_star)
@@ -193,6 +211,12 @@ def enumerate_decorated(n: int) -> tuple[DecoratedTree, ...]:
     texts: each call builds fresh trees, equal to the last."""
     check_degree(n, DEFAULT_DECORATED_BOUND)
     return _all_decorated(n)
+
+
+def format_decorated(t: DecoratedTree) -> str:
+    """The tree's text and its root's symbol in brackets, ``-`` for the
+    leaf's, as a law audit's witness prints: ``(||)[.]``."""
+    return f"{t.text}[{'-' if t.tag is None else t.tag.value}]"
 
 
 class DuplexExpr(_Value):
@@ -367,7 +391,7 @@ def parse_expr(text: str, alphabet: Iterable) -> DuplexExpr:
         if tok not in alphabet:
             raise UnknownGenerator(f"generator {tok!r} not in alphabet", at)
         labels.append(tok)
-        atom = GENERATOR_TREE
+        atom = "||"  # the generator's form; chains hold forms
         # extend the innermost chain with the atom; close every chain that ends here
         while True:
             frame = stack[-1]
@@ -381,11 +405,11 @@ def parse_expr(text: str, alphabet: Iterable) -> DuplexExpr:
                     raise MixedChainError("cannot mix '.' and '*' without parentheses", op_at)
                 pos += 1
                 break
-            atom = parts[0] if len(parts) == 1 else _product(Tag(chain_op), parts)
+            atom = parts[0] if len(parts) == 1 else _chain(chain_op, parts)
             if open_at is None:
                 if pos != len(tokens):
                     raise ExprSyntaxError(f"unexpected {tokens[pos][0]!r}", tokens[pos][1])
-                return _expr(atom, tuple(labels))
+                return _expr(_from_form(atom), tuple(labels))
             if pos >= len(tokens) or tokens[pos][0] != ")":
                 raise ExprSyntaxError("missing ')'", open_at)
             stack.pop()

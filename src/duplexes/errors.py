@@ -17,10 +17,6 @@ class ArityTooSmall(DuplexError):
     """A tree node was given fewer than two children."""
 
 
-class ContractLeaf(DuplexError):
-    """Edge contraction requested at a position holding a leaf."""
-
-
 class StubNotSplittable(DuplexError):
     """The leaf placeholder of a binary tree has no root to split or evaluate."""
 

@@ -9,25 +9,23 @@ own operations, so the audit stays independent of any normal-form code.
 The audit runs on element *forms*: a string or tuple per element that
 equals another element's form exactly when the elements are equal (a
 decorated tree's text and root symbol, a binary tree's text, a cube
-vertex's sign list, a permutation's images).  Each carrier's two products
-are written a second time on forms, in bulk: the products of every pair
-of two operand columns are one ``map`` or ``starmap`` of a C-level
+vertex's comma body, a permutation's images).  Each carrier's two products
+are defined once, in its carrier module, as one rule on forms: the scalar
+product applies it to one pair, and the module's ``products`` to every
+pair of two operand columns, as one ``map`` or ``starmap`` of a C-level
 callable, such as a ``%`` template or ``operator.add``, over their
-``itertools.product``.  They are the carrier's own products on another
-representation, and a test holds them equal to the scalar ones on every
-pair an audit can form.  So no Python frame runs per product or per
-comparison, and witnesses are read back from the element slices by index.
+``itertools.product``.  The audit calls only ``products``, so no Python
+frame runs per product or per comparison, and witnesses are read back
+from the element slices by index.
 """
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
-from itertools import compress, product, starmap
-from operator import add, mod, ne
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
+from itertools import compress
+from operator import ne
+from typing import Callable, Hashable, Iterable, NamedTuple
 
 from . import binary_trees, cubes, decorated_trees, permutations, planar_trees
-from .decorated_trees import DuplexOps
 from .errors import BoundExceeded, InvalidDegree
 
 
@@ -114,113 +112,32 @@ class _Carrier(NamedTuple):
     format: Callable[[object], str]
 
 
-# What a bulk product needs of an operand column beyond its forms (a part,
-# a template, a shift) is built once per column and audit, the columns of
-# an audit being its slices and inner-product tables.  These caches are
-# keyed by the column itself, sized for one audit's columns (at most 126
-# keys at bound 9), and emptied when the audit returns.
-_COLUMN_CACHES: list = []
-
-
-def _per_column(build: Callable) -> Callable:
-    cached = lru_cache(maxsize=256)(build)
-    _COLUMN_CACHES.append(cached)
-    return cached
-
-
-def _decorated_form(t: decorated_trees.DecoratedTree) -> str:
-    # the text and the root's symbol; the leaf's is "|"
-    return t.text + ("|" if t.tag is None else t.tag.value)
-
-
-@_per_column
-def _tree_parts(op: str, forms: tuple[str, ...]) -> tuple[str, ...]:
-    # a factor of an op-product: its text, without the root's parentheses
-    # when the root is op's own (the root edge is contracted)
-    return tuple([f[1:-2] if f[-1] == op else f[:-1] for f in forms])
-
-
-_TREE_TEMPLATES = {op: f"(%s%s){op}".__mod__ for op in ".*"}
-
-
-def _decorated_products(op: str, xs: tuple[str, ...], ys: tuple[str, ...]) -> Iterable[str]:
-    return map(_TREE_TEMPLATES[op], product(_tree_parts(op, xs), _tree_parts(op, ys)))
-
-
-@_per_column
-def _first_leaf_templates(texts: tuple[str, ...]) -> tuple[str, ...]:
-    return tuple([v.replace("|", "%s", 1) for v in texts])
-
-
-@_per_column
-def _last_leaf_templates(texts: tuple[str, ...]) -> tuple[str, ...]:
-    return tuple(["%s".join(u.rsplit("|", 1)) for u in texts])
-
-
-def _binary_products(op: str, xs: tuple[str, ...], ys: tuple[str, ...]) -> Iterable[str]:
-    # over(u, v) puts u in place of v's first leaf, under(u, v) puts v in
-    # place of u's last; a tree text never holds a "%"
-    if op == ".":
-        return starmap(str.__rmod__, product(xs, _first_leaf_templates(ys)))
-    return starmap(mod, product(_last_leaf_templates(xs), ys))
-
-
-def _cube_form(a: cubes.CubeVertex) -> str:
-    # the comma body: "" for e, ",-1,+1" for <-1,+1>
-    text = a.text
-    return "" if text == "e" else "," + text[1:-1]
-
-
-_CUBE_TEMPLATES = {".": "%s,-1%s".__mod__, "*": "%s,+1%s".__mod__}
-
-
-def _cube_products(op: str, xs: tuple[str, ...], ys: tuple[str, ...]) -> Iterable[str]:
-    return map(_CUBE_TEMPLATES[op], product(xs, ys))
-
-
-@_per_column
-def _shifted(images: tuple[tuple[int, ...], ...], by: int) -> tuple[tuple[int, ...], ...]:
-    return tuple([tuple([by + v for v in f]) for f in images])
-
-
-def _perm_form(f: permutations.Permutation) -> tuple[int, ...]:
-    return f.images
-
-
-def _perm_products(op: str, xs: tuple[tuple, ...], ys: tuple[tuple, ...]) -> Iterable[tuple]:
-    # sharp(f, g) is f, then g shifted by f's degree; natural(f, g) is f
-    # shifted by g's degree, then g: a shift is one per column
-    if op == ".":
-        return starmap(add, product(xs, _shifted(ys, len(xs[0]))))
-    return starmap(add, product(_shifted(xs, len(ys[0])), ys))
-
-
 _CARRIERS: dict[Structure, _Carrier] = {
     Structure.PERM: _Carrier(
         permutations.enumerate_permutations,
-        _perm_form,
-        _perm_products,
+        permutations.form,
+        permutations.products,
         7,
         permutations.format_permutation,
     ),
     Structure.DECORATED: _Carrier(
         decorated_trees.enumerate_decorated,
-        _decorated_form,
-        _decorated_products,
+        decorated_trees.form,
+        decorated_trees.products,
         9,
-        lambda t: f"{t.text}[{'-' if t.tag is None else t.tag.value}]",
+        decorated_trees.format_decorated,
     ),
     Structure.BINARY: _Carrier(
         binary_trees.enumerate_binary,
-        planar_trees.format_tree,  # the text
-        _binary_products,
+        binary_trees.format_binary,  # the text
+        binary_trees.products,
         9,
-        planar_trees.format_tree,
+        binary_trees.format_binary,
     ),
     Structure.CUBE: _Carrier(
         cubes.enumerate_cubes,
-        _cube_form,
-        _cube_products,
+        cubes.form,
+        cubes.products,
         9,
         cubes.format_cube,
     ),
@@ -285,7 +202,7 @@ def check_laws(structure: Structure, variety: Variety, degree_bound: int) -> Law
     try:
         failing, witness, checked = _scan(carrier, _PLANS[variety], degree_bound)
     finally:
-        for cache in _COLUMN_CACHES:
+        for cache in planar_trees._COLUMN_CACHES:
             cache.cache_clear()
     return LawReport(structure, variety, degree_bound, failing is None, failing, witness, checked)
 
@@ -338,27 +255,3 @@ def _scan(carrier: _Carrier, plan: tuple, degree_bound: int) -> tuple[str | None
                 checked += end
     return None, None, checked
 
-
-def generated_elements(
-    ops: DuplexOps,
-    generators: Iterable,
-    degree_of: Callable[[object], int],
-    max_degree: int,
-) -> Mapping[int, frozenset]:
-    """Degree slices of the closure of ``generators`` under both operations.
-
-    Every product of total degree d combines two closure elements of lower
-    degree, so filling slices bottom-up is exhaustive.
-    """
-    slices: dict[int, set[Hashable]] = {d: set() for d in range(1, max_degree + 1)}
-    for g in generators:
-        d = degree_of(g)
-        if d <= max_degree:
-            slices[d].add(g)
-    for total in range(2, max_degree + 1):
-        for d1 in range(1, total):
-            for x in slices[d1]:
-                for y in slices[total - d1]:
-                    slices[total].add(ops.dot(x, y))
-                    slices[total].add(ops.star(x, y))
-    return {d: frozenset(s) for d, s in slices.items()}

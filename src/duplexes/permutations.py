@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from .decorated_trees import _DOT, _STAR, GENERATOR_TREE, DecoratedTree, DuplexExpr, DuplexOps, Tag, _decorated, _expr
 from .errors import ParseError, check_degree, check_text
-from .planar_trees import _build, _new, _Value
+from .planar_trees import _build, _new, _per_column, _Value
 
 DEFAULT_PERMUTATION_BOUND = 8
 
@@ -113,6 +113,30 @@ def _check_kind(kind: IndecKind) -> None:
         raise TypeError(f"kind must be IndecKind.SHARP, IndecKind.NATURAL or IndecKind.S2, got {kind!r}")
 
 
+# Each product's one rule: one operand's images shifted up by the other's
+# degree, then the two image tuples added, f's first.
+def _shifted(images: tuple[tuple[int, ...], ...], by: int) -> tuple[tuple[int, ...], ...]:
+    return tuple([tuple([by + v for v in f]) for f in images])
+
+
+_column_shifted = _per_column(_shifted)
+
+
+def form(f: Permutation) -> tuple[int, ...]:
+    """A law audit's form of ``f``: its images."""
+    return f.images
+
+
+def products(op: str, xs: tuple[tuple, ...], ys: tuple[tuple, ...]) -> Iterable[tuple]:
+    """The images of ``x op y`` for every x of the images ``xs`` and y of
+    ``ys``, x major, ``op`` being ``"."`` (sharp) or ``"*"`` (natural); the
+    images in each of ``xs`` and ``ys`` have one degree, so a shift is one
+    per column."""
+    if op == ".":
+        return itertools.starmap(operator.add, itertools.product(xs, _column_shifted(ys, len(xs[0]))))
+    return itertools.starmap(operator.add, itertools.product(_column_shifted(xs, len(ys[0])), ys))
+
+
 def sharp(f: Permutation, g: Permutation) -> Permutation:
     """Diagonal block sum.
 
@@ -120,10 +144,7 @@ def sharp(f: Permutation, g: Permutation) -> Permutation:
     '(3,1,2,6,5,4)'
     """
     images = f.images
-    n = len(images)
-    h = _new(Permutation)
-    _set_images(h, images + tuple([n + v for v in g.images]))
-    return h
+    return _perm(images + _shifted((g.images,), len(images))[0])
 
 
 def natural(f: Permutation, g: Permutation) -> Permutation:
@@ -133,10 +154,7 @@ def natural(f: Permutation, g: Permutation) -> Permutation:
     '(6,4,5,3,2,1)'
     """
     images = g.images
-    m = len(images)
-    h = _new(Permutation)
-    _set_images(h, tuple([m + v for v in f.images]) + images)
-    return h
+    return _perm(_shifted((f.images,), len(images))[0] + images)
 
 
 # convention used everywhere: sharp plays ".", natural plays "*"

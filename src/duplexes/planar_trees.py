@@ -22,9 +22,9 @@ from __future__ import annotations
 from collections import deque
 from functools import lru_cache
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .errors import ArityTooSmall, ContractLeaf, InvalidDegree, ParseError, check_degree, check_text
+from .errors import ArityTooSmall, InvalidDegree, ParseError, check_degree, check_text
 
 DEFAULT_TREE_BOUND = 10
 
@@ -62,14 +62,19 @@ class _Value:
 
 class PlanarTree(_Value):
     """A planar rooted tree, built by grafting its children under a new root
-    (none for a leaf, one raises ``ArityTooSmall``) and held as its
-    canonical text; ``.children`` recovers exactly the grafted trees."""
+    (none for a leaf, one raises ``ArityTooSmall``, a child that is not a
+    ``PlanarTree`` ``TypeError``) and held as its canonical text;
+    ``.children`` recovers exactly the grafted trees."""
 
     __slots__ = ("text",)
     text: str
 
     def __init__(self, children: Iterable[PlanarTree] = ()):
-        texts = [child.text for child in children]
+        texts = []
+        for child in children:
+            if not isinstance(child, PlanarTree):
+                raise TypeError(f"children must be PlanarTree values, got {child!r}")
+            texts.append(child.text)
         if len(texts) == 1:
             raise ArityTooSmall("an internal vertex needs at least 2 children")
         object.__setattr__(self, "text", "(" + "".join(texts) + ")" if texts else "|")
@@ -129,33 +134,28 @@ def _build(cls: type, setter, fields: Sequence) -> tuple:
     return values
 
 
+# What a carrier's bulk ``products`` needs of an operand column beyond its
+# forms (a part, a template, a shift) is built once per column and audit,
+# the columns of a law audit being its slices and inner-product tables.
+# These caches are keyed by the column itself, sized for one audit's columns
+# (at most 126 keys at bound 9), and emptied when the audit returns.  The
+# scalar products call the uncached rule, so they leave no entries.
+_COLUMN_CACHES: list = []
+
+
+def _per_column(rule: Callable) -> Callable:
+    """``rule`` cached per column, its cache registered in ``_COLUMN_CACHES``."""
+    cached = lru_cache(maxsize=256)(rule)
+    _COLUMN_CACHES.append(cached)
+    return cached
+
+
 LEAF = PlanarTree()
 
 
 def leaf_count(t: PlanarTree) -> int:
     """Number of leaves; the degree of the tree."""
     return t.text.count("|")
-
-
-def graft_contract(positions: Iterable[int], children: Sequence[PlanarTree]) -> PlanarTree:
-    """Graft, then contract the root edges at the given 1-based positions.
-
-    Contracting the edge to child ``i`` replaces that child, in place, by its
-    own child sequence; the child must therefore be an internal vertex.  With
-    no positions this is plain grafting.
-    """
-    children = tuple(children)
-    if len(children) < 2:
-        raise ArityTooSmall(f"grafting needs at least 2 trees, got {len(children)}")
-    contracted = frozenset(positions)
-    for i in contracted:
-        if not 1 <= i <= len(children):
-            raise ValueError(f"position {i} outside 1..{len(children)}")
-        if children[i - 1].is_leaf:
-            raise ContractLeaf(f"cannot contract the root edge of the leaf at position {i}")
-    return _tree(
-        "(" + "".join(c.text[1:-1] if i in contracted else c.text for i, c in enumerate(children, 1)) + ")"
-    )
 
 
 @lru_cache(maxsize=None)

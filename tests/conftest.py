@@ -2,6 +2,10 @@ import itertools
 
 from hypothesis import strategies as st
 
+from duplexes.cubes import CubeVertex
+from duplexes.decorated_trees import DecoratedTree, DuplexOps, Tag
+from duplexes.errors import ArityTooSmall
+from duplexes.laws import Structure
 from duplexes.permutations import Permutation, natural, sharp
 from duplexes.planar_trees import LEAF, PlanarTree, leaf_count
 
@@ -74,3 +78,85 @@ def nest_images(word):
         stars -= op == "*"
         images.append((k + 1 if op == "." else 1) + stars)
     return Permutation(tuple(images))
+
+
+# --- the carrier products by their definitions ---------------------------------
+# The library writes each product once, as one rule on its carrier's forms
+# that its scalar and its bulk products share.  These references are written
+# from the definitions instead, through the validating constructors, and the
+# product tests hold both to them.
+
+
+def graft_contract(positions, children):
+    """Graft, then contract the root edges at the given 1-based positions.
+
+    Contracting the edge to child ``i`` replaces that child, in place, by its
+    own child sequence; the child must therefore be an internal vertex.  With
+    no positions this is plain grafting.
+    """
+    children = tuple(children)
+    if len(children) < 2:
+        raise ArityTooSmall(f"grafting needs at least 2 trees, got {len(children)}")
+    contracted = frozenset(positions)
+    for i in contracted:
+        if not 1 <= i <= len(children):
+            raise ValueError(f"position {i} outside 1..{len(children)}")
+        if children[i - 1].is_leaf:
+            raise ValueError(f"cannot contract the root edge of the leaf at position {i}")
+    grafted = []
+    for i, child in enumerate(children, 1):
+        grafted += child.children if i in contracted else (child,)
+    return PlanarTree(grafted)
+
+
+def contracting_graft(tag):
+    """The decorated product ``tag``: graft both trees under a root tagged
+    ``tag``, contracting the root edge of each tree already tagged ``tag``."""
+
+    def graft(a, b):
+        positions = [i for i, t in enumerate((a, b), 1) if t.tag is tag]
+        return DecoratedTree(graft_contract(positions, (a.shape, b.shape)), tag)
+
+    return graft
+
+
+def graft_on_leftmost_leaf(u, v):
+    # over, by its definition: v's leftmost leaf becomes u
+    if v.is_leaf:
+        return u
+    left, right = v.children
+    return PlanarTree((graft_on_leftmost_leaf(u, left), right))
+
+
+def graft_on_rightmost_leaf(u, v):
+    # under, by its definition: u's rightmost leaf becomes v
+    if u.is_leaf:
+        return v
+    left, right = u.children
+    return PlanarTree((left, graft_on_rightmost_leaf(right, v)))
+
+
+def diagonal_sum(f, g):
+    # sharp, pointwise: f on 1..n, then g shifted up by n
+    n = f.degree
+    return Permutation([f(i) if i <= n else n + g(i - n) for i in range(1, n + g.degree + 1)])
+
+
+def anti_diagonal_sum(f, g):
+    # natural, pointwise: f shifted up by m = deg g, then g
+    n, m = f.degree, g.degree
+    return Permutation([m + f(i) if i <= n else g(i - n) for i in range(1, n + m + 1)])
+
+
+def joined_signs(separator):
+    """The cube product with the given separator: the sign sequences
+    concatenated around it."""
+    return lambda a, b: CubeVertex(a.signs + (separator,) + b.signs)
+
+
+PRODUCTS_BY_DEFINITION = {
+    Structure.PERM: DuplexOps(diagonal_sum, anti_diagonal_sum),
+    Structure.DECORATED: DuplexOps(contracting_graft(Tag.DOT), contracting_graft(Tag.STAR)),
+    Structure.BINARY: DuplexOps(graft_on_leftmost_leaf, graft_on_rightmost_leaf),
+    Structure.CUBE: DuplexOps(joined_signs(-1), joined_signs(1)),
+}

@@ -7,7 +7,7 @@ from functools import reduce
 
 import pytest
 
-from conftest import compositions
+from conftest import compositions, graft_contract
 from duplexes.binary_trees import parse_binary
 from duplexes.cubes import CUBE_OPS, CubeVertex, SINGLETON, parse_cube
 from duplexes.decorated_trees import (
@@ -37,7 +37,7 @@ from duplexes.errors import (
     UnknownGenerator,
 )
 from duplexes.permutations import PERM_OPS, Permutation, parse_permutation
-from duplexes.planar_trees import LEAF, PlanarTree, graft_contract, parse_tree, super_catalan
+from duplexes.planar_trees import LEAF, PlanarTree, parse_tree, super_catalan
 
 E = leaf_expr("e")
 
@@ -186,6 +186,18 @@ def test_a_decorated_tree_is_its_text_and_tag():
     cherry = PlanarTree([LEAF, LEAF])
     for shape, tag in ((LEAF, Tag.DOT), (LEAF, Tag.STAR), (cherry, None)):
         with pytest.raises(ValueError, match="^exactly the leaf tree carries no tag$"):
+            DecoratedTree(shape, tag)
+    for shape in ("(||)", GENERATOR_TREE, CubeVertex((1,))):
+        with pytest.raises(TypeError, match=f"^shape must be a PlanarTree, got {re.escape(repr(shape))}$"):
+            DecoratedTree(shape, Tag.DOT)
+
+
+@pytest.mark.parametrize("tag", [".", "*", "d", 0, False])
+def test_a_tag_that_is_not_a_member_or_none_is_a_type_error(tag):
+    # a tag's symbol is not the tag: accepted, "." would give a tree that
+    # every product, printer and morphism misreads
+    for shape in (LEAF, PlanarTree([LEAF, LEAF])):
+        with pytest.raises(TypeError, match=f"^tag must be Tag.DOT, Tag.STAR or None, got {re.escape(repr(tag))}$"):
             DecoratedTree(shape, tag)
 
 

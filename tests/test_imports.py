@@ -66,15 +66,15 @@ def test_a_subcommand_loads_only_what_it_runs(argv, absent):
 # the package's exports, sorted: every name the package resolves on first use, and its modules
 EXPORTS = [
     "ArityTooSmall", "BINARY_OPS", "BoundExceeded", "CUBE_OPS", "ComposeNonzeroConstant",
-    "ContractLeaf", "CubeVertex", "DECORATED_OPS", "DecoratedTree", "DuplexError",
+    "CubeVertex", "DECORATED_OPS", "DecoratedTree", "DuplexError",
     "DuplexExpr", "DuplexOps", "ExprSyntaxError", "IndecKind", "InvalidDegree", "LEAF", "LawReport",
     "MixedChainError", "PERM_OPS", "ParseError", "Permutation", "PlanarTree", "SINGLETON", "SINGLE_NODE",
     "Series", "Structure", "StubNotSplittable", "Tag", "UnboundGenerator", "UnknownGenerator", "Variety",
     "alpha", "binary_trees", "catalan", "check_laws", "count_indecomposable", "cubes",
     "decorated_trees", "dot", "duplex_factorize", "enumerate_binary", "enumerate_cubes",
     "enumerate_decorated", "enumerate_indecomposable", "enumerate_permutations", "enumerate_trees", "errors",
-    "eval_duplexes1", "eval_hom", "format_expr", "format_permutation", "from_counts", "generated_elements",
-    "graft_contract", "is_indecomposable", "laws", "leaf_count", "leaf_expr", "leaf_sign_vector", "morphisms",
+    "eval_duplexes1", "eval_hom", "format_expr", "format_permutation", "from_counts",
+    "is_indecomposable", "laws", "leaf_count", "leaf_expr", "leaf_sign_vector", "morphisms",
     "multiply_out", "natural", "natural_factorize", "over", "parse_expr", "parse_permutation", "permutations",
     "phi", "planar_trees", "rho", "series", "sharp", "sharp_factorize", "split", "star", "sum_of_powers",
     "super_catalan", "under", "verify_identity", "xi",

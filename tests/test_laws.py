@@ -3,7 +3,8 @@ from itertools import product
 
 import pytest
 
-from duplexes import binary_trees, cubes, decorated_trees, laws, permutations
+from conftest import PRODUCTS_BY_DEFINITION
+from duplexes import binary_trees, cubes, decorated_trees, laws, permutations, planar_trees
 from duplexes.binary_trees import BINARY_OPS, SINGLE_NODE, degree, enumerate_binary
 from duplexes.cubes import CUBE_OPS, SINGLETON, CubeVertex, cube_dot, enumerate_cubes
 from duplexes.decorated_trees import (
@@ -21,7 +22,6 @@ from duplexes.laws import (
     Variety,
     check_laws,
     format_element,
-    generated_elements,
 )
 from duplexes.permutations import PERM_OPS, Permutation
 
@@ -116,6 +116,26 @@ def test_a_value_that_is_not_a_member_is_a_type_error(structure, variety):
             check_laws(Structure.CUBE, variety, bound)
     with pytest.raises(TypeError, match=f"^structure must be {STRUCTURES}, got {re.escape(repr(structure))}$"):
         format_element(structure, SINGLETON)
+
+
+def generated_elements(ops, generators, degree_of, max_degree):
+    """Degree slices of the closure of ``generators`` under both operations.
+
+    Every product of total degree d combines two closure elements of lower
+    degree, so filling slices bottom-up is exhaustive.
+    """
+    slices = {d: set() for d in range(1, max_degree + 1)}
+    for g in generators:
+        d = degree_of(g)
+        if d <= max_degree:
+            slices[d].add(g)
+    for total in range(2, max_degree + 1):
+        for d1 in range(1, total):
+            for x in slices[d1]:
+                for y in slices[total - d1]:
+                    slices[total].add(ops.dot(x, y))
+                    slices[total].add(ops.star(x, y))
+    return {d: frozenset(s) for d, s in slices.items()}
 
 
 def test_generated_elements_closures():
@@ -340,7 +360,9 @@ LIMITS = [(structure, laws._CARRIERS[structure].total_degree_limit) for structur
 
 @pytest.mark.parametrize("structure, limit", LIMITS, ids=[s.value for s, _ in LIMITS])
 def test_bulk_products_are_the_scalar_products(structure, limit):
-    # every pair (x, y) with deg x + deg y <= limit: every pair an audit forms
+    # every pair (x, y) with deg x + deg y <= limit: every pair an audit forms.
+    # The bulk and the scalar products share one rule, so both are held to
+    # the products by their definitions, and through them to each other.
     carrier = laws._CARRIERS[structure]
     forms = [carrier.form(x) for d in range(1, limit) for x in carrier.elements(d)]
     assert len(set(forms)) == len(forms)  # equal forms are equal elements
@@ -349,9 +371,48 @@ def test_bulk_products_are_the_scalar_products(structure, limit):
         for d2 in range(1, limit - d1 + 1):
             ys = carrier.elements(d2)
             x_forms, y_forms = tuple(map(carrier.form, xs)), tuple(map(carrier.form, ys))
-            for op, scalar in zip(".*", OPS[structure]):
+            for op, scalar, reference in zip(".*", OPS[structure], PRODUCTS_BY_DEFINITION[structure]):
+                expected = [reference(x, y) for x, y in product(xs, ys)]
+                assert [scalar(x, y) for x, y in product(xs, ys)] == expected, (op, d1, d2)
                 bulk = list(carrier.products(op, x_forms, y_forms))
-                assert bulk == [carrier.form(scalar(x, y)) for x, y in product(xs, ys)], (op, d1, d2)
+                assert bulk == list(map(carrier.form, expected)), (op, d1, d2)
+
+
+def column_entries():
+    return sum(cache.cache_info().currsize for cache in planar_trees._COLUMN_CACHES)
+
+
+def test_column_caches_are_empty_outside_an_audit(monkeypatch):
+    # the decorated parts, the binary first- and last-leaf templates and the
+    # permutation shifts; cube products need nothing per column
+    assert len(planar_trees._COLUMN_CACHES) == 4
+    for cache in planar_trees._COLUMN_CACHES:
+        cache.cache_clear()
+    for structure in Structure:
+        elements = CARRIERS[structure].elements
+        for x, y in product(elements(2), elements(3)):
+            for scalar in OPS[structure]:
+                scalar(x, y)
+    assert column_entries() == 0  # the scalar products fill no cache
+    for structure in Structure:
+        for variety in (Variety.DUPLEX, Variety.DIMONOID):  # satisfied, and refuted
+            check_laws(structure, variety, 6)
+            assert column_entries() == 0, (structure, variety)
+    for structure in (Structure.PERM, Structure.DECORATED, Structure.BINARY):
+        carrier = CARRIERS[structure]
+        entries_at_call = []
+
+        def raising_on_third_call(op, xs, ys, products=carrier.products):
+            entries_at_call.append(column_entries())
+            if len(entries_at_call) == 3:
+                raise RuntimeError("the third products call")
+            return products(op, xs, ys)
+
+        monkeypatch.setitem(laws._CARRIERS, structure, carrier._replace(products=raising_on_third_call))
+        with pytest.raises(RuntimeError, match="^the third products call$"):
+            check_laws(structure, Variety.DUPLEX, carrier.total_degree_limit)
+        assert entries_at_call[2] > 0, structure  # the audit raised with entries cached
+        assert column_entries() == 0, structure
 
 
 def test_audits_run_no_scalar_product(monkeypatch):

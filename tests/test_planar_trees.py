@@ -1,20 +1,21 @@
 import gc
+import re
 from math import comb
 
 import pytest
 from hypothesis import given
 
-from conftest import planar_tree_strategy, sort_key
+from conftest import graft_contract, planar_tree_strategy, sort_key
 from duplexes.binary_trees import _binary_texts, enumerate_binary
+from duplexes.cubes import CubeVertex
 from duplexes.decorated_trees import DecoratedTree, enumerate_decorated
-from duplexes.errors import ArityTooSmall, BoundExceeded, ContractLeaf, InvalidDegree, ParseError
+from duplexes.errors import ArityTooSmall, BoundExceeded, InvalidDegree, ParseError
 from duplexes.planar_trees import (
     LEAF,
     PlanarTree,
     _tree_texts,
     enumerate_trees,
     format_tree,
-    graft_contract,
     leaf_count,
     parse_tree,
     super_catalan,
@@ -53,6 +54,14 @@ def test_graft_arity():
     assert PlanarTree(()) == LEAF
 
 
+def test_graft_takes_only_planar_trees():
+    # anything else with a .text, a cube vertex or a decorated tree, would
+    # splice its text into a tree that is not one
+    for child in (CubeVertex((1,)), DecoratedTree(LEAF, None), "|", None):
+        with pytest.raises(TypeError, match=f"^children must be PlanarTree values, got {re.escape(repr(child))}$"):
+            PlanarTree((child, LEAF))
+
+
 def test_graft_contract_examples():
     assert graft_contract({1}, [CORROLA3, FORK]) == PlanarTree([LEAF, LEAF, LEAF, FORK])
     assert graft_contract({1, 2}, [CORROLA3, FORK]) == PlanarTree(
@@ -62,7 +71,7 @@ def test_graft_contract_examples():
 
 
 def test_graft_contract_errors():
-    with pytest.raises(ContractLeaf):
+    with pytest.raises(ValueError, match="^cannot contract the root edge of the leaf at position 1$"):
         graft_contract({1}, [LEAF, FORK])
     with pytest.raises(ArityTooSmall):
         graft_contract(set(), [LEAF])

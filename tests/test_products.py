@@ -1,14 +1,17 @@
-"""The carrier products and enumerations build their values unchecked, in
-one frame.  Each result must equal, field for field and hash for hash, the
-value the validating constructors build from a reference written another
-way, so a slip in the inlined code cannot hide behind the skipped checks."""
+"""The carrier products and enumerations build their values unchecked.
+Each result must equal, field for field and hash for hash, the value the
+validating constructors build from a reference written another way (the
+products by their definitions, in conftest), so a slip in a product's rule
+cannot hide behind the skipped checks."""
 import math
 
 import pytest
 
+from conftest import PRODUCTS_BY_DEFINITION
 from duplexes.binary_trees import catalan, enumerate_binary, over, parse_binary, under
 from duplexes.cubes import CubeVertex, cube_dot, cube_star, enumerate_cubes
-from duplexes.decorated_trees import DecoratedTree, Tag, _product, enumerate_decorated, tree_dot, tree_star
+from duplexes.decorated_trees import DecoratedTree, Tag, enumerate_decorated, tree_dot, tree_star
+from duplexes.laws import Structure
 from duplexes.permutations import Permutation, enumerate_permutations, natural, sharp
 from duplexes.planar_trees import LEAF, PlanarTree, enumerate_trees, parse_tree, super_catalan
 
@@ -39,30 +42,15 @@ def same_value(x, reference):
 
 def test_decorated_products_equal_the_n_ary_graft():
     count = 0
+    references = PRODUCTS_BY_DEFINITION[Structure.DECORATED]
     for a, b in pairs(enumerate_decorated, 1):
-        for product, tag in ((tree_dot, Tag.DOT), (tree_star, Tag.STAR)):
+        for product, tag, reference in zip((tree_dot, tree_star), (Tag.DOT, Tag.STAR), references):
             x = product(a, b)
-            same_value(x, _product(tag, (a, b)))
+            same_value(x, reference(a, b))
             same_value(x, DecoratedTree(parse_tree(x.shape.text), tag))
             assert type(x.shape) is PlanarTree and x.tag is tag
             count += 1
     assert count == 2 * pair_count(lambda n: 1 if n == 1 else 2 * super_catalan(n), 1)
-
-
-def graft_on_leftmost_leaf(u, v):
-    # over, by its definition: v's leftmost leaf becomes u
-    if v.is_leaf:
-        return u
-    left, right = v.children
-    return PlanarTree((graft_on_leftmost_leaf(u, left), right))
-
-
-def graft_on_rightmost_leaf(u, v):
-    # under, by its definition: u's rightmost leaf becomes v
-    if u.is_leaf:
-        return v
-    left, right = u.children
-    return PlanarTree((left, graft_on_rightmost_leaf(right, v)))
 
 
 def binary_slice(n):
@@ -72,10 +60,11 @@ def binary_slice(n):
 
 def test_binary_products_equal_the_grafts_by_definition():
     count = 0
+    over_reference, under_reference = PRODUCTS_BY_DEFINITION[Structure.BINARY]
     for u, v in pairs(binary_slice, 0):
         x, y = over(u, v), under(u, v)
-        same_value(x, graft_on_leftmost_leaf(u, v))
-        same_value(y, graft_on_rightmost_leaf(u, v))
+        same_value(x, over_reference(u, v))
+        same_value(y, under_reference(u, v))
         same_value(x, parse_binary(x.text))
         same_value(y, parse_binary(y.text))
         count += 1
@@ -85,19 +74,18 @@ def test_binary_products_equal_the_grafts_by_definition():
 def test_cube_products_equal_the_checked_concatenation():
     count = 0
     for a, b in pairs(enumerate_cubes, 1):
-        for product, separator in ((cube_dot, -1), (cube_star, 1)):
-            same_value(product(a, b), CubeVertex(a.signs + (separator,) + b.signs))
+        for product, reference in zip((cube_dot, cube_star), PRODUCTS_BY_DEFINITION[Structure.CUBE]):
+            same_value(product(a, b), reference(a, b))
             count += 1
     assert count == 2 * pair_count(lambda n: 2 ** (n - 1), 1)
 
 
 def test_block_sums_equal_their_pointwise_definitions():
     count = 0
+    sharp_reference, natural_reference = PRODUCTS_BY_DEFINITION[Structure.PERM]
     for f, g in pairs(enumerate_permutations, 1):
-        n, m = f.degree, g.degree
-        points = range(1, n + m + 1)
-        same_value(sharp(f, g), Permutation([f(i) if i <= n else n + g(i - n) for i in points]))
-        same_value(natural(f, g), Permutation([m + f(i) if i <= n else g(i - n) for i in points]))
+        same_value(sharp(f, g), sharp_reference(f, g))
+        same_value(natural(f, g), natural_reference(f, g))
         count += 1
     assert count == pair_count(math.factorial, 1)
 
