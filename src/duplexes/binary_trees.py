@@ -19,7 +19,7 @@ import math
 from functools import lru_cache
 from itertools import product, starmap
 from operator import mod
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .decorated_trees import DuplexOps
 from .errors import InvalidDegree, ParseError, StubNotSplittable, check_degree
@@ -27,7 +27,7 @@ from .planar_trees import (
     LEAF,
     PlanarTree,
     _build,
-    _per_column,
+    _ColumnCache,
     _set_text,
     _tree,
     format_tree,
@@ -47,36 +47,35 @@ def degree(u: PlanarTree) -> int:
 
 # Each product's one rule puts one operand's text in place of the other's
 # first or last leaf, through a ``%`` template (a tree text never holds a
-# "%"): over(u, v) fills v's first-leaf template with u, under(u, v) fills
-# u's last-leaf template with v.
-def _first_leaf_templates(texts: tuple[str, ...]) -> tuple[str, ...]:
-    return tuple([v.replace("|", "%s", 1) for v in texts])
-
-
-def _last_leaf_templates(texts: tuple[str, ...]) -> tuple[str, ...]:
+# "%"): over(u, v), the "." product, fills v's first-leaf template with u,
+# and under(u, v), the "*" product, fills u's last-leaf template with v.
+def _leaf_templates(op: str, texts: tuple[str, ...]) -> tuple[str, ...]:
+    if op == ".":
+        return tuple([v.replace("|", "%s", 1) for v in texts])
     return tuple(["%s".join(u.rsplit("|", 1)) for u in texts])
 
 
-_column_first_leaf_templates = _per_column(_first_leaf_templates)
-_column_last_leaf_templates = _per_column(_last_leaf_templates)
+def bulk_products() -> Callable[[str, tuple, tuple], Iterable[str]]:
+    """A fresh ``products(op, xs, ys)``: the texts of ``x op y`` for all x of
+    ``xs`` and y of ``ys``, x major, each column's templates cached."""
+    leaf_templates = _ColumnCache(_leaf_templates)
 
+    def products(op: str, xs: tuple[str, ...], ys: tuple[str, ...]) -> Iterable[str]:
+        if op == ".":
+            return starmap(str.__rmod__, product(xs, leaf_templates[op, ys]))
+        return starmap(mod, product(leaf_templates[op, xs], ys))
 
-def products(op: str, xs: tuple[str, ...], ys: tuple[str, ...]) -> Iterable[str]:
-    """The texts of ``x op y`` for every x of the texts ``xs`` and y of
-    ``ys``, x major, ``op`` being ``"."`` (over) or ``"*"`` (under)."""
-    if op == ".":
-        return starmap(str.__rmod__, product(xs, _column_first_leaf_templates(ys)))
-    return starmap(mod, product(_column_last_leaf_templates(xs), ys))
+    return products
 
 
 def over(u: PlanarTree, v: PlanarTree) -> PlanarTree:
     """Graft ``u`` onto the leftmost leaf of ``v``; stubs act neutrally."""
-    return _tree(_first_leaf_templates((v.text,))[0] % u.text)
+    return _tree(_leaf_templates(".", (v.text,))[0] % u.text)
 
 
 def under(u: PlanarTree, v: PlanarTree) -> PlanarTree:
     """Graft ``v`` onto the rightmost leaf of ``u``; stubs act neutrally."""
-    return _tree(_last_leaf_templates((u.text,))[0] % v.text)
+    return _tree(_leaf_templates("*", (u.text,))[0] % v.text)
 
 
 BINARY_OPS = DuplexOps(over, under)

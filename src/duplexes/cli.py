@@ -233,46 +233,34 @@ def _cmd_factor(args) -> int:
     return EXIT_OK
 
 
-def _parse_cli_expr(text: str):
-    from . import decorated_trees
+def _expr_image(morphism: str, text: str) -> str:
+    """The image of the expression ``text`` under ``alpha``, ``rho`` or
+    ``leafsigns``, as text; every identifier in ``text`` is a generator."""
+    from . import cubes, decorated_trees, morphisms, permutations, planar_trees
 
-    # the alphabet is whatever identifiers appear in the text
-    alphabet = set(re.findall(r"[a-z][a-z0-9]*", text)) or {"e"}
-    return decorated_trees.parse_expr(text, alphabet)
+    expr = decorated_trees.parse_expr(text, set(re.findall(r"[a-z][a-z0-9]*", text)) or {"e"})
+    if morphism == "alpha":
+        return permutations.format_permutation(morphisms.alpha(expr))
+    if morphism == "rho":
+        return planar_trees.format_tree(morphisms.rho(expr))
+    return cubes.format_cube(morphisms.leaf_sign_vector(expr))
 
 
 def _cmd_eval(args) -> int:
-    from . import cubes, morphisms, permutations, planar_trees
-
-    expr = _parse_cli_expr(args.expr)
-    if len(set(expr.labels)) != 1:
-        raise ValueError("eval needs a single-generator expression")
-    if args.target == "perm":
-        rendered = permutations.format_permutation(morphisms.alpha(expr))
-    elif args.target == "binary":
-        rendered = planar_trees.format_tree(morphisms.rho(expr))
-    else:  # every bracketing of a word has one cube value: read the word
-        rendered = cubes.format_cube(morphisms.leaf_sign_vector(expr))
+    # every bracketing of a word has one cube value, its leaf signs
+    rendered = _expr_image({"perm": "alpha", "binary": "rho", "cube": "leafsigns"}[args.target], args.expr)
     _emit(args, {"expr": args.expr, "target": args.target}, rendered, [rendered])
     return EXIT_OK
 
 
 def _cmd_map(args) -> int:
-    from . import binary_trees, cubes, morphisms, permutations, planar_trees
-
-    inputs = {"morphism": args.morphism, "input": args.input}
     if args.morphism == "phi":
-        u = binary_trees.parse_binary(args.input)
-        rendered = cubes.format_cube(morphisms.phi(u))
+        from . import binary_trees, cubes, morphisms
+
+        rendered = cubes.format_cube(morphisms.phi(binary_trees.parse_binary(args.input)))
     else:
-        expr = _parse_cli_expr(args.input)
-        if args.morphism == "alpha":
-            rendered = permutations.format_permutation(morphisms.alpha(expr))
-        elif args.morphism == "rho":
-            rendered = planar_trees.format_tree(morphisms.rho(expr))
-        else:
-            rendered = cubes.format_cube(morphisms.leaf_sign_vector(expr))
-    _emit(args, inputs, rendered, [rendered])
+        rendered = _expr_image(args.morphism, args.input)
+    _emit(args, {"morphism": args.morphism, "input": args.input}, rendered, [rendered])
     return EXIT_OK
 
 

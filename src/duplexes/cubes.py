@@ -12,14 +12,15 @@ determines the vertex, so a vertex *is* its text, the one stored field,
 as a planar tree is: equality and hashing compare strings, and printing
 returns the field itself.  Each product is one ``%`` template on the
 vertices' comma bodies (:func:`form`), applied to a pair by the scalar
-product and to every pair of two columns by :func:`products`.
+product and to every pair of two columns by the function
+:func:`bulk_products` returns.
 """
 from __future__ import annotations
 
 import operator
 import re
 from itertools import product
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .decorated_trees import DuplexOps
 from .errors import ParseError, check_degree, check_text
@@ -94,10 +95,10 @@ def form(a: CubeVertex) -> str:
 _TEMPLATES = {".": "%s,-1%s".__mod__, "*": "%s,+1%s".__mod__}
 
 
-def products(op: str, xs: tuple[str, ...], ys: tuple[str, ...]) -> Iterable[str]:
-    """The forms of ``x op y`` for every x of the forms ``xs`` and y of
-    ``ys``, x major, for ``op`` ``"."`` or ``"*"``."""
-    return map(_TEMPLATES[op], product(xs, ys))
+def bulk_products() -> Callable[[str, tuple, tuple], Iterable[str]]:
+    """``products(op, xs, ys)``: the forms of ``x op y`` for all x of the
+    forms ``xs`` and y of ``ys``, x major; nothing per column is cached."""
+    return lambda op, xs, ys: map(_TEMPLATES[op], product(xs, ys))
 
 
 def cube_dot(a: CubeVertex, b: CubeVertex) -> CubeVertex:

@@ -11,12 +11,12 @@ canonical text (see :mod:`duplexes.planar_trees`) and the tag; no
 The two products join trees under a fresh root and then contract the root
 edges of exactly those arguments whose root already carries the sign being
 applied.  That rule is written once, on the trees' texts and root symbols
-(their forms): the scalar products apply it to one pair, :func:`products`
-to every pair of two columns at once, and :func:`parse_expr` to a whole
-chain.  Both products are associative, and every tagged tree factors
-uniquely into arguments of the opposite class, which is what makes
-evaluation into any other two-operation structure well defined
-(:func:`eval_hom`).
+(their forms): the scalar products apply it to one pair, the function
+:func:`bulk_products` returns to every pair of two columns at once, and
+:func:`parse_expr` to a whole chain.  Both products are associative, and
+every tagged tree factors uniquely into arguments of the opposite class,
+which is what makes evaluation into any other two-operation structure
+well defined (:func:`eval_hom`).
 
 Expressions (``DuplexExpr``) pair a decorated tree with one generator label
 per leaf.  The text grammar accepts chains of a single operation without
@@ -45,8 +45,8 @@ from .planar_trees import (
     LEAF,
     PlanarTree,
     _build,
+    _ColumnCache,
     _new,
-    _per_column,
     _tree,
     _tree_texts,
     _Value,
@@ -165,14 +165,18 @@ def _tree_parts(op: str, forms: Iterable[str]) -> tuple[str, ...]:
     return tuple([f[1:-2] if f[-1] == op else f[:-1] for f in forms])
 
 
-_column_tree_parts = _per_column(_tree_parts)
 _TEMPLATES = {op: f"(%s%s){op}".__mod__ for op in ".*"}
 
 
-def products(op: str, xs: tuple[str, ...], ys: tuple[str, ...]) -> Iterable[str]:
-    """The forms of ``x op y`` for every x of the forms ``xs`` and y of
-    ``ys``, x major, ``op`` being ``"."`` or ``"*"``."""
-    return map(_TEMPLATES[op], product(_column_tree_parts(op, xs), _column_tree_parts(op, ys)))
+def bulk_products() -> Callable[[str, tuple, tuple], Iterable[str]]:
+    """A fresh ``products(op, xs, ys)``: the forms of ``x op y`` for all x
+    of the forms ``xs`` and y of ``ys``, x major, each column's parts cached."""
+    tree_parts = _ColumnCache(_tree_parts)
+
+    def products(op: str, xs: tuple[str, ...], ys: tuple[str, ...]) -> Iterable[str]:
+        return map(_TEMPLATES[op], product(tree_parts[op, xs], tree_parts[op, ys]))
+
+    return products
 
 
 def tree_dot(t1: DecoratedTree, t2: DecoratedTree) -> DecoratedTree:

@@ -1,6 +1,7 @@
 """Canonical homomorphisms between the concrete carriers.
 
-All four maps are determined by where the degree-1 generator goes:
+All four maps are determined by where the degree-1 generator goes, and the
+three on expressions raise ``ValueError`` for more than one generator:
 
 * :func:`alpha` — expressions to permutations, generator to ``(1)``;
 * :func:`rho`  — expressions to binary trees, generator to the one-node tree;
@@ -17,11 +18,10 @@ from .permutations import _ONE, Permutation, _place_blocks
 from .planar_trees import PlanarTree, _tree
 
 
-def _single_generator(x: DuplexExpr):
+def _single_generator(x: DuplexExpr) -> None:
     labels = set(x.labels)
     if len(labels) != 1:
         raise ValueError(f"expected a single-generator expression, found labels {sorted(map(str, labels))}")
-    return labels.pop()
 
 
 def alpha(x: DuplexExpr) -> Permutation:
@@ -101,5 +101,6 @@ def leaf_sign_vector(x: DuplexExpr) -> CubeVertex:
     That is the operator word of ``x``'s text, so it is read off
     :func:`format_expr` with the labels left out, at any depth.
     """
+    _single_generator(x)
     word = format_expr(x, lambda _: "").replace("(", "").replace(")", "")
     return _cube("<" + ",".join(word).replace(".", "-1").replace("*", "+1") + ">" if word else "e")

@@ -20,11 +20,11 @@ import itertools
 import operator
 import re
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .decorated_trees import _DOT, _STAR, GENERATOR_TREE, DecoratedTree, DuplexExpr, DuplexOps, Tag, _decorated, _expr
 from .errors import ParseError, check_degree, check_text
-from .planar_trees import _build, _new, _per_column, _Value
+from .planar_trees import _build, _ColumnCache, _new, _Value
 
 DEFAULT_PERMUTATION_BOUND = 8
 
@@ -119,22 +119,22 @@ def _shifted(images: tuple[tuple[int, ...], ...], by: int) -> tuple[tuple[int, .
     return tuple([tuple([by + v for v in f]) for f in images])
 
 
-_column_shifted = _per_column(_shifted)
-
-
 def form(f: Permutation) -> tuple[int, ...]:
     """A law audit's form of ``f``: its images."""
     return f.images
 
 
-def products(op: str, xs: tuple[tuple, ...], ys: tuple[tuple, ...]) -> Iterable[tuple]:
-    """The images of ``x op y`` for every x of the images ``xs`` and y of
-    ``ys``, x major, ``op`` being ``"."`` (sharp) or ``"*"`` (natural); the
-    images in each of ``xs`` and ``ys`` have one degree, so a shift is one
-    per column."""
-    if op == ".":
-        return itertools.starmap(operator.add, itertools.product(xs, _column_shifted(ys, len(xs[0]))))
-    return itertools.starmap(operator.add, itertools.product(_column_shifted(xs, len(ys[0])), ys))
+def bulk_products() -> Callable[[str, tuple, tuple], Iterable[tuple]]:
+    """A fresh ``products(op, xs, ys)``: the images of ``x op y`` for all x of
+    ``xs`` and y of ``ys``, x major, each column's one shift cached."""
+    shifted = _ColumnCache(_shifted)
+
+    def products(op: str, xs: tuple[tuple, ...], ys: tuple[tuple, ...]) -> Iterable[tuple]:
+        if op == ".":
+            return itertools.starmap(operator.add, itertools.product(xs, shifted[ys, len(xs[0])]))
+        return itertools.starmap(operator.add, itertools.product(shifted[xs, len(ys[0])], ys))
+
+    return products
 
 
 def sharp(f: Permutation, g: Permutation) -> Permutation:

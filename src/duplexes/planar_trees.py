@@ -134,20 +134,19 @@ def _build(cls: type, setter, fields: Sequence) -> tuple:
     return values
 
 
-# What a carrier's bulk ``products`` needs of an operand column beyond its
-# forms (a part, a template, a shift) is built once per column and audit,
-# the columns of a law audit being its slices and inner-product tables.
-# These caches are keyed by the column itself, sized for one audit's columns
-# (at most 126 keys at bound 9), and emptied when the audit returns.  The
-# scalar products call the uncached rule, so they leave no entries.
-_COLUMN_CACHES: list = []
+class _ColumnCache(dict):
+    """``cache[key]`` is ``rule(*key)``, computed on the first lookup.  A
+    hit is one C-level dict lookup, and a cache costs less to make than an
+    ``lru_cache``, which short law audits, each making their own, notice."""
 
+    __slots__ = ("rule",)
 
-def _per_column(rule: Callable) -> Callable:
-    """``rule`` cached per column, its cache registered in ``_COLUMN_CACHES``."""
-    cached = lru_cache(maxsize=256)(rule)
-    _COLUMN_CACHES.append(cached)
-    return cached
+    def __init__(self, rule: Callable):
+        self.rule = rule
+
+    def __missing__(self, key: tuple):
+        value = self[key] = self.rule(*key)
+        return value
 
 
 LEAF = PlanarTree()

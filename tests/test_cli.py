@@ -221,6 +221,13 @@ def test_cube_eval_reads_the_leaf_signs(capsys, monkeypatch):
     assert run(capsys, "map", "--morphism", "leafsigns", "--input", "e") == (0, "e\n", "")
 
 
+def test_cube_maps_need_a_single_generator(capsys):
+    for argv in (("map", "--morphism", "leafsigns", "--input"), ("eval", "--target", "cube", "--expr")):
+        code, out, err = run(capsys, *argv, "a.b")
+        assert (code, out) == (2, ""), argv
+        assert err.count("\n") == 1 and "single-generator" in err, argv
+
+
 def test_map_rho_and_phi_of_a_long_chain(capsys):
     # rho of a 3000-term "." chain is a left comb 3000 vertices deep
     code, out, err = run(capsys, "map", "--morphism", "rho", "--input", ".".join(["e"] * 3000))

@@ -1,10 +1,11 @@
 import re
+import sys
 from itertools import product
 
 import pytest
 
 from conftest import PRODUCTS_BY_DEFINITION
-from duplexes import binary_trees, cubes, decorated_trees, laws, permutations, planar_trees
+from duplexes import binary_trees, cubes, decorated_trees, laws, permutations
 from duplexes.binary_trees import BINARY_OPS, SINGLE_NODE, degree, enumerate_binary
 from duplexes.cubes import CUBE_OPS, SINGLETON, CubeVertex, cube_dot, enumerate_cubes
 from duplexes.decorated_trees import (
@@ -232,17 +233,22 @@ def patch_faulty(monkeypatch, structure, dot_at=(), star_at=()):
     same faults, for the reference."""
     carrier = CARRIERS[structure]
     dot, star = OPS[structure]
-    form, products = carrier.form, carrier.products
+    form = carrier.form
     swapped_at = {".": {(form(x), form(y)) for x, y in dot_at}, "*": {(form(x), form(y)) for x, y in star_at}}
 
-    def faulty_products(op, xs, ys):
-        other = "*" if op == "." else "."
-        return [
-            swapped if pair in swapped_at[op] else right
-            for pair, right, swapped in zip(product(xs, ys), products(op, xs, ys), products(other, xs, ys))
-        ]
+    def faulty_bulk_products():
+        products = carrier.products()
 
-    monkeypatch.setitem(laws._CARRIERS, structure, carrier._replace(products=faulty_products))
+        def faulty_products(op, xs, ys):
+            other = "*" if op == "." else "."
+            return [
+                swapped if pair in swapped_at[op] else right
+                for pair, right, swapped in zip(product(xs, ys), products(op, xs, ys), products(other, xs, ys))
+            ]
+
+        return faulty_products
+
+    monkeypatch.setitem(laws._CARRIERS, structure, carrier._replace(products=faulty_bulk_products))
     return DuplexOps(
         lambda x, y: star(x, y) if (x, y) in dot_at else dot(x, y),
         lambda x, y: dot(x, y) if (x, y) in star_at else star(x, y),
@@ -334,17 +340,25 @@ def test_slices_are_read_once_per_split(monkeypatch):
 
 
 def test_inner_products_are_built_once_per_audit(monkeypatch):
-    calls = 0
+    calls = made = 0
     carrier = laws._CARRIERS[Structure.DECORATED]
 
-    def counted(op, xs, ys):
-        nonlocal calls
-        forms = list(carrier.products(op, xs, ys))
-        calls += len(forms)
-        return forms
+    def counted_bulk_products():
+        nonlocal made
+        made += 1
+        products = carrier.products()
 
-    monkeypatch.setitem(laws._CARRIERS, Structure.DECORATED, carrier._replace(products=counted))
+        def counted(op, xs, ys):
+            nonlocal calls
+            forms = list(products(op, xs, ys))
+            calls += len(forms)
+            return forms
+
+        return counted
+
+    monkeypatch.setitem(laws._CARRIERS, Structure.DECORATED, carrier._replace(products=counted_bulk_products))
     report = check_laws(Structure.DECORATED, Variety.DUPLEX, 9)
+    assert made == 1  # one products function per audit
     assert report.triples_checked == 22149
     pairs = sum(
         len(enumerate_decorated(d1)) * len(enumerate_decorated(d2)) for d1 in range(1, 8) for d2 in range(1, 9 - d1)
@@ -364,6 +378,7 @@ def test_bulk_products_are_the_scalar_products(structure, limit):
     # The bulk and the scalar products share one rule, so both are held to
     # the products by their definitions, and through them to each other.
     carrier = laws._CARRIERS[structure]
+    products = carrier.products()  # one function for every pair, as in an audit
     forms = [carrier.form(x) for d in range(1, limit) for x in carrier.elements(d)]
     assert len(set(forms)) == len(forms)  # equal forms are equal elements
     for d1 in range(1, limit):
@@ -374,45 +389,26 @@ def test_bulk_products_are_the_scalar_products(structure, limit):
             for op, scalar, reference in zip(".*", OPS[structure], PRODUCTS_BY_DEFINITION[structure]):
                 expected = [reference(x, y) for x, y in product(xs, ys)]
                 assert [scalar(x, y) for x, y in product(xs, ys)] == expected, (op, d1, d2)
-                bulk = list(carrier.products(op, x_forms, y_forms))
+                bulk = list(products(op, x_forms, y_forms))
                 assert bulk == list(map(carrier.form, expected)), (op, d1, d2)
 
 
-def column_entries():
-    return sum(cache.cache_info().currsize for cache in planar_trees._COLUMN_CACHES)
-
-
-def test_column_caches_are_empty_outside_an_audit(monkeypatch):
-    # the decorated parts, the binary first- and last-leaf templates and the
-    # permutation shifts; cube products need nothing per column
-    assert len(planar_trees._COLUMN_CACHES) == 4
-    for cache in planar_trees._COLUMN_CACHES:
-        cache.cache_clear()
-    for structure in Structure:
-        elements = CARRIERS[structure].elements
-        for x, y in product(elements(2), elements(3)):
-            for scalar in OPS[structure]:
-                scalar(x, y)
-    assert column_entries() == 0  # the scalar products fill no cache
-    for structure in Structure:
-        for variety in (Variety.DUPLEX, Variety.DIMONOID):  # satisfied, and refuted
-            check_laws(structure, variety, 6)
-            assert column_entries() == 0, (structure, variety)
-    for structure in (Structure.PERM, Structure.DECORATED, Structure.BINARY):
-        carrier = CARRIERS[structure]
-        entries_at_call = []
-
-        def raising_on_third_call(op, xs, ys, products=carrier.products):
-            entries_at_call.append(column_entries())
-            if len(entries_at_call) == 3:
-                raise RuntimeError("the third products call")
-            return products(op, xs, ys)
-
-        monkeypatch.setitem(laws._CARRIERS, structure, carrier._replace(products=raising_on_third_call))
-        with pytest.raises(RuntimeError, match="^the third products call$"):
-            check_laws(structure, Variety.DUPLEX, carrier.total_degree_limit)
-        assert entries_at_call[2] > 0, structure  # the audit raised with entries cached
-        assert column_entries() == 0, structure
+@pytest.mark.parametrize("structure", list(Structure), ids=[s.value for s in Structure])
+def test_dropped_products_keep_no_column(structure):
+    # the decorated parts, the binary leaf templates and the permutation
+    # shifts are cached per column while an audit's products function lives;
+    # cube products cache nothing.  The columns are fresh tuples, so a count
+    # back where it started means no cache outlives the function.
+    carrier = CARRIERS[structure]
+    xs, ys = (tuple(map(carrier.form, carrier.elements(d))) for d in (2, 3))
+    before = sys.getrefcount(xs), sys.getrefcount(ys)
+    products = carrier.products()
+    for op in ".*":
+        assert len(list(products(op, xs, ys))) == len(xs) * len(ys)
+    held = sys.getrefcount(xs) - before[0], sys.getrefcount(ys) - before[1]
+    assert (min(held) > 0) == (structure is not Structure.CUBE)  # both columns are cached
+    del products
+    assert (sys.getrefcount(xs), sys.getrefcount(ys)) == before
 
 
 def test_audits_run_no_scalar_product(monkeypatch):

@@ -170,6 +170,8 @@ def test_single_generator_required():
         alpha(mixed)
     with pytest.raises(ValueError, match="single-generator"):
         rho(mixed)
+    with pytest.raises(ValueError, match="single-generator"):
+        leaf_sign_vector(mixed)
 
 
 def test_alpha_inverts_factorization_on_identity_leaves():
