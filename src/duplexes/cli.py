@@ -14,6 +14,9 @@ that disagree).
 Errors are reported as one line on stderr, never as a traceback, so a
 crash cannot read as exit 1.  A reader that closes stdout early (``| head``)
 ends the output, not the command: the exit status is still the result's.
+The value ``-`` of ``factor --perm``, ``eval --expr`` and ``map --input``
+reads the text from standard input, without its trailing newlines; the
+envelope's ``inputs`` then holds the text read.
 """
 from __future__ import annotations
 
@@ -52,6 +55,11 @@ _COUNT_SOURCES = {
     "decorated": "dupl",
 }
 
+# The options whose value "-" means standard input: one argument is capped
+# (128 KiB on Linux), and deep nests are longer.
+_TEXT_OPTIONS = ("perm", "expr", "input")
+_STDIN_HELP = "the text, or - to read it from standard input"
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -74,18 +82,18 @@ def build_parser() -> argparse.ArgumentParser:
     _json_flag(p)
 
     p = sub.add_parser("factor", help="factor a permutation")
-    p.add_argument("--perm", required=True, metavar="(...)")
+    p.add_argument("--perm", required=True, metavar="(...)", help=_STDIN_HELP)
     p.add_argument("--mode", required=True, choices=["sharp", "natural", "duplex"])
     _json_flag(p)
 
     p = sub.add_parser("eval", help="evaluate a one-generator expression in a target structure")
-    p.add_argument("--expr", required=True)
+    p.add_argument("--expr", required=True, help=_STDIN_HELP)
     p.add_argument("--target", required=True, choices=["perm", "binary", "cube"])
     _json_flag(p)
 
     p = sub.add_parser("map", help="apply one of the canonical homomorphisms")
     p.add_argument("--morphism", required=True, choices=["alpha", "rho", "phi", "leafsigns"])
-    p.add_argument("--input", required=True)
+    p.add_argument("--input", required=True, help=_STDIN_HELP)
     _json_flag(p)
 
     p = sub.add_parser("laws", help="audit the identities of a variety by exhaustive search")
@@ -100,6 +108,13 @@ def build_parser() -> argparse.ArgumentParser:
     _json_flag(p)
 
     return parser
+
+
+def _read_stdin_texts(args: argparse.Namespace) -> None:
+    for name in _TEXT_OPTIONS:
+        if getattr(args, name, None) == "-":
+            # trailing newlines dropped, as the shell's "$(...)" drops them
+            setattr(args, name, sys.stdin.read().rstrip("\n"))
 
 
 def _json_flag(p: argparse.ArgumentParser) -> None:
@@ -132,6 +147,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
+    _read_stdin_texts(args)
     handler = {
         "enumerate": _cmd_enumerate,
         "count": _cmd_count,

@@ -11,12 +11,13 @@ canonical text (see :mod:`duplexes.planar_trees`) and the tag; no
 The two products join trees under a fresh root and then contract the root
 edges of exactly those arguments whose root already carries the sign being
 applied.  That rule is written once, on the trees' texts and root symbols
-(their forms): the scalar products apply it to one pair, the function
-:func:`bulk_products` returns to every pair of two columns at once, and
-:func:`parse_expr` to a whole chain.  Both products are associative, and
-every tagged tree factors uniquely into arguments of the opposite class,
-which is what makes evaluation into any other two-operation structure
-well defined (:func:`eval_hom`).
+(their forms): the scalar products apply it to one pair, and the function
+:func:`bulk_products` returns to every pair of two columns at once.
+:func:`parse_expr` follows it as it writes a whole expression's text: a
+group with its enclosing chain's operator loses its parentheses.  Both
+products are associative, and every tagged tree factors uniquely into
+arguments of the opposite class, which is what makes evaluation into any
+other two-operation structure well defined (:func:`eval_hom`).
 
 Expressions (``DuplexExpr``) pair a decorated tree with one generator label
 per leaf.  The text grammar accepts chains of a single operation without
@@ -29,7 +30,7 @@ import enum
 import re
 from collections import deque
 from functools import reduce
-from itertools import chain, cycle, product
+from itertools import chain, cycle, islice, product
 from typing import Any, Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -189,13 +190,6 @@ def tree_star(t1: DecoratedTree, t2: DecoratedTree) -> DecoratedTree:
     return _from_form(_TEMPLATES["*"](_tree_parts("*", (form(t1), form(t2)))))
 
 
-def _chain(op: str, forms: Sequence[str]) -> str:
-    """The form of the n-ary ``op`` product of k >= 2 forms in one graft: by
-    associativity it equals any bracketing of the binary products, without
-    rebuilding the root at every step."""
-    return "(" + "".join(_tree_parts(op, forms)) + ")" + op
-
-
 DECORATED_OPS = DuplexOps(tree_dot, tree_star)
 
 
@@ -325,10 +319,15 @@ def eval_hom(x: DuplexExpr, assignment: Mapping, ops: DuplexOps):
 
 # --- text format ------------------------------------------------------------
 
-_IDENT = re.compile(r"[a-z][a-z0-9]*")
+# The text of a valid expression holds no character outside its tokens but
+# whitespace, so its tokens are one findall.  A bad character is one outside
+# the grammar, or a digit that does not continue an identifier.
+_TOKEN_TEXTS = re.compile(r"[a-z][a-z0-9]*|[.*()]")
+_BAD_CHARACTER = re.compile(r"[^\sa-z.*()](?<![a-z0-9][0-9])")
+_OPS = frozenset(".*")
+_NOT_ATOMS = frozenset(").*")
 # the symbols of a tagged root's levels, by depth parity
 _LEVEL_SYMBOLS = {_DOT: (".", "*"), _STAR: ("*", ".")}
-_TOKEN = re.compile(r"\s*(?:(?P<ident>[a-z][a-z0-9]*)|(?P<op>[.*])|(?P<open>\()|(?P<close>\)))")
 
 
 def format_expr(x: DuplexExpr, format_label: Callable[[Any], str] = str) -> str:
@@ -367,73 +366,102 @@ def parse_expr(text: str, alphabet: Iterable) -> DuplexExpr:
     """Parse expression text over the given generator alphabet.
 
     Unparenthesized chains must stick to one operation; ``·`` is accepted
-    for ``.``.  Each chain becomes one n-ary product, the labels are
-    collected in one list, and open parentheses sit on an explicit stack,
-    so any nesting depth works.  The scan is linear; building a chain's
-    tree text copies its parts' texts, so a nest copies O(n·depth)
-    characters in all.
+    for ``.``.  Each chain becomes one n-ary product.  Three linear steps,
+    with no recursion, so any nesting depth works: one regex search for a
+    character outside the grammar and one ``findall`` of the tokens; a
+    pass that checks the grammar and fixes each group's operator (group 0
+    is the top level, group k the k-th ``(``); and a pass that writes the
+    tree's text once.  A group without an operator is transparent, and one
+    with the operator of the nearest enclosing group that has one is
+    contracted into it, as the products contract a root edge; every other
+    group is a vertex and writes its parentheses.
     """
     check_text(text)
     alphabet = frozenset(alphabet)
-    tokens = _tokenize(text.replace("·", "."))
+    text = text.replace("·", ".")
+    bad = _BAD_CHARACTER.search(text)
+    if bad is not None:
+        raise ExprSyntaxError(f"unexpected character {bad.group()!r}", bad.start())
+    tokens = _TOKEN_TEXTS.findall(text)
+    end = len(tokens)
     labels: list[str] = []
-    # one frame per open chain: [its parts, its operator (None until the
-    # first one), the position of its "(" (None at the top)]
-    stack: list[list] = [[[], None, None]]
+    ops: list[str | None] = [None]  # each group's operator, None until its first one
+    stack = [0]  # the open groups, innermost last
     pos = 0
     while True:
         # an atom starts at pos
-        if pos >= len(tokens):
-            raise ExprSyntaxError("unexpected end of expression", tokens[-1][1] + 1 if tokens else 0)
-        tok, at = tokens[pos]
+        if pos >= end:
+            # just after the last token, a "(" or an operator
+            raise ExprSyntaxError("unexpected end of expression", len(text.rstrip()))
+        tok = tokens[pos]
         pos += 1
         if tok == "(":
-            stack.append([[], None, at])
+            stack.append(len(ops))
+            ops.append(None)
             continue
-        if not _IDENT.fullmatch(tok):
-            raise ExprSyntaxError(f"unexpected {tok!r}", at)
+        if tok in _NOT_ATOMS:
+            raise ExprSyntaxError(f"unexpected {tok!r}", _nth_start(_TOKEN_TEXTS, text, pos - 1))
         if tok not in alphabet:
-            raise UnknownGenerator(f"generator {tok!r} not in alphabet", at)
+            raise UnknownGenerator(f"generator {tok!r} not in alphabet", _nth_start(_TOKEN_TEXTS, text, pos - 1))
         labels.append(tok)
-        atom = "||"  # the generator's form; chains hold forms
-        # extend the innermost chain with the atom; close every chain that ends here
+        # extend the innermost group with the atom; close every group that ends here
         while True:
-            frame = stack[-1]
-            parts, chain_op, open_at = frame
-            parts.append(atom)
-            if pos < len(tokens) and tokens[pos][0] in (".", "*"):
-                op, op_at = tokens[pos]
-                if chain_op is None:
-                    frame[1] = op
-                elif op != chain_op:
-                    raise MixedChainError("cannot mix '.' and '*' without parentheses", op_at)
+            group = stack[-1]
+            if pos < end and tokens[pos] in _OPS:
+                op = tokens[pos]
+                if ops[group] is None:
+                    ops[group] = op
+                elif op != ops[group]:
+                    position = _nth_start(_TOKEN_TEXTS, text, pos)
+                    raise MixedChainError("cannot mix '.' and '*' without parentheses", position)
                 pos += 1
                 break
-            atom = parts[0] if len(parts) == 1 else _chain(chain_op, parts)
-            if open_at is None:
-                if pos != len(tokens):
-                    raise ExprSyntaxError(f"unexpected {tokens[pos][0]!r}", tokens[pos][1])
-                return _expr(_from_form(atom), tuple(labels))
-            if pos >= len(tokens) or tokens[pos][0] != ")":
-                raise ExprSyntaxError("missing ')'", open_at)
+            if not group:
+                if pos != end:
+                    raise ExprSyntaxError(f"unexpected {tokens[pos]!r}", _nth_start(_TOKEN_TEXTS, text, pos))
+                return _expr(_written_tree(tokens, ops), tuple(labels))
+            if pos >= end or tokens[pos] != ")":
+                raise ExprSyntaxError("missing ')'", _nth_start(re.compile(r"\("), text, group - 1))
             stack.pop()
             pos += 1
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens: list[tuple[str, int]] = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        token = m.group().lstrip()
-        tokens.append((token, m.end() - len(token)))
-        pos = m.end()
-    return tokens
+def _written_tree(tokens: list[str], ops: list[str | None]) -> DecoratedTree:
+    """The tree of a checked expression's tokens, given each group's
+    operator: one "|" per identifier, and the parentheses of each group
+    whose operator is set and differs from the nearest enclosing one's."""
+    tag = next(filter(None, ops), None)
+    if tag is None:
+        return GENERATOR_TREE
+    outer = ops[0]  # the operator of the nearest group that has one
+    out = ["("] if outer else []
+    closing: list[tuple[str | None, str]] = []  # each open group's outer operator and ")" or ""
+    group = 0
+    for tok in tokens:
+        if tok == "(":
+            group += 1
+            op = ops[group]
+            if op is None or op == outer:
+                closing.append((outer, ""))
+            else:
+                closing.append((outer, ")"))
+                out.append("(")
+                outer = op
+        elif tok == ")":
+            outer, close = closing.pop()
+            out.append(close)
+        elif tok not in _OPS:
+            out.append("|")
+    if ops[0]:
+        out.append(")")
+    return _decorated("".join(out), _TAGS[tag])
+
+
+def _nth_start(pattern: re.Pattern, text: str, k: int) -> int:
+    """Where match k (from 0) of ``pattern`` in ``text`` starts; for errors
+    only: group g's ``(`` is match g - 1 of ``\\(``, and token k of a text
+    with no bad character is match k of ``_TOKEN_TEXTS``."""
+    return next(islice(pattern.finditer(text), k, None)).start()
 
 
 # --- machine format ---------------------------------------------------------

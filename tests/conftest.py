@@ -1,13 +1,14 @@
 import itertools
+import re
 
 from hypothesis import strategies as st
 
 from duplexes.cubes import CubeVertex
-from duplexes.decorated_trees import DecoratedTree, DuplexOps, Tag
-from duplexes.errors import ArityTooSmall
+from duplexes.decorated_trees import DecoratedTree, DuplexExpr, DuplexOps, Tag
+from duplexes.errors import ArityTooSmall, ExprSyntaxError, MixedChainError, UnknownGenerator, check_text
 from duplexes.laws import Structure
 from duplexes.permutations import Permutation, natural, sharp
-from duplexes.planar_trees import LEAF, PlanarTree, leaf_count
+from duplexes.planar_trees import LEAF, PlanarTree, leaf_count, parse_tree
 
 ONE = Permutation((1,))
 
@@ -160,3 +161,79 @@ PRODUCTS_BY_DEFINITION = {
     Structure.BINARY: DuplexOps(graft_on_leftmost_leaf, graft_on_rightmost_leaf),
     Structure.CUBE: DuplexOps(joined_signs(-1), joined_signs(1)),
 }
+
+
+# --- a reference expression parser ----------------------------------------------
+# A token loop with one regex match per token, building each chain's form
+# (tree text and root symbol) from its parts' forms.  It copies O(n·depth)
+# characters on deep nests, but `parse_expr` must return its values and
+# raise its errors, with their types, messages and positions.
+
+_REFERENCE_TOKEN = re.compile(r"\s*(?:(?P<ident>[a-z][a-z0-9]*)|(?P<op>[.*])|(?P<open>\()|(?P<close>\)))")
+_REFERENCE_IDENT = re.compile(r"[a-z][a-z0-9]*")
+
+
+def _reference_tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = _REFERENCE_TOKEN.match(text, pos)
+        if m is None:
+            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        token = m.group().lstrip()
+        tokens.append((token, m.end() - len(token)))
+        pos = m.end()
+    return tokens
+
+
+def _reference_chain(op, forms):
+    # a part whose root is op's own enters without its root's parentheses
+    return "(" + "".join(f[1:-2] if f[-1] == op else f[:-1] for f in forms) + ")" + op
+
+
+def reference_parse_expr(text, alphabet):
+    check_text(text)
+    alphabet = frozenset(alphabet)
+    tokens = _reference_tokenize(text.replace("·", "."))
+    labels = []
+    stack = [[[], None, None]]  # per open chain: its parts, its operator, where its "(" is
+    pos = 0
+    while True:
+        if pos >= len(tokens):
+            raise ExprSyntaxError("unexpected end of expression", tokens[-1][1] + 1 if tokens else 0)
+        tok, at = tokens[pos]
+        pos += 1
+        if tok == "(":
+            stack.append([[], None, at])
+            continue
+        if not _REFERENCE_IDENT.fullmatch(tok):
+            raise ExprSyntaxError(f"unexpected {tok!r}", at)
+        if tok not in alphabet:
+            raise UnknownGenerator(f"generator {tok!r} not in alphabet", at)
+        labels.append(tok)
+        atom = "||"
+        while True:
+            frame = stack[-1]
+            parts, chain_op, open_at = frame
+            parts.append(atom)
+            if pos < len(tokens) and tokens[pos][0] in (".", "*"):
+                op, op_at = tokens[pos]
+                if chain_op is None:
+                    frame[1] = op
+                elif op != chain_op:
+                    raise MixedChainError("cannot mix '.' and '*' without parentheses", op_at)
+                pos += 1
+                break
+            atom = parts[0] if len(parts) == 1 else _reference_chain(chain_op, parts)
+            if open_at is None:
+                if pos != len(tokens):
+                    raise ExprSyntaxError(f"unexpected {tokens[pos][0]!r}", tokens[pos][1])
+                tag = {"|": None, ".": Tag.DOT, "*": Tag.STAR}[atom[-1]]
+                return DuplexExpr(DecoratedTree(parse_tree(atom[:-1]), tag), labels)
+            if pos >= len(tokens) or tokens[pos][0] != ")":
+                raise ExprSyntaxError("missing ')'", open_at)
+            stack.pop()
+            pos += 1

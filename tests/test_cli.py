@@ -1,8 +1,11 @@
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from conftest import alternating, nest_images, nest_permutation, nest_text
 import duplexes
@@ -237,6 +240,50 @@ def test_map_rho_and_phi_of_a_long_chain(capsys):
     code, out, err = run(capsys, "map", "--morphism", "phi", "--input", comb)
     assert code == 0, err
     assert out.strip() == format_cube(CubeVertex((-1,) * 2999))
+
+
+def run_stdin(capsys, monkeypatch, stdin, *argv):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    return run(capsys, *argv)
+
+
+STDIN_CASES = [
+    ("factor", "--mode", "duplex", "--perm", "(3,1,2,6,5,4)"),
+    ("factor", "--mode", "sharp", "--perm", "(3,1,2,6,5,4)"),
+    ("eval", "--target", "perm", "--expr", "(e.e.e)*(e.(e*e))"),
+    ("eval", "--target", "cube", "--expr", "e * e"),
+    ("map", "--morphism", "alpha", "--input", "e*(e.e)"),
+    ("map", "--morphism", "rho", "--input", "e*(e.e)"),
+    ("map", "--morphism", "phi", "--input", "((||)|)"),
+    ("map", "--morphism", "leafsigns", "--input", "e.e"),
+    # usage errors keep their exit code and message
+    ("factor", "--mode", "sharp", "--perm", "(1,1)"),
+    ("eval", "--target", "cube", "--expr", "e."),
+    ("map", "--morphism", "leafsigns", "--input", "a.b"),
+    ("map", "--morphism", "phi", "--input", ""),
+]
+
+
+@pytest.mark.parametrize("argv", STDIN_CASES, ids=" ".join)
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_a_dash_reads_the_text_from_standard_input(capsys, monkeypatch, argv, json_flag):
+    *options, text = argv
+    want = run(capsys, *options, text, *json_flag)
+    # trailing newlines are dropped, as "$(...)" drops them
+    assert run_stdin(capsys, monkeypatch, text + "\n\n", *options, "-", *json_flag) == want
+    assert run_stdin(capsys, monkeypatch, text, *options, "-", *json_flag) == want
+
+
+def test_a_nest_past_the_argument_limit_reaches_the_cli_through_standard_input(capsys, monkeypatch):
+    nest = nest_text(alternating(10**5))
+    assert len(nest.encode()) > 128 * 1024
+    code, signs, err = run_stdin(capsys, monkeypatch, nest + "\n", "eval", "--target", "cube", "--expr", "-")
+    assert code == 0, err
+    code, tree, err = run_stdin(capsys, monkeypatch, nest, "map", "--morphism", "rho", "--input", "-")
+    assert code == 0, err
+    code, via_trees, err = run_stdin(capsys, monkeypatch, tree, "map", "--morphism", "phi", "--input", "-")
+    assert code == 0, err
+    assert via_trees == signs
 
 
 def test_unexpected_exception_exits_internal(capsys, monkeypatch):

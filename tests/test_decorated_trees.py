@@ -6,8 +6,10 @@ import re
 from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import compositions, graft_contract
+from conftest import compositions, graft_contract, reference_parse_expr
 from duplexes.binary_trees import parse_binary
 from duplexes.cubes import CUBE_OPS, CubeVertex, SINGLETON, parse_cube
 from duplexes.decorated_trees import (
@@ -330,6 +332,9 @@ def test_parse_examples():
     x = expr("(e.e.e)*(e.(e*e))")
     assert x == star(dot(dot(E, E), E), dot(E, star(E, E)))
     assert expr("e") == E
+    # a transparent group between two of one operator still contracts
+    assert expr("e.((e.e))").tree.text == "(|||)"
+    assert expr("e*((e.e))").tree.text == "(|(||))"
     with pytest.raises(MixedChainError):
         expr("e.e*e")
 
@@ -356,6 +361,49 @@ def test_parse_errors():
     except MixedChainError as exc:
         err = exc
     assert err is not None and err.position == 3
+
+
+# Texts that hit every error of the grammar, in each order they can meet,
+# and the whitespace and identifier edge cases of the scan.
+PARSE_CORPUS = [
+    "", " ", "e.", "e.*e", "e.e*e", "(e.e", "e)", "(e.e))", "e.(", "((", "e.(e*e", "e e", "e..e",
+    "E", "1", "e.1", "e12.e", "e·e", "e..e A", "f", "(", ")", "e)(", "e.(e.e", "*e", "e.e*",
+    "(e.e)*(e.(e*e))", "((e))", "e.((e.e))", "(e).e", "(e.e).(e.e)", "ab1*f.e", "1e", "e 1",
+    "ab1 e", "e(e", "(e)(e)", "e.(f*(e.f))", "\u2003e\u00a0.\u3000e\n", "\x1ce\u2028*\u205fe", "e\u200b.e",
+    "\te . ( e * e )\r\n", "\u00a0", "e.é",
+]
+PARSE_ALPHABETS = [{"e"}, {"e", "f", "ab1"}, {"e", ".", "("}, "e.(", set()]
+
+
+def parse_outcome(parse, text, alphabet):
+    """The parser's value, or its error's type, message and position."""
+    try:
+        return parse(text, alphabet)
+    except ParseError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+@pytest.mark.parametrize("alphabet", PARSE_ALPHABETS, ids=repr)
+def test_parse_matches_the_reference_parser_on_the_corpus(alphabet):
+    for text in PARSE_CORPUS:
+        assert parse_outcome(parse_expr, text, alphabet) == parse_outcome(reference_parse_expr, text, alphabet), text
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.sampled_from(["e", "f", "ab1", ".", "*", "(", ")", "·", "1", "A", " "]), max_size=16).map("".join),
+    st.sampled_from(PARSE_ALPHABETS),
+)
+def test_parse_matches_the_reference_parser(text, alphabet):
+    assert parse_outcome(parse_expr, text, alphabet) == parse_outcome(reference_parse_expr, text, alphabet)
+
+
+def test_parse_error_positions():
+    assert parse_outcome(parse_expr, "(e.e", "e") == (ExprSyntaxError, "missing ')' (at position 0)", 0)
+    assert parse_outcome(parse_expr, "e. ( ", "e")[2] == 4
+    assert parse_outcome(parse_expr, "e.e  A", "e")[2] == 5
+    unknown = (UnknownGenerator, "generator 'e12' not in alphabet (at position 1)", 1)
+    assert parse_outcome(parse_expr, " e12.e", "e") == unknown
 
 
 def test_format_parse_round_trip():

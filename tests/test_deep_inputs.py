@@ -14,6 +14,7 @@ from duplexes.binary_trees import BINARY_OPS, SINGLE_NODE, eval_duplexes1, forma
 from duplexes.cubes import CUBE_OPS, SINGLETON, CubeVertex
 from duplexes.decorated_trees import (
     DuplexExpr,
+    Tag,
     dot,
     enumerate_decorated,
     eval_hom,
@@ -53,6 +54,22 @@ def test_parse_format_round_trip_at_depth():
     x = parse_expr(text, "e")
     assert x.degree == DEEP + 1
     assert format_expr(x) == text
+
+
+# parse_expr writes each tree's text once, so 10 times DEEP is quick
+VERY_DEEP = 10 * DEEP
+
+
+def test_parse_shapes_at_great_depth():
+    text = nest_text(alternating(VERY_DEEP))
+    x = parse_expr(text, "e")
+    assert x.degree == VERY_DEEP + 1
+    assert format_expr(x) == text
+    # a group with its parent's operator is contracted into it
+    x = parse_expr("e.(" * VERY_DEEP + "e" + ")" * VERY_DEEP, "e")
+    assert x.tree.tag is Tag.DOT and x.tree.text == "(" + "|" * (VERY_DEEP + 1) + ")"
+    # a group without an operator is transparent
+    assert parse_expr("(" * VERY_DEEP + "e" + ")" * VERY_DEEP, "e") == leaf_expr("e")
 
 
 def test_eval_hom_and_leaf_signs_at_depth():
