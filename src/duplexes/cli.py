@@ -25,6 +25,7 @@ import json
 import os
 import re
 import sys
+from typing import Iterable
 
 from .errors import BoundExceeded, CountRouteMismatch, DuplexError
 
@@ -165,7 +166,13 @@ def _require_at_least(flag: str, value: int, minimum: int) -> None:
         raise ValueError(f"{flag} must be at least {minimum}, got {value}; nothing would be checked")
 
 
-def _emit(args: argparse.Namespace, inputs: dict, result, lines: list[str]) -> None:
+def _emit(args: argparse.Namespace, inputs: dict, result, lines: Iterable[str]) -> None:
+    # results are exact integers of any size, so the interpreter's cap on
+    # int-to-str digits is lifted while they are written (``lines`` may
+    # format them lazily), and only then: parsing an input keeps it
+    digit_cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if digit_cap is not None:
+        sys.set_int_max_str_digits(0)
     try:
         if args.json:
             print(json.dumps({"command": args.command, "inputs": inputs, "result": result}))
@@ -179,6 +186,9 @@ def _emit(args: argparse.Namespace, inputs: dict, result, lines: list[str]) -> N
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+    finally:
+        if digit_cap is not None:
+            sys.set_int_max_str_digits(digit_cap)
 
 
 def _cmd_enumerate(args) -> int:
@@ -227,7 +237,7 @@ def _cmd_count(args) -> int:
     source = _COUNT_SOURCES[args.sequence]
     values = series.from_counts(source, args.max_degree)
     pairs = [[n, values.coefficients[n]] for n in range(1, args.max_degree + 1)]
-    lines = [f"{n} {v}" for n, v in pairs]
+    lines = (f"{n} {v}" for n, v in pairs)
     _emit(args, {"sequence": args.sequence, "max": args.max_degree}, pairs, lines)
     return EXIT_OK
 

@@ -1,4 +1,5 @@
 """Exception types shared across the package."""
+import enum
 
 
 class DuplexError(Exception):
@@ -67,6 +68,13 @@ def check_degree(n: int, bound: int) -> None:
         raise InvalidDegree(f"degree must be >= 1, got {n}")
     if n > bound:
         raise BoundExceeded(f"degree {n} exceeds the enumeration bound {bound}")
+
+
+def check_member(name: str, value, members: type[enum.Enum]) -> None:
+    """Reject a ``value`` that is not a member of ``members``, naming them."""
+    if value.__class__ is not members:
+        *rest, last = [f"{members.__name__}.{m.name}" for m in members]
+        raise TypeError(f"{name} must be {', '.join(rest)} or {last}, got {value!r}")
 
 
 def check_text(text) -> None:

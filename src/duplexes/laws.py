@@ -33,7 +33,7 @@ from operator import ne
 from typing import Callable, Hashable, Iterable, NamedTuple
 
 from . import binary_trees, cubes, decorated_trees, permutations
-from .errors import BoundExceeded, InvalidDegree
+from .errors import BoundExceeded, InvalidDegree, check_member
 
 
 class Variety(enum.Enum):
@@ -151,16 +151,10 @@ _CARRIERS: dict[Structure, _Carrier] = {
 }
 
 
-def _check_member(name: str, value, members: type[enum.Enum]) -> None:
-    if value.__class__ is not members:
-        *rest, last = [f"{members.__name__}.{m.name}" for m in members]
-        raise TypeError(f"{name} must be {', '.join(rest)} or {last}, got {value!r}")
-
-
 def format_element(structure: Structure, element) -> str:
     """The element's text in its carrier's format.  A ``structure`` that is
     not a :class:`Structure` member raises ``TypeError``."""
-    _check_member("structure", structure, Structure)
+    check_member("structure", structure, Structure)
     return _CARRIERS[structure].format(element)
 
 
@@ -196,8 +190,8 @@ def check_laws(structure: Structure, variety: Variety, degree_bound: int) -> Law
     A ``structure`` or ``variety`` that is not a :class:`Structure` or
     :class:`Variety` member raises ``TypeError``.
     """
-    _check_member("structure", structure, Structure)
-    _check_member("variety", variety, Variety)
+    check_member("structure", structure, Structure)
+    check_member("variety", variety, Variety)
     carrier = _CARRIERS[structure]
     if degree_bound < 3:
         raise InvalidDegree(f"total degree bound must be >= 3, got {degree_bound}")

@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .decorated_trees import _DOT, _STAR, GENERATOR_TREE, DecoratedTree, DuplexExpr, DuplexOps, Tag, _decorated, _expr
-from .errors import ParseError, check_degree, check_text
+from .errors import ParseError, check_degree, check_member, check_text
 from .planar_trees import _build, _ColumnCache, _new, _Value
 
 DEFAULT_PERMUTATION_BOUND = 8
@@ -103,14 +103,14 @@ class IndecKind(enum.Enum):
     S2 = "s2"  # indecomposable for both products at once
 
 
-# bound once, as decorated_trees binds the Tag members: an enum member
-# lookup takes a slow hook up to Python 3.11
-_SHARP, _NATURAL, _S2 = IndecKind.SHARP, IndecKind.NATURAL, IndecKind.S2
-
-
-def _check_kind(kind: IndecKind) -> None:
-    if kind is not _SHARP and kind is not _NATURAL and kind is not _S2:
-        raise TypeError(f"kind must be IndecKind.SHARP, IndecKind.NATURAL or IndecKind.S2, got {kind!r}")
+# The tags of the first cuts (see _cut) that split each kind.  No range of
+# degree >= 2 has cuts of both products, so a permutation's first cut alone
+# decides all three kinds.
+_SPLITTING_TAGS = {
+    IndecKind.SHARP: (_DOT,),
+    IndecKind.NATURAL: (_STAR,),
+    IndecKind.S2: (_DOT, _STAR),
+}
 
 
 # Each product's one rule: one operand's images shifted up by the other's
@@ -208,44 +208,15 @@ def _factorize(f: Permutation, tag: Tag) -> tuple[Permutation, ...]:
 def is_indecomposable(f: Permutation, kind: IndecKind) -> bool:
     """Whether ``f`` admits no nontrivial factorization of the given kind.
 
-    Degree 1 is indecomposable of every kind.  Uses running prefix extrema,
-    so each test is linear in the degree.  These one-sided scans stay apart
-    from :func:`_cut`: a test needs no cut position, and the both-ends scan,
-    which tests four conditions per step, made the slice enumerations, which
-    run them per element, measurably slower.  A ``kind`` that is not an
-    :class:`IndecKind` member raises ``TypeError``.
+    Degree 1 is indecomposable of every kind.  The answer is the tag of
+    the first cut :func:`_cut` finds, so a test scans at most half the
+    degree.  A ``kind`` that is not an :class:`IndecKind` member raises
+    ``TypeError``.
     """
-    if kind is _SHARP:
-        return _sharp_indecomposable(f.images)
-    if kind is _NATURAL:
-        return _natural_indecomposable(f.images)
-    _check_kind(kind)
-    return _sharp_indecomposable(f.images) and _natural_indecomposable(f.images)
-
-
-def _sharp_indecomposable(images: tuple[int, ...]) -> bool:
-    # f({1..i}) inside {1..i} for i < n <=> running max equals i
-    top = i = 0
-    for v in images[:-1]:
-        i += 1
-        if v > top:
-            top = v
-        if top == i:
-            return False
-    return True
-
-
-def _natural_indecomposable(images: tuple[int, ...]) -> bool:
-    # f({1..i}) inside {n-i+1..n} for i < n <=> running min exceeds n - i
-    rest = len(images)
-    low = rest + 1
-    for v in images[:-1]:
-        rest -= 1
-        if v < low:
-            low = v
-        if low > rest:
-            return False
-    return True
+    check_member("kind", kind, IndecKind)
+    images = f.images
+    cut = _cut(images, 0, len(images), 1)
+    return cut is None or cut[0] not in _SPLITTING_TAGS[kind]
 
 
 @lru_cache(maxsize=None)
@@ -261,21 +232,25 @@ def enumerate_permutations(n: int) -> tuple[Permutation, ...]:
 
 
 def enumerate_indecomposable(n: int, kind: IndecKind) -> tuple[Permutation, ...]:
-    """All degree-n indecomposables of the given kind, in lexicographic order.
-    A ``kind`` that is not an :class:`IndecKind` member raises ``TypeError``."""
-    _check_kind(kind)
-    return _indecomposables(n, kind)
+    """All degree-n indecomposables of the given kind, in lexicographic order:
+    the slice of :func:`enumerate_permutations` whose first cuts do not
+    split the kind.  A ``kind`` that is not an :class:`IndecKind` member
+    raises ``TypeError``."""
+    check_member("kind", kind, IndecKind)
+    tags = _first_cut_tags(n)
+    splits = map(_SPLITTING_TAGS[kind].__contains__, tags)
+    return tuple(itertools.compress(_all_permutations(n), map(operator.not_, splits)))
 
 
 @lru_cache(maxsize=None)
-def _indecomposables(n: int, kind: IndecKind) -> tuple[Permutation, ...]:
-    # the doubly indecomposables filter the sharp slice, which keeps the
-    # lexicographic order and skips the permutations it already rejected
-    if kind is _SHARP:
-        return tuple([f for f in enumerate_permutations(n) if _sharp_indecomposable(f.images)])
-    if kind is _NATURAL:
-        return tuple([f for f in enumerate_permutations(n) if _natural_indecomposable(f.images)])
-    return tuple([f for f in _indecomposables(n, _SHARP) if _natural_indecomposable(f.images)])
+def _first_cut_tags(n: int) -> tuple[Tag | None, ...]:
+    """The tag of each degree-n permutation's first cut, None for the doubly
+    indecomposables, in the slice's order; shared by the three kinds."""
+    tags = []
+    for f in enumerate_permutations(n):
+        cut = _cut(f.images, 0, n, 1)
+        tags.append(None if cut is None else cut[0])
+    return tuple(tags)
 
 
 def count_indecomposable(n: int, kind: IndecKind) -> int:
@@ -293,13 +268,14 @@ def count_indecomposable(n: int, kind: IndecKind) -> int:
     >>> [count_indecomposable(n, IndecKind.S2) for n in range(1, 8)]
     [1, 0, 0, 2, 22, 202, 1854]
     """
-    _check_kind(kind)
+    check_member("kind", kind, IndecKind)
     check_degree(n, DEFAULT_PERMUTATION_BOUND)
     full = (1 << n) - 1
+    splitting = _SPLITTING_TAGS[kind]
     forbidden = set()
-    if kind is not _NATURAL:
+    if _DOT in splitting:
         forbidden.update((1 << i) - 1 for i in range(1, n))
-    if kind is not _SHARP:
+    if _STAR in splitting:
         forbidden.update(full ^ ((1 << i) - 1) for i in range(1, n))
     bits = [1 << v for v in range(n)]
     chains = [0] * (full + 1)
@@ -554,7 +530,10 @@ def parse_permutation(text: str) -> Permutation:
     stripped = text.strip()
     if not _PERM_TEXT.fullmatch(stripped):
         raise ParseError(f"expected a parenthesized list of integers, got {text!r}")
-    values = tuple(int(v) for v in stripped[1:-1].split(","))
+    try:
+        values = tuple(int(v) for v in stripped[1:-1].split(","))
+    except ValueError:  # a numeral past the interpreter's int-to-str digit cap
+        raise ParseError("a value has too many digits to read as an integer") from None
     try:
         return Permutation(values)
     except ValueError as exc:

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import alternating, nest_images, nest_permutation, nest_text
 import duplexes
-from duplexes import cli, cubes, laws, series
+from duplexes import binary_trees, cli, cubes, laws, series
 from duplexes.cli import main
 from duplexes.cubes import CubeVertex, format_cube, parse_cube
 from duplexes.decorated_trees import expr_from_machine, parse_expr
@@ -64,6 +64,22 @@ def test_count_json(capsys):
     code, out, _ = run(capsys, "count", "--sequence", "super-catalan", "--max", "5", "--json")
     payload = json.loads(out)
     assert payload["result"] == [[1, 1], [2, 1], [3, 3], [4, 11], [5, 45]]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit cap")
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_count_prints_integers_past_the_digit_cap(capsys, json_flag):
+    # catalan(1200) has 718 digits; the cap holds again once the output is written
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "count", "--sequence", "catalan", "--max", "1200", *json_flag)
+        cap_after = sys.get_int_max_str_digits()
+    finally:
+        sys.set_int_max_str_digits(cap)
+    assert (code, err, cap_after) == (0, "", 640)
+    last = json.loads(out)["result"][-1] if json_flag else out.splitlines()[-1].split()
+    assert [int(v) for v in last] == [1200, binary_trees.catalan(1200)]
 
 
 def test_enumerate_perm_filter(capsys):

@@ -5,7 +5,7 @@ from functools import reduce
 import pytest
 from hypothesis import given
 
-from conftest import permutation_strategy
+from conftest import alternating, nest_images, permutation_strategy
 from duplexes.decorated_trees import DuplexExpr, dot, enumerate_decorated, eval_hom, leaf_expr, star
 from duplexes.errors import BoundExceeded, InvalidDegree, ParseError
 from duplexes.permutations import (
@@ -25,7 +25,7 @@ from duplexes.permutations import (
     sharp,
     sharp_factorize,
     xi,
-    _indecomposables,
+    _first_cut_tags,
     _validate_images,
 )
 
@@ -128,6 +128,15 @@ def test_parse_diagnostics():
         parse_permutation("(1,3)")
     with pytest.raises(ParseError, match="parenthesized"):
         parse_permutation("3,1,2")
+
+
+@pytest.mark.parametrize(
+    "text", ["(" + "0" * 4300 + "1)", "(" + "9" * 5000 + ")"], ids=["zeros-then-1", "5000-nines"]
+)
+def test_parse_rejects_a_numeral_past_the_digit_cap(text):
+    # int() refuses a numeral of more than 4300 digits with a bare ValueError
+    with pytest.raises(ParseError, match="^a value has too many digits to read as an integer$"):
+        parse_permutation(text)
 
 
 # --- the two block sums ---------------------------------------------------------
@@ -286,13 +295,64 @@ def test_degree_one_indecomposable_every_kind():
 
 
 def test_indecomposable_matches_oracles():
-    for n in range(1, 8):
+    for n in range(1, 9):
+        slices = {kind: [] for kind in IndecKind}
         for f in all_perms(n):
-            assert is_indecomposable(f, IndecKind.SHARP) == oracle_sharp_indec(f)
-            assert is_indecomposable(f, IndecKind.NATURAL) == oracle_natural_indec(f)
-            assert is_indecomposable(f, IndecKind.S2) == (
-                oracle_sharp_indec(f) and oracle_natural_indec(f)
-            )
+            sharp_indec, natural_indec = oracle_sharp_indec(f), oracle_natural_indec(f)
+            for kind, indec in (
+                (IndecKind.SHARP, sharp_indec),
+                (IndecKind.NATURAL, natural_indec),
+                (IndecKind.S2, sharp_indec and natural_indec),
+            ):
+                assert is_indecomposable(f, kind) == indec, (kind, f)
+                if indec:
+                    slices[kind].append(f)
+        for kind, indecomposables in slices.items():
+            assert enumerate_indecomposable(n, kind) == tuple(indecomposables), (kind, n)
+
+
+# A linear reference on long inputs: the running prefix extrema.  f({1..i})
+# is {1..i} exactly when the running maximum is i, and {n-i+1..n} exactly
+# when the running minimum exceeds n - i.
+
+
+def scan_sharp_indec(images):
+    top = 0
+    for i, v in enumerate(images[:-1], 1):
+        top = max(top, v)
+        if top == i:
+            return False
+    return True
+
+
+def scan_natural_indec(images):
+    n = len(images)
+    low = n + 1
+    for i, v in enumerate(images[:-1], 1):
+        low = min(low, v)
+        if low > n - i:
+            return False
+    return True
+
+
+def test_indecomposable_matches_the_prefix_extrema_scan_on_long_inputs():
+    n = 10**5
+    rng = random.Random(24)
+    shuffled = [Permutation(rng.sample(range(1, 10**4 + 1), 10**4)) for _ in range(6)]
+    cases = [
+        Permutation(range(1, n + 1)),
+        Permutation(range(n, 0, -1)),
+        nest_images(alternating(n - 1)),
+        *shuffled,
+        sharp(shuffled[0], shuffled[1]),
+        natural(shuffled[2], shuffled[3]),
+        sharp(natural(shuffled[4], P(1)), shuffled[5]),
+    ]
+    for f in cases:
+        sharp_indec, natural_indec = scan_sharp_indec(f.images), scan_natural_indec(f.images)
+        assert is_indecomposable(f, IndecKind.SHARP) == sharp_indec
+        assert is_indecomposable(f, IndecKind.NATURAL) == natural_indec
+        assert is_indecomposable(f, IndecKind.S2) == (sharp_indec and natural_indec)
 
 
 def test_enumerate_indecomposable_exact_sets():
@@ -317,8 +377,8 @@ def test_enumerate_bounds():
 
 
 def test_kind_must_be_a_member():
-    # a string or None once answered silently for S2; no such key is cached
-    cached = _indecomposables.cache_info().currsize
+    # a string or None is rejected before the slices' cache is looked up
+    cached = _first_cut_tags.cache_info()
     for kind in ("sharp", "s2", None):
         with pytest.raises(TypeError, match="IndecKind.SHARP, IndecKind.NATURAL or IndecKind.S2"):
             is_indecomposable(P(2, 3, 1), kind)
@@ -326,7 +386,7 @@ def test_kind_must_be_a_member():
             enumerate_indecomposable(3, kind)
         with pytest.raises(TypeError, match="IndecKind.SHARP, IndecKind.NATURAL or IndecKind.S2"):
             count_indecomposable(5, kind)
-    assert _indecomposables.cache_info().currsize == cached
+    assert _first_cut_tags.cache_info() == cached
 
 
 def test_chain_count_matches_scan():
