@@ -28,7 +28,6 @@ from .planar_trees import (
     PlanarTree,
     _build,
     _ColumnCache,
-    _set_text,
     _tree,
     format_tree,
     leaf_count,
@@ -128,7 +127,7 @@ def enumerate_binary(n: int) -> tuple[PlanarTree, ...]:
     never includes the stub.  Only the texts are cached: each call builds
     fresh trees, equal to the last."""
     check_degree(n, DEFAULT_BINARY_BOUND)
-    return _build(PlanarTree, _set_text, _binary_texts(n))
+    return _build(PlanarTree, _binary_texts(n))
 
 
 def catalan(n: int) -> int:

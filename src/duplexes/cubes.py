@@ -24,7 +24,7 @@ from typing import Callable, Iterable
 
 from .decorated_trees import DuplexOps
 from .errors import ParseError, check_degree, check_text
-from .planar_trees import _build, _new, _Value
+from .planar_trees import _build, _Value
 
 DEFAULT_CUBE_BOUND = 16
 
@@ -45,14 +45,6 @@ class CubeVertex(_Value):
         text = "<" + ",".join(map(_SIGN_TEXT.__getitem__, signs)) + ">" if signs else "e"
         object.__setattr__(self, "text", text)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.text == other.text
-
-    def __hash__(self) -> int:
-        return hash((self.text,))
-
     def __reduce__(self):
         return parse_cube, (self.text,)
 
@@ -71,14 +63,7 @@ class CubeVertex(_Value):
 
 
 _SIGN_TEXT = {1: "+1", -1: "-1"}
-_set_text = CubeVertex.text.__set__
-
-
-def _cube(text: str) -> CubeVertex:
-    """The vertex of a canonical text the library built itself; unchecked."""
-    a = _new(CubeVertex)
-    _set_text(a, text)
-    return a
+_cube = CubeVertex._make  # the vertex of a canonical text the library built; unchecked
 
 
 SINGLETON = CubeVertex()
@@ -122,7 +107,7 @@ def enumerate_cubes(n: int) -> tuple[CubeVertex, ...]:
         return (SINGLETON,)
     # each sign with the text before it, so one join writes a vertex
     pieces = product(("<-1", "<+1"), *[(",-1", ",+1")] * (n - 2), (">",))
-    return _build(CubeVertex, _set_text, list(map("".join, pieces)))
+    return _build(CubeVertex, list(map("".join, pieces)))
 
 
 def format_cube(a: CubeVertex) -> str:

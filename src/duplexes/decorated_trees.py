@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import enum
 import re
-from collections import deque
 from functools import reduce
 from itertools import chain, cycle, islice, product
 from typing import Any, Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
@@ -47,7 +46,6 @@ from .planar_trees import (
     PlanarTree,
     _build,
     _ColumnCache,
-    _new,
     _tree,
     _tree_texts,
     _Value,
@@ -99,11 +97,6 @@ class DecoratedTree(_Value):
         object.__setattr__(self, "text", shape.text)
         object.__setattr__(self, "tag", tag)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.tag is other.tag and self.text == other.text
-
     def __hash__(self) -> int:
         # a tuple hashes through its items' hashes, and the shape's is that
         # of (text,): so this is hash((shape, tag)), with no tree built
@@ -124,17 +117,7 @@ class DecoratedTree(_Value):
         return self.text.count("|")
 
 
-_set_decorated_text = DecoratedTree.text.__set__
-_set_tag = DecoratedTree.tag.__set__
-
-
-def _decorated(text: str, tag: Tag | None) -> DecoratedTree:
-    """The decorated tree of a canonical tree text and a tag that the
-    library built itself; unchecked."""
-    t = _new(DecoratedTree)
-    _set_decorated_text(t, text)
-    _set_tag(t, tag)
-    return t
+_decorated = DecoratedTree._make  # of a canonical tree text and a tag the library built; unchecked
 
 
 GENERATOR_TREE = DecoratedTree(LEAF, None)
@@ -197,9 +180,7 @@ def _all_decorated(n: int) -> tuple[DecoratedTree, ...]:
     if n == 1:
         return (GENERATOR_TREE,)
     texts = _tree_texts(n)
-    trees = _build(DecoratedTree, _set_decorated_text, list(chain.from_iterable(zip(texts, texts))))
-    deque(map(_set_tag, trees, cycle((_DOT, _STAR))), maxlen=0)
-    return trees
+    return _build(DecoratedTree, list(chain.from_iterable(zip(texts, texts))), cycle((_DOT, _STAR)))
 
 
 def enumerate_decorated(n: int) -> tuple[DecoratedTree, ...]:
@@ -241,14 +222,6 @@ class DuplexExpr(_Value):
         object.__setattr__(self, "tree", tree)
         object.__setattr__(self, "labels", labels)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.tree == other.tree and self.labels == other.labels
-
-    def __hash__(self) -> int:
-        return hash((self.tree, self.labels))
-
     @property
     def degree(self) -> int:
         return self.tree.degree
@@ -257,17 +230,7 @@ class DuplexExpr(_Value):
         return format_expr(self)
 
 
-_set_expr_tree = DuplexExpr.tree.__set__
-_set_labels = DuplexExpr.labels.__set__
-
-
-def _expr(tree: DecoratedTree, labels: tuple) -> DuplexExpr:
-    """The expression of a tree and a tuple of one label per leaf that the
-    library built itself; unchecked."""
-    x = _new(DuplexExpr)
-    _set_expr_tree(x, tree)
-    _set_labels(x, labels)
-    return x
+_expr = DuplexExpr._make  # of a tree and one label per leaf the library built; unchecked
 
 
 def leaf_expr(label: Hashable) -> DuplexExpr:

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 from .decorated_trees import _DOT, _STAR, GENERATOR_TREE, DecoratedTree, DuplexExpr, DuplexOps, Tag, _decorated, _expr
 from .errors import ParseError, check_degree, check_member, check_text
-from .planar_trees import _build, _ColumnCache, _new, _Value
+from .planar_trees import _build, _ColumnCache, _Value
 
 DEFAULT_PERMUTATION_BOUND = 8
 
@@ -41,14 +41,6 @@ class Permutation(_Value):
         _validate_images(images)
         object.__setattr__(self, "images", images)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash((self.images,))
-
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -63,15 +55,7 @@ class Permutation(_Value):
         return format_permutation(self)
 
 
-_set_images = Permutation.images.__set__
-
-
-def _perm(images: tuple[int, ...]) -> Permutation:
-    """The permutation of an image tuple the library built from valid ones;
-    unchecked."""
-    f = _new(Permutation)
-    _set_images(f, images)
-    return f
+_perm = Permutation._make  # the permutation of images the library built from valid ones; unchecked
 
 
 _ONE = _perm((1,))  # every degree-1 factor: the image of the generator under alpha
@@ -221,7 +205,7 @@ def is_indecomposable(f: Permutation, kind: IndecKind) -> bool:
 
 @lru_cache(maxsize=None)
 def _all_permutations(n: int) -> tuple[Permutation, ...]:
-    return _build(Permutation, _set_images, list(itertools.permutations(range(1, n + 1))))
+    return _build(Permutation, list(itertools.permutations(range(1, n + 1))))
 
 
 def enumerate_permutations(n: int) -> tuple[Permutation, ...]:

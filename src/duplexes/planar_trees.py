@@ -22,29 +22,51 @@ from __future__ import annotations
 from collections import deque
 from functools import lru_cache
 from itertools import repeat
-from typing import Callable, Iterable, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable
 
 from .errors import ArityTooSmall, InvalidDegree, ParseError, check_degree, check_text
 
 DEFAULT_TREE_BOUND = 10
 
 
+_new = object.__new__
+
+
 class _Value:
-    """Base of the package's immutable value classes.  The fields are the
-    subclass's ``__slots__``, set once in its ``__init__`` through
-    ``object.__setattr__``; each subclass writes its own ``__eq__``, true
-    only within its class, and ``__hash__``, the hash of the field tuple.
-    Values the library builds from parts it knows are valid (products,
-    enumerations, parsers past their checks) skip ``__init__``: they are
-    made by ``object.__new__`` and filled through each slot's descriptor
-    setter (``PlanarTree.text.__set__``), both bound to module names once,
-    so each is one C call with no lookup of the field by name; a whole
-    slice is made by :func:`_build`, with no Python frame per element.
-    Pickling and copying call the class with the fields again, so the
-    constructor's checks run (a tree or a cube vertex is rebuilt by parsing
-    its text)."""
+    """Base of the package's immutable value classes.  A subclass declares
+    its fields as ``__slots__`` and sets them once in its ``__init__``
+    through ``object.__setattr__``.  As the subclass is made, ``_Value``
+    reads the slots once and derives ``__eq__``, true only within the
+    class, and ``__hash__``, the hash of the field tuple, unless the class
+    writes its own (``DecoratedTree`` hashes its public ``(shape, tag)``);
+    ``_setters``, the slots' descriptor setters; and ``_make(*fields)``, the
+    unchecked constructor of values the library builds from parts it knows
+    are valid: one ``object.__new__`` and one setter call per slot.  A
+    whole slice is made by :func:`_build`, with no Python frame per
+    element.  Pickling and copying call the class with the fields again, so
+    the constructor's checks run (a tree or a cube vertex is rebuilt by
+    parsing its text)."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        get = attrgetter(*cls.__slots__)  # the field itself for one slot
+        fields = get if len(cls.__slots__) > 1 else lambda value: (get(value),)
+
+        def __eq__(self, other):
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            return get(self) == get(other)
+
+        def __hash__(self) -> int:
+            return hash(fields(self))
+
+        cls.__eq__ = __eq__
+        if "__hash__" not in vars(cls):
+            cls.__hash__ = __hash__
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        cls._make = staticmethod(_unchecked_constructor(cls, cls._setters))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -58,6 +80,40 @@ class _Value:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+def _unchecked_constructor(cls: type, setters: tuple) -> Callable:
+    # written out for one slot and for two, the package's only arities: a
+    # loop over the setters would double the cost of every product
+    if len(setters) == 1:
+        (set_field,) = setters
+
+        def make(field):
+            value = _new(cls)
+            set_field(value, field)
+            return value
+
+        return make
+    set_first, set_second = setters
+
+    def make(first, second):
+        value = _new(cls)
+        set_first(value, first)
+        set_second(value, second)
+        return value
+
+    return make
+
+
+def _build(cls: type, *columns: Iterable) -> tuple:
+    """One unchecked ``cls`` instance per item of the first column (a
+    sequence), its slots filled in order from the columns through the
+    class's setters: every loop runs in C (``map``, drained by a
+    zero-length ``deque``), so a slice costs no Python frame per element."""
+    values = tuple(map(_new, repeat(cls, len(columns[0]))))
+    for setter, column in zip(cls._setters, columns):
+        deque(map(setter, values, column), maxlen=0)
+    return values
 
 
 class PlanarTree(_Value):
@@ -78,14 +134,6 @@ class PlanarTree(_Value):
         if len(texts) == 1:
             raise ArityTooSmall("an internal vertex needs at least 2 children")
         object.__setattr__(self, "text", "(" + "".join(texts) + ")" if texts else "|")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.text == other.text
-
-    def __hash__(self) -> int:
-        return hash((self.text,))
 
     def __reduce__(self):
         return parse_tree, (self.text,)
@@ -114,24 +162,7 @@ class PlanarTree(_Value):
         return self.text
 
 
-_new = object.__new__
-_set_text = PlanarTree.text.__set__
-
-
-def _tree(text: str) -> PlanarTree:
-    """The tree of a canonical text the library built itself; unchecked."""
-    t = _new(PlanarTree)
-    _set_text(t, text)
-    return t
-
-
-def _build(cls: type, setter, fields: Sequence) -> tuple:
-    """One unchecked ``cls`` instance per field, its slot filled by the
-    slot's ``setter``: both loops run in C (``map``, drained by a
-    zero-length ``deque``), so a slice costs no Python frame per element."""
-    values = tuple(map(_new, repeat(cls, len(fields))))
-    deque(map(setter, values, fields), maxlen=0)
-    return values
+_tree = PlanarTree._make  # the tree of a canonical text the library built; unchecked
 
 
 class _ColumnCache(dict):
@@ -188,7 +219,7 @@ def enumerate_trees(n: int) -> tuple[PlanarTree, ...]:
     ['(|||)', '(|(||))', '((||)|)']
     """
     check_degree(n, DEFAULT_TREE_BOUND)
-    return _build(PlanarTree, _set_text, _tree_texts(n))
+    return _build(PlanarTree, _tree_texts(n))
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,7 @@ import math
 import operator
 from typing import Iterable, NamedTuple
 
-from . import binary_trees, decorated_trees, planar_trees
+from . import decorated_trees, planar_trees
 from .errors import BoundExceeded, ComposeNonzeroConstant, CountRouteMismatch, InvalidDegree
 from .planar_trees import _Value
 
@@ -29,14 +29,6 @@ class Series(_Value):
         if not coefficients:
             raise ValueError("a series carries at least the constant coefficient")
         object.__setattr__(self, "coefficients", coefficients)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coefficients == other.coefficients
-
-    def __hash__(self) -> int:
-        return hash((self.coefficients,))
 
     @property
     def order(self) -> int:
@@ -142,8 +134,9 @@ def from_counts(source: str, order: int, alphabet_size: int = 1) -> Series:
 
     ``sharp-indec`` and ``s2-indec`` are computed both by the chain count
     :func:`~duplexes.permutations.count_indecomposable` and by the
-    alternating block-sum formulas; the two routes must agree, and a
-    disagreement raises :class:`~duplexes.errors.CountRouteMismatch`, which
+    alternating block-sum formulas, the chain count first, so an order past
+    its bound raises ``BoundExceeded`` before the slower formula runs; the
+    two routes must agree, and a disagreement raises :class:`~duplexes.errors.CountRouteMismatch`, which
     names its first differing degree and carries the comparison.  ``dupl`` counts
     label-decorated trees over an alphabet of ``alphabet_size`` generators,
     by enumeration; every other source counts unlabelled objects, so takes
@@ -163,13 +156,15 @@ def from_counts(source: str, order: int, alphabet_size: int = 1) -> Series:
     if source == "super-catalan":
         return Series((0,) + tuple(planar_trees.super_catalan(n) for n in range(1, order + 1)))
     if source == "catalan":
-        return Series((0,) + tuple(binary_trees.catalan(n) for n in range(1, order + 1)))
+        # C(n+1) = C(n)·2(2n+1)/(n+2): each step exact, where math.comb costs O(n) per coefficient
+        steps = range(1, order)
+        return Series((0, *itertools.accumulate(steps, lambda c, n: c * (4 * n + 2) // (n + 2), initial=1)))
     if source == "sharp-indec":
         return _cross_checked(_count_indec("sharp", order), _sharp_indec_formula(order), source)
     if source == "s2-indec":
-        factorials = from_counts("factorials", order)
-        formula = _sharp_indec_formula(order).scale(2) - factorials
-        return _cross_checked(_count_indec("s2", order), formula, source)
+        counted = _count_indec("s2", order)  # first, as it checks the bound before the slow formula
+        formula = _sharp_indec_formula(order).scale(2) - from_counts("factorials", order)
+        return _cross_checked(counted, formula, source)
     unlabelled = Series((0, *(len(decorated_trees.enumerate_decorated(n)) for n in range(1, order + 1))))
     return _over_alphabet(unlabelled, alphabet_size)
 

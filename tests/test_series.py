@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from duplexes import permutations, series as series_module
+from duplexes import binary_trees, permutations, series as series_module
+from duplexes.binary_trees import catalan
 from duplexes.errors import BoundExceeded, ComposeNonzeroConstant, CountRouteMismatch, DuplexError, InvalidDegree
 from duplexes.series import (
     CHECKS,
@@ -165,6 +166,32 @@ def test_from_counts_errors():
     for source in ("sharp-indec", "s2-indec"):
         with pytest.raises(BoundExceeded, match="^degree 9 exceeds the enumeration bound 8$"):
             from_counts(source, 9)
+
+
+def test_catalan_counts_match_the_closed_form(monkeypatch):
+    # the series steps a recurrence; the closed form, one binomial per
+    # coefficient, is its check here and no longer a route of from_counts
+    expected = (0, *(catalan(n) for n in range(1, 401)))
+
+    def forbidden(n):
+        raise AssertionError("from_counts computed a binomial per coefficient")
+
+    monkeypatch.setattr(binary_trees, "catalan", forbidden)
+    assert from_counts("catalan", 400).coefficients == expected
+
+
+def test_indecomposable_counts_check_their_bound_before_the_formula(monkeypatch):
+    # the formula costs superlinear time in the order, so a bound past the
+    # chain count's must raise before it runs
+    def forbidden(order):
+        raise AssertionError("the formula ran before the bound was checked")
+
+    monkeypatch.setattr(series_module, "_sharp_indec_formula", forbidden)
+    for source in ("sharp-indec", "s2-indec"):
+        with pytest.raises(BoundExceeded, match="^degree 9 exceeds the enumeration bound 8$"):
+            from_counts(source, 9)
+    with pytest.raises(BoundExceeded, match="^degree 9 exceeds the enumeration bound 8$"):
+        verify_identity("cor52", 9)
 
 
 @pytest.mark.parametrize("order", [0, -1])

@@ -2,17 +2,20 @@
 within its own class, a hash equal to the hash of its field tuple, no
 assignment, and round trips through pickle and copy."""
 import copy
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import duplexes
 from duplexes import laws
 from duplexes.binary_trees import over
 from duplexes.cubes import CUBE_OPS, CubeVertex, cube_dot
 from duplexes.decorated_trees import GENERATOR_TREE, DecoratedTree, DuplexOps, Tag, leaf_expr, parse_expr, tree_dot
 from duplexes.laws import Structure, Variety, check_laws
 from duplexes.permutations import Permutation, sharp
-from duplexes.planar_trees import LEAF, PlanarTree
+from duplexes.planar_trees import LEAF, PlanarTree, _Value
 from duplexes.series import CheckResult, Series, verify_identity
 
 CHERRY = PlanarTree((LEAF, LEAF))
@@ -114,6 +117,25 @@ def test_value_equality_stays_within_the_class(x, text, fields):
     other = [v for v, _, _ in VALUES if type(v) is not type(x)]
     assert all(x != v and v != x for v in other)
     assert (x.__eq__(fields), x.__eq__(None)) == (NotImplemented, NotImplemented)
+
+
+def test_every_value_class_is_held_to_the_contract():
+    # a value class of the package that no case above covers would escape it
+    for module in pkgutil.iter_modules(duplexes.__path__):
+        importlib.import_module(f"duplexes.{module.name}")
+    found, pending = set(), [_Value]
+    while pending:
+        subclasses = pending.pop().__subclasses__()
+        found.update(cls for cls in subclasses if cls.__module__.startswith("duplexes."))
+        pending += subclasses
+    assert found == {type(v) for v, _, _ in VALUES}
+
+
+@pytest.mark.parametrize("x, text, fields", VALUES, ids=names(VALUES))
+def test_unchecked_construction_makes_an_equal_value(x, text, fields):
+    made = type(x)._make(*(getattr(x, name) for name in type(x).__slots__))
+    assert type(made) is type(x)
+    assert made == x and hash(made) == hash(x) and repr(made) == repr(x)
 
 
 def test_records_compare_by_value():
