@@ -13,8 +13,8 @@ import math
 import operator
 from typing import Iterable, NamedTuple
 
-from . import decorated_trees, planar_trees
-from .errors import BoundExceeded, ComposeNonzeroConstant, CountRouteMismatch, InvalidDegree
+from . import planar_trees
+from .errors import ComposeNonzeroConstant, CountRouteMismatch, InvalidDegree, check_degree
 from .planar_trees import _Value
 
 
@@ -86,24 +86,6 @@ class Series(_Value):
             acc = acc * inner + Series.constant(coef, n)
         return acc
 
-    def __str__(self) -> str:
-        terms = []
-        for degree, c in enumerate(self.coefficients):
-            if c == 0:
-                continue
-            if degree == 0:
-                terms.append(str(c))
-            elif degree == 1:
-                terms.append(f"{c}*T")
-            else:
-                terms.append(f"{c}*T^{degree}")
-        if not terms:
-            return "0"
-        out = terms[0]
-        for term in terms[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
-
 
 def sum_of_powers(g: Series, alternating: bool = False) -> Series:
     """Sum of ``g^k`` for k >= 1 (signs alternating if asked), truncated at
@@ -124,9 +106,15 @@ def sum_of_powers(g: Series, alternating: bool = False) -> Series:
 
 # --- named coefficient sources -----------------------------------------------
 
-SOURCES = ("factorials", "sharp-indec", "s2-indec", "super-catalan", "catalan", "dupl")
+# The largest order of each source, checked before any coefficient is
+# computed.  The enumerated sources repeat their modules' bounds (a test holds
+# them equal), so that checking one loads no carrier.  The computed ones stop
+# where ``count --max`` at the bound, or a check that reads the source, takes
+# about 2 s on Python 3.11; factorials share super-catalan's.
+ORDER_BOUNDS = {"factorials": 1200, "sharp-indec": 8, "s2-indec": 8, "super-catalan": 1200, "catalan": 10_000, "dupl": 8}
+SOURCES = tuple(ORDER_BOUNDS)
 
-_WORD_SCAN_LIMIT = 2**21
+_WORD_SCAN_BOUND = 13  # the ass check lists 3**13 words, its largest scan under 2**21
 
 
 def from_counts(source: str, order: int, alphabet_size: int = 1) -> Series:
@@ -134,14 +122,14 @@ def from_counts(source: str, order: int, alphabet_size: int = 1) -> Series:
 
     ``sharp-indec`` and ``s2-indec`` are computed both by the chain count
     :func:`~duplexes.permutations.count_indecomposable` and by the
-    alternating block-sum formulas, the chain count first, so an order past
-    its bound raises ``BoundExceeded`` before the slower formula runs; the
-    two routes must agree, and a disagreement raises :class:`~duplexes.errors.CountRouteMismatch`, which
+    alternating block-sum formulas; the two routes must agree, and a
+    disagreement raises :class:`~duplexes.errors.CountRouteMismatch`, which
     names its first differing degree and carries the comparison.  ``dupl`` counts
     label-decorated trees over an alphabet of ``alphabet_size`` generators,
     by enumeration; every other source counts unlabelled objects, so takes
     only the size 1.  An order below 1 has no coefficient to count, so it
-    raises ``InvalidDegree``.
+    raises ``InvalidDegree``; an order past the source's ``ORDER_BOUNDS``
+    entry raises ``BoundExceeded`` before any coefficient is computed.
     """
     if source not in SOURCES:
         raise ValueError(f"unknown count source {source!r}; known: {', '.join(SOURCES)}")
@@ -151,22 +139,28 @@ def from_counts(source: str, order: int, alphabet_size: int = 1) -> Series:
         raise ValueError(f"alphabet size must be >= 1, got {alphabet_size}")
     if alphabet_size != 1 and source != "dupl":
         raise ValueError(f"only 'dupl' counts over an alphabet; {source!r} takes size 1, got {alphabet_size}")
+    check_degree(order, ORDER_BOUNDS[source])
     if source == "factorials":
         return Series((0,) + tuple(math.factorial(n) for n in range(1, order + 1)))
     if source == "super-catalan":
         return Series((0,) + tuple(planar_trees.super_catalan(n) for n in range(1, order + 1)))
     if source == "catalan":
-        # C(n+1) = C(n)·2(2n+1)/(n+2): each step exact, where math.comb costs O(n) per coefficient
-        steps = range(1, order)
-        return Series((0, *itertools.accumulate(steps, lambda c, n: c * (4 * n + 2) // (n + 2), initial=1)))
+        return Series((0, *itertools.accumulate(range(1, order), _catalan_step, initial=1)))
     if source == "sharp-indec":
         return _cross_checked(_count_indec("sharp", order), _sharp_indec_formula(order), source)
     if source == "s2-indec":
-        counted = _count_indec("s2", order)  # first, as it checks the bound before the slow formula
         formula = _sharp_indec_formula(order).scale(2) - from_counts("factorials", order)
-        return _cross_checked(counted, formula, source)
-    unlabelled = Series((0, *(len(decorated_trees.enumerate_decorated(n)) for n in range(1, order + 1))))
+        return _cross_checked(_count_indec("s2", order), formula, source)
+    # imported here: only this source and the dupl check enumerate decorated trees
+    from .decorated_trees import enumerate_decorated
+
+    unlabelled = Series((0, *(len(enumerate_decorated(n)) for n in range(1, order + 1))))
     return _over_alphabet(unlabelled, alphabet_size)
+
+
+def _catalan_step(c: int, n: int) -> int:
+    # C(n+1) = C(n)·2(2n+1)/(n+2): each step exact, where math.comb costs O(n) per coefficient
+    return c * (4 * n + 2) // (n + 2)
 
 
 def _over_alphabet(unlabelled: Series, alphabet_size: int) -> Series:
@@ -178,6 +172,7 @@ def _count_indec(kind: str, order: int) -> Series:
     # imported here: the other sources and checks never need permutations
     from .permutations import IndecKind, count_indecomposable
 
+    check_degree(order, ORDER_BOUNDS[f"{kind}-indec"])  # desformula calls this directly
     counts = [count_indecomposable(n, IndecKind(kind)) for n in range(1, order + 1)]
     return Series((0, *counts))
 
@@ -199,19 +194,6 @@ def _cross_checked(counted: Series, formula: Series, source: str) -> Series:
 
 
 # --- named identity checks ----------------------------------------------------
-
-CHECKS = ("ass", "fesvi", "usformula", "supercatalan", "dupl", "desformula", "cor52")
-
-DEFAULT_ORDERS = {
-    "ass": 7,
-    "fesvi": 12,
-    "usformula": 7,
-    "supercatalan": 12,
-    "dupl": 6,
-    "desformula": 7,
-    "cor52": 7,
-}
-
 
 class CheckResult(NamedTuple):
     """One coefficient-wise comparison (a tuple)."""
@@ -250,31 +232,36 @@ def verify_identity(name: str, order: int | None = None) -> VerificationReport:
     Each check compares two independently computed series (enumeration
     against closed formula, or formula against formula in a different
     shape) modulo ``T**(order+1)``.  An order below 1 would compare no
-    coefficient, so it raises ``InvalidDegree``.
+    coefficient, so it raises ``InvalidDegree``.  Each check reads its most
+    tightly bounded count first, so an order past that bound raises
+    ``BoundExceeded`` before any work: ``ass`` scans words up to order 13,
+    and the others read ``from_counts`` sources, bounded by ``ORDER_BOUNDS``.
     """
     if name not in CHECKS:
         raise ValueError(f"unknown identity {name!r}; known: {', '.join(CHECKS)}")
+    builder, default_order = _CHECK_TABLE[name]
     if order is None:
-        order = DEFAULT_ORDERS[name]
+        order = default_order
     if order < 1:
         raise InvalidDegree(f"order must be >= 1, got {order}")
-    checks = _CHECK_BUILDERS[name](order)
+    checks = builder(order)
     return VerificationReport(name, order, all(c.ok for c in checks), tuple(checks))
 
 
 def _check_free_semigroup_series(order: int) -> list[CheckResult]:
     # word counts by enumeration against s*T / (1 - s*T), cross-multiplied
+    check_degree(order, _WORD_SCAN_BOUND)
     results = []
     for s in (1, 2, 3):
-        if s**order > _WORD_SCAN_LIMIT:
-            raise BoundExceeded(f"word scan {s}**{order} exceeds the enumeration limit")
-        counts = [
-            sum(1 for _ in itertools.product(range(s), repeat=n)) for n in range(1, order + 1)
-        ]
-        lhs = Series((0, *counts)) * Series((1, -s) + (0,) * (order - 1))
+        lhs = Series((0, *_word_counts(s, order))) * Series((1, -s) + (0,) * (order - 1))
         rhs = Series.monomial(1, order, s)
         results.append(_compare(f"alphabet of {s}: words*(1-{s}T) = {s}T", lhs, rhs))
     return results
+
+
+def _word_counts(s: int, order: int) -> list[int]:
+    # the words of each length 1..order over s letters, counted one by one
+    return [sum(1 for _ in itertools.product(range(s), repeat=n)) for n in range(1, order + 1)]
 
 
 def _check_tree_series_sqrt(order: int) -> list[CheckResult]:
@@ -287,8 +274,8 @@ def _check_tree_series_sqrt(order: int) -> list[CheckResult]:
 def _check_factorial_composition(order: int) -> list[CheckResult]:
     # factorials = sum over k of u^k, u the chain-counted sharp-indecomposable
     # series (checked against its formula in from_counts)
-    psi = from_counts("factorials", order)
     u = from_counts("sharp-indec", order)
+    psi = from_counts("factorials", order)
     return [_compare("sum_k u(T)^k = sum n! T^n", sum_of_powers(u), psi)]
 
 
@@ -325,8 +312,8 @@ def _check_doubly_indec_formula(order: int) -> list[CheckResult]:
 
 def _check_factorial_quadratic(order: int) -> list[CheckResult]:
     # psi^2 + xi*psi - psi + xi = 0, and the solved form psi = 2f(xi) - xi
-    psi = from_counts("factorials", order)
     xi = from_counts("s2-indec", order)
+    psi = from_counts("factorials", order)
     quadratic = psi * psi + xi * psi - psi + xi
     f = from_counts("super-catalan", order)
     solved = f.compose(xi).scale(2) - xi
@@ -336,12 +323,14 @@ def _check_factorial_quadratic(order: int) -> list[CheckResult]:
     ]
 
 
-_CHECK_BUILDERS = {
-    "ass": _check_free_semigroup_series,
-    "fesvi": _check_tree_series_sqrt,
-    "usformula": _check_factorial_composition,
-    "supercatalan": _check_tree_series_doubling,
-    "dupl": _check_labeled_duplex_series,
-    "desformula": _check_doubly_indec_formula,
-    "cor52": _check_factorial_quadratic,
+# name -> (builder, default order)
+_CHECK_TABLE = {
+    "ass": (_check_free_semigroup_series, 7),
+    "fesvi": (_check_tree_series_sqrt, 12),
+    "usformula": (_check_factorial_composition, 7),
+    "supercatalan": (_check_tree_series_doubling, 12),
+    "dupl": (_check_labeled_duplex_series, 6),
+    "desformula": (_check_doubly_indec_formula, 7),
+    "cor52": (_check_factorial_quadratic, 7),
 }
+CHECKS = tuple(_CHECK_TABLE)

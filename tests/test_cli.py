@@ -186,6 +186,10 @@ def test_bound_exceeded_exit(capsys):
     for sequence in ("u", "d"):
         code, out, err = run(capsys, "count", "--sequence", sequence, "--max", "9")
         assert (code, out, err) == (3, "", "error: degree 9 exceeds the enumeration bound 8\n")
+    # the computed sequences too, at once: no coefficient is computed first
+    for sequence, bound in (("catalan", 10_000), ("super-catalan", 1200)):
+        code, out, err = run(capsys, "count", "--sequence", sequence, "--max", "10000000")
+        assert (code, out, err) == (3, "", f"error: degree 10000000 exceeds the enumeration bound {bound}\n")
 
 
 def test_byte_identical_reruns(capsys):

@@ -53,7 +53,7 @@ def test_importing_the_cli_loads_no_carrier_and_no_dataclasses():
     [
         (("enumerate", "--structure", "cube", "--n", "3"), {"permutations", "laws", "series", "morphisms"}),
         (("factor", "--perm", "(3,1,2)", "--mode", "duplex"), {"laws", "series", "morphisms"}),
-        (("verify", "--check", "ass", "--order", "3"), {"permutations", "laws", "morphisms", "cubes"}),
+        (("verify", "--check", "ass", "--order", "3"), {"permutations", "decorated_trees", "laws", "morphisms", "cubes"}),
     ],
     ids=["enumerate", "factor", "verify"],
 )

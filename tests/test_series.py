@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from duplexes import binary_trees, permutations, series as series_module
+from duplexes import binary_trees, decorated_trees, permutations, planar_trees, series as series_module
 from duplexes.binary_trees import catalan
 from duplexes.errors import BoundExceeded, ComposeNonzeroConstant, CountRouteMismatch, DuplexError, InvalidDegree
 from duplexes.series import (
@@ -107,13 +107,6 @@ def test_sum_of_powers_matches_the_power_loop():
             assert sum_of_powers(g, alternating) == _powers_reference(g, alternating)
 
 
-def test_str():
-    assert str(series(0, 1, 2)) == "1*T + 2*T^2"
-    assert str(series(0, 1, -4)) == "1*T - 4*T^2"
-    assert str(Series.zeros(3)) == "0"
-    assert str(series(5)) == "5"
-
-
 def test_validation():
     with pytest.raises(ValueError):
         Series(())
@@ -192,6 +185,44 @@ def test_indecomposable_counts_check_their_bound_before_the_formula(monkeypatch)
             from_counts(source, 9)
     with pytest.raises(BoundExceeded, match="^degree 9 exceeds the enumeration bound 8$"):
         verify_identity("cor52", 9)
+
+
+# the documented bounds: the largest order each source counts, and each check
+# compares (its most tightly bounded source, or for ass the word scan)
+SOURCE_BOUNDS = {"factorials": 1200, "sharp-indec": 8, "s2-indec": 8, "super-catalan": 1200, "catalan": 10_000, "dupl": 8}
+CHECK_BOUNDS = {"ass": 13, "fesvi": 1200, "usformula": 8, "supercatalan": 1200, "dupl": 8, "desformula": 8, "cor52": 8}
+
+
+def test_the_bounds_are_the_documented_ones():
+    assert series_module.ORDER_BOUNDS == SOURCE_BOUNDS
+    assert tuple(CHECK_BOUNDS) == CHECKS
+    # series spells these out so that checking a bound loads no carrier
+    assert SOURCE_BOUNDS["sharp-indec"] == SOURCE_BOUNDS["s2-indec"] == permutations.DEFAULT_PERMUTATION_BOUND
+    assert SOURCE_BOUNDS["dupl"] == decorated_trees.DEFAULT_DECORATED_BOUND
+
+
+@pytest.mark.parametrize(
+    "run, name, bound",
+    [(from_counts, *item) for item in SOURCE_BOUNDS.items()] + [(verify_identity, *item) for item in CHECK_BOUNDS.items()],
+    ids=[f"source-{name}" for name in SOURCE_BOUNDS] + [f"check-{name}" for name in CHECK_BOUNDS],
+)
+def test_one_past_its_bound_raises_before_any_work(monkeypatch, run, name, bound):
+    def forbidden(*args):
+        raise AssertionError("a count ran before its bound was checked")
+
+    monkeypatch.setattr(permutations, "count_indecomposable", forbidden)
+    monkeypatch.setattr(decorated_trees, "enumerate_decorated", forbidden)
+    monkeypatch.setattr(planar_trees, "super_catalan", forbidden)
+    monkeypatch.setattr(series_module, "_word_counts", forbidden)
+    monkeypatch.setattr(series_module, "_catalan_step", forbidden)
+    with pytest.raises(BoundExceeded, match=f"^degree {bound + 1} exceeds the enumeration bound {bound}$"):
+        run(name, bound + 1)
+
+
+@pytest.mark.parametrize("name", ["ass", "usformula", "dupl", "desformula", "cor52"])
+def test_a_check_runs_at_its_bound(name):
+    # fesvi and supercatalan at 1200 take seconds; the CLI fuzz runs them
+    assert verify_identity(name, CHECK_BOUNDS[name]).ok
 
 
 @pytest.mark.parametrize("order", [0, -1])
