@@ -21,6 +21,8 @@ envelope's ``inputs`` then holds the text read.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import os
 import re
@@ -123,6 +125,19 @@ def _json_flag(p: argparse.ArgumentParser) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit status.
+
+    ``main()`` with no ``argv`` runs as the program (the ``duplexes`` script,
+    ``python -m duplexes.cli``): it reads ``sys.argv`` and registers
+    ``gc.freeze`` with ``atexit``, so the collections the interpreter runs
+    at exit skip the objects the imports made, none of them garbage.  Exit
+    still frees objects by reference count and flushes stdout.  ``main(argv)``
+    with a list leaves the collector alone: its caller owns the process.
+    """
+    if argv is None:
+        # atexit handlers run before the exit collections, which would walk
+        # every object alive and ignore gc.disable()
+        atexit.register(gc.freeze)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -9,7 +9,6 @@ constant term, so powers beyond the truncation order vanish.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from typing import Iterable, NamedTuple
 
@@ -141,7 +140,7 @@ def from_counts(source: str, order: int, alphabet_size: int = 1) -> Series:
         raise ValueError(f"only 'dupl' counts over an alphabet; {source!r} takes size 1, got {alphabet_size}")
     check_degree(order, ORDER_BOUNDS[source])
     if source == "factorials":
-        return Series((0,) + tuple(math.factorial(n) for n in range(1, order + 1)))
+        return Series((0, *itertools.accumulate(range(1, order + 1), operator.mul)))
     if source == "super-catalan":
         return Series((0,) + tuple(planar_trees.super_catalan(n) for n in range(1, order + 1)))
     if source == "catalan":

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -364,11 +365,15 @@ def test_parser_choices_match_the_library():
     assert {IndecKind[name] for name in cli._FILTER_KINDS.values()} == set(IndecKind)
 
 
+def program_env():
+    src = str(Path(duplexes.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_a_reader_leaving_early_ends_the_output_not_the_command():
     # duplexes factor --perm "$ident" --mode sharp --json | head -c 200: the
     # 20000 factors fill the pipe, so the reader leaves mid-write
-    src = str(Path(duplexes.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = program_env()
     ident = "(" + ",".join(map(str, range(1, 20001))) + ")"
     argv = [sys.executable, "-m", "duplexes.cli", "factor", "--perm", ident, "--mode", "sharp", "--json"]
     with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
@@ -378,3 +383,41 @@ def test_a_reader_leaving_early_ends_the_output_not_the_command():
         code = proc.wait(timeout=120)
     assert err == b""
     assert code == cli.EXIT_OK
+
+
+def test_only_the_program_freezes_the_heap_at_exit(capsys, monkeypatch):
+    registered = []
+    monkeypatch.setattr(cli.atexit, "register", registered.append)
+    frozen = gc.get_freeze_count()
+    request = ["verify", "--check", "ass", "--order", "3"]
+    assert run(capsys, *request) == (cli.EXIT_OK, "PASS\n", "")
+    assert registered == []
+    assert gc.get_freeze_count() == frozen
+    monkeypatch.setattr(sys, "argv", ["duplexes", *request])
+    assert main() == cli.EXIT_OK
+    assert registered == [gc.freeze]
+
+
+# one request per subcommand, and one for each of the exits 1, 2 and 3
+PROGRAM_REQUESTS = [
+    (("enumerate", "--structure", "cube", "--n", "3", "--json"), cli.EXIT_OK),
+    (("count", "--sequence", "d", "--max", "7"), cli.EXIT_OK),
+    (("factor", "--perm", "(3,1,2,6,5,4)", "--mode", "duplex", "--json"), cli.EXIT_OK),
+    (("eval", "--expr", "e*(e.e)", "--target", "perm"), cli.EXIT_OK),
+    (("map", "--morphism", "leafsigns", "--input", "(e.e.e)*(e.(e*e))", "--json"), cli.EXIT_OK),
+    (("laws", "--structure", "cube", "--variety", "duplexes2", "--bound", "3"), cli.EXIT_OK),
+    (("verify", "--check", "cor52", "--order", "7", "--json"), cli.EXIT_OK),
+    (("laws", "--structure", "perm", "--variety", "duplexes1", "--bound", "3"), cli.EXIT_REFUTED),
+    (("laws", "--structure", "cube", "--variety", "duplexes2", "--bound", "2"), cli.EXIT_USAGE),
+    (("enumerate", "--structure", "tree", "--n", "11"), cli.EXIT_BOUND),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code", PROGRAM_REQUESTS, ids=[" ".join(argv) for argv, _ in PROGRAM_REQUESTS])
+def test_the_program_and_main_argv_give_the_same_bytes(capsys, argv, exit_code):
+    # the program path: main() reads sys.argv, as the console script calls it
+    entry = "import sys; from duplexes.cli import main; sys.exit(main())"
+    proc = subprocess.run([sys.executable, "-c", entry, *argv], capture_output=True, env=program_env(), timeout=120)
+    code, out, err = run(capsys, *argv)
+    assert code == exit_code
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())

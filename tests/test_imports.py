@@ -54,8 +54,14 @@ def test_importing_the_cli_loads_no_carrier_and_no_dataclasses():
         (("enumerate", "--structure", "cube", "--n", "3"), {"permutations", "laws", "series", "morphisms"}),
         (("factor", "--perm", "(3,1,2)", "--mode", "duplex"), {"laws", "series", "morphisms"}),
         (("verify", "--check", "ass", "--order", "3"), {"permutations", "decorated_trees", "laws", "morphisms", "cubes"}),
+        (
+            ("count", "--sequence", "catalan", "--max", "8"),
+            {"permutations", "decorated_trees", "laws", "morphisms", "cubes", "binary_trees"},
+        ),
+        (("laws", "--structure", "cube", "--variety", "duplexes2", "--bound", "3"), {"series", "morphisms"}),
+        (("map", "--morphism", "phi", "--input", "(||)"), {"laws", "series"}),
     ],
-    ids=["enumerate", "factor", "verify"],
+    ids=["enumerate", "factor", "verify", "count", "laws", "map"],
 )
 def test_a_subcommand_loads_only_what_it_runs(argv, absent):
     loaded = loaded_by(*argv)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -171,6 +172,18 @@ def test_catalan_counts_match_the_closed_form(monkeypatch):
 
     monkeypatch.setattr(binary_trees, "catalan", forbidden)
     assert from_counts("catalan", 400).coefficients == expected
+
+
+def test_factorial_counts_match_math_factorial(monkeypatch):
+    # the series is a running product; one math.factorial per coefficient
+    # is its check here, at the bound
+    expected = (0, *(math.factorial(n) for n in range(1, 1201)))
+
+    def forbidden(n):
+        raise AssertionError("from_counts computed a factorial per coefficient")
+
+    monkeypatch.setattr(math, "factorial", forbidden)
+    assert from_counts("factorials", 1200).coefficients == expected
 
 
 def test_indecomposable_counts_check_their_bound_before_the_formula(monkeypatch):
