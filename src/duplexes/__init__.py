@@ -19,7 +19,7 @@ _EXPORTS = {
         "cubes",
     ),
     **dict.fromkeys(
-        ("DECORATED_OPS", "DecoratedTree", "DuplexExpr", "DuplexOps", "Tag", "dot", "enumerate_decorated",
+        ("DECORATED_OPS", "DecoratedTree", "DuplexExpr", "Tag", "dot", "enumerate_decorated",
          "eval_hom", "format_expr", "leaf_expr", "parse_expr", "star"),
         "decorated_trees",
     ),
@@ -38,7 +38,7 @@ _EXPORTS = {
         "permutations",
     ),
     **dict.fromkeys(
-        ("LEAF", "PlanarTree", "enumerate_trees", "leaf_count", "super_catalan"),
+        ("DuplexOps", "LEAF", "PlanarTree", "enumerate_trees", "leaf_count", "super_catalan"),
         "planar_trees",
     ),
     **dict.fromkeys(("Series", "from_counts", "sum_of_powers", "verify_identity"), "series"),

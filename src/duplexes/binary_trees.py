@@ -21,10 +21,10 @@ from itertools import product, starmap
 from operator import mod
 from typing import Callable, Iterable
 
-from .decorated_trees import DuplexOps
 from .errors import InvalidDegree, ParseError, StubNotSplittable, check_degree
 from .planar_trees import (
     LEAF,
+    DuplexOps,
     PlanarTree,
     _build,
     _ColumnCache,

@@ -227,7 +227,7 @@ def _cmd_enumerate(args) -> int:
         from . import decorated_trees
 
         rendered = [
-            decorated_trees.format_expr(decorated_trees.DuplexExpr(t, ("e",) * t.degree, frozenset({"e"})))
+            decorated_trees.format_expr(decorated_trees.DuplexExpr(t, ("e",) * t.degree))
             for t in decorated_trees.enumerate_decorated(n)
         ]
     elif args.structure == "binary":

@@ -22,9 +22,8 @@ import re
 from itertools import product
 from typing import Callable, Iterable
 
-from .decorated_trees import DuplexOps
 from .errors import ParseError, check_degree, check_text
-from .planar_trees import _build, _Value
+from .planar_trees import DuplexOps, _build, _Value
 
 DEFAULT_CUBE_BOUND = 16
 

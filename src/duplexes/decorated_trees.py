@@ -30,7 +30,7 @@ import enum
 import re
 from functools import reduce
 from itertools import chain, cycle, islice, product
-from typing import Any, Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import (
     ExprSyntaxError,
@@ -43,6 +43,7 @@ from .errors import (
 )
 from .planar_trees import (
     LEAF,
+    DuplexOps,
     PlanarTree,
     _build,
     _ColumnCache,
@@ -64,13 +65,6 @@ class Tag(enum.Enum):
     @property
     def other(self) -> "Tag":
         return Tag.STAR if self is Tag.DOT else Tag.DOT
-
-
-class DuplexOps(NamedTuple):
-    """A pair of associative binary operations on some carrier (a tuple)."""
-
-    dot: Callable[[Any, Any], Any]
-    star: Callable[[Any, Any], Any]
 
 
 class DecoratedTree(_Value):
@@ -439,11 +433,7 @@ def expr_to_machine(x: DuplexExpr, format_label: Callable[[Any], str] = str) -> 
     return x.tree.text, _TAG_LETTER[x.tree.tag], [format_label(l) for l in x.labels]
 
 
-def expr_from_machine(
-    triple: Sequence,
-    parse_label: Callable[[str], Hashable] = str,
-    alphabet: Iterable | None = None,
-) -> DuplexExpr:
+def expr_from_machine(triple: Sequence, parse_label: Callable[[str], Hashable] = str) -> DuplexExpr:
     """Rebuild an expression from its (tree text, tag letter, label list)
     form, as JSON carries it.  A triple of another length, a tree text that
     is not a string, a tag letter other than ``d``, ``s`` or ``-`` (a list
@@ -470,4 +460,4 @@ def expr_from_machine(
     tree = DecoratedTree(shape, tag)
     if len(labels) != tree.degree:
         raise ParseError(f"expected {tree.degree} labels, one per leaf of the tree {tree_text!r}, got {len(labels)}")
-    return DuplexExpr(tree, [parse_label(l) for l in labels], alphabet)
+    return DuplexExpr(tree, [parse_label(l) for l in labels])

@@ -23,7 +23,7 @@ from collections import deque
 from functools import lru_cache
 from itertools import repeat
 from operator import attrgetter
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import ArityTooSmall, InvalidDegree, ParseError, check_degree, check_text
 
@@ -114,6 +114,15 @@ def _build(cls: type, *columns: Iterable) -> tuple:
     for setter, column in zip(cls._setters, columns):
         deque(map(setter, values, column), maxlen=0)
     return values
+
+
+class DuplexOps(NamedTuple):
+    """A pair of associative binary operations on some carrier (a tuple);
+    defined here, the module every carrier imports, so that a carrier needs
+    no other to name its pair."""
+
+    dot: Callable[[Any, Any], Any]
+    star: Callable[[Any, Any], Any]
 
 
 class PlanarTree(_Value):
@@ -222,28 +231,25 @@ def enumerate_trees(n: int) -> tuple[PlanarTree, ...]:
     return _build(PlanarTree, _tree_texts(n))
 
 
-@lru_cache(maxsize=None)
 def super_catalan(n: int) -> int:
-    """Count of trees with ``n`` leaves, via the grafting recurrence.
-
-    A tree is a leaf or a grafting of k >= 2 smaller trees, so the count for
-    n >= 2 sums products of smaller counts over all ordered decompositions of
-    n into at least two parts.  The smaller counts are filled in ascending
-    order first, each finding all of its own already cached, so any ``n``
-    works cold and the call depth stays 2.
+    """Count of trees with ``n`` leaves, the last of :func:`_super_catalans`.
 
     >>> [super_catalan(n) for n in range(1, 7)]
     [1, 1, 3, 11, 45, 197]
     """
     if n < 1:
         raise InvalidDegree(f"leaf count must be >= 1, got {n}")
-    if n == 1:
-        return 1
-    counts = [0] + [super_catalan(m) for m in range(1, n)]
-    # The first child has f leaves and is followed by an ordered sequence of
-    # >= 1 trees with n - f leaves: one tree, or the children of an internal
-    # tree.  That is 1 sequence for 1 leaf and 2 * counts[k] for k >= 2.
-    return counts[n - 1] + 2 * sum(counts[f] * counts[n - f] for f in range(1, n - 1))
+    return deque(_super_catalans(n), maxlen=1).pop()
+
+
+def _super_catalans(order: int) -> Iterator[int]:
+    # s_1..s_order by (n+1)·s(n+1) = (6n-3)·s(n) - (n-2)·s(n-1) from s_1 = s_2 = 1,
+    # the D-finite recurrence of the little Schroeder numbers (OEIS A001003):
+    # each step is exact, and holds two counts
+    before, current = 1, 1
+    for n in range(2, order + 2):
+        yield before
+        before, current = current, ((6 * n - 3) * current - (n - 2) * before) // (n + 1)
 
 
 def format_tree(t: PlanarTree) -> str:

@@ -160,10 +160,15 @@ def test_laws_json(capsys):
     assert payload["result"]["triples_checked"] == 2815
 
 
-def test_verify_pass(capsys):
+def test_verify_pass(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--check", "cor52", "--order", "7")
     assert code == 0
     assert out.strip() == "PASS"
+    # a miscounted word scan: one word too many of length 2
+    monkeypatch.setattr(series, "_word_counts", lambda s, order: [s**n + (n == 2) for n in range(1, order + 1)])
+    code, out, _ = run(capsys, "verify", "--check", "ass", "--order", "3")
+    assert code == cli.EXIT_REFUTED == 1
+    assert out == "FAIL alphabet of 1: words*(1-1T) = 1T: first differing coefficient at degree 2: lhs=1 rhs=0\n"
 
 
 def test_verify_all_checks(capsys):

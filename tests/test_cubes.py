@@ -108,6 +108,7 @@ def test_format_is_the_plain_join():
 def test_text_format():
     assert format_cube(E) == "e"
     assert format_cube(V(-1, 1)) == "<-1,+1>"
+    assert str(V(-1, 1)) == "<-1,+1>"
     assert parse_cube("e") == E
     assert parse_cube("<-1,+1>") == V(-1, 1)
     assert parse_cube("<1,-1>") == V(1, -1)

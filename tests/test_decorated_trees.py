@@ -421,14 +421,12 @@ def test_machine_format_round_trip():
         for t in decorated(n):
             x = DuplexExpr(t, ("e",) * n, frozenset("e"))
             triple = expr_to_machine(x)
-            assert expr_from_machine(triple, alphabet={"e"}) == x
+            assert expr_from_machine(triple) == x
 
 
 def test_machine_format_rejects_an_unknown_tag_letter():
     with pytest.raises(ParseError, match="'x'.*'d', 's' or '-'"):
         expr_from_machine(("(||)", "x", ["e", "e"]))
-    with pytest.raises(ValueError, match="alphabet"):
-        expr_from_machine(("(||)", "d", ["e", "x"]), alphabet={"e"})
 
 
 @pytest.mark.parametrize(

@@ -51,7 +51,11 @@ def test_importing_the_cli_loads_no_carrier_and_no_dataclasses():
 @pytest.mark.parametrize(
     "argv, absent",
     [
-        (("enumerate", "--structure", "cube", "--n", "3"), {"permutations", "laws", "series", "morphisms"}),
+        (("enumerate", "--structure", "cube", "--n", "3"), {"permutations", "decorated_trees", "laws", "series", "morphisms"}),
+        (
+            ("enumerate", "--structure", "binary", "--n", "3"),
+            {"permutations", "decorated_trees", "laws", "series", "morphisms", "cubes"},
+        ),
         (("factor", "--perm", "(3,1,2)", "--mode", "duplex"), {"laws", "series", "morphisms"}),
         (("verify", "--check", "ass", "--order", "3"), {"permutations", "decorated_trees", "laws", "morphisms", "cubes"}),
         (
@@ -61,7 +65,7 @@ def test_importing_the_cli_loads_no_carrier_and_no_dataclasses():
         (("laws", "--structure", "cube", "--variety", "duplexes2", "--bound", "3"), {"series", "morphisms"}),
         (("map", "--morphism", "phi", "--input", "(||)"), {"laws", "series"}),
     ],
-    ids=["enumerate", "factor", "verify", "count", "laws", "map"],
+    ids=["enumerate", "enumerate-binary", "factor", "verify", "count", "laws", "map"],
 )
 def test_a_subcommand_loads_only_what_it_runs(argv, absent):
     loaded = loaded_by(*argv)

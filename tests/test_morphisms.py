@@ -16,8 +16,10 @@ from duplexes.decorated_trees import (
     parse_expr,
     star,
 )
+from duplexes.errors import StubNotSplittable
 from duplexes.morphisms import alpha, leaf_sign_vector, phi, rho
 from duplexes.permutations import Permutation, duplex_factorize, enumerate_permutations
+from duplexes.planar_trees import LEAF
 
 E = leaf_expr("e")
 
@@ -103,6 +105,8 @@ def test_phi_examples():
     assert phi(SINGLE_NODE) == CubeVertex(())
     assert phi(over(SINGLE_NODE, SINGLE_NODE)) == CubeVertex((-1,))
     assert phi(under(SINGLE_NODE, SINGLE_NODE)) == CubeVertex((1,))
+    with pytest.raises(StubNotSplittable):
+        phi(LEAF)  # the stub is no element
 
 
 def test_phi_surjective_small():

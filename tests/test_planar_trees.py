@@ -1,6 +1,7 @@
 import gc
 import re
-from math import comb
+import signal
+from math import comb, log2, pi, sqrt
 
 import pytest
 from hypothesis import given
@@ -13,6 +14,7 @@ from duplexes.errors import ArityTooSmall, BoundExceeded, InvalidDegree, ParseEr
 from duplexes.planar_trees import (
     LEAF,
     PlanarTree,
+    _super_catalans,
     _tree_texts,
     enumerate_trees,
     format_tree,
@@ -150,17 +152,57 @@ def test_super_catalan_values():
         super_catalan(0)
 
 
+def grafting_counts(order):
+    """[0, s_1, .., s_order] by the grafting sum, the reference for the
+    library's recurrence: a tree of n >= 2 leaves is a first child of f
+    leaves followed by an ordered sequence of >= 1 trees with n - f leaves,
+    one tree or the children of an internal tree.  That is 1 sequence for
+    1 leaf and 2 * s_k for k >= 2."""
+    counts = [0, 1]
+    for n in range(2, order + 1):
+        counts.append(counts[n - 1] + 2 * sum(counts[f] * counts[n - f] for f in range(1, n - 1)))
+    return counts
+
+
+def test_super_catalan_recurrence_matches_the_grafting_sum():
+    counts = grafting_counts(400)
+    assert list(_super_catalans(400)) == counts[1:]
+    assert [super_catalan(n) for n in range(1, 401)] == counts[1:]
+    assert list(_super_catalans(0)) == []
+
+
 def test_super_catalan_cold_call_matches_closed_form():
     # little Schroeder number s_m = (1/m) sum_k C(m,k) C(m+k,k-1), m = n - 1
-    super_catalan.cache_clear()
     m = 999
     closed_form, remainder = divmod(sum(comb(m, k) * comb(m + k, k - 1) for k in range(1, m + 1)), m)
     assert remainder == 0
     assert super_catalan(1000) == closed_form
 
 
+class TimedOut(BaseException):
+    """Raised by the alarm; a ``BaseException`` so no handler swallows it."""
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+def test_super_catalan_of_a_large_degree_is_linear_in_steps():
+    def on_alarm(signum, frame):
+        raise TimedOut("super_catalan(20000) ran past 5 s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        count = super_catalan(20000)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    # s_n ~ sqrt(3 sqrt 2 - 4) (3 + 2 sqrt 2)^n / (4 sqrt(pi) n^(3/2)), OEIS A001003
+    n = 20000
+    estimate = log2(sqrt(3 * sqrt(2) - 4) / (4 * sqrt(pi))) + n * log2(3 + 2 * sqrt(2)) - 1.5 * log2(n)
+    assert abs(log2(count) - estimate) < 1e-3
+
+
 def test_counts_agree():
-    for n in range(1, 9):
+    for n in range(1, 11):
         assert super_catalan(n) == len(enumerate_trees(n))
 
 
@@ -168,6 +210,7 @@ def test_format_examples():
     assert format_tree(LEAF) == "|"
     assert format_tree(PlanarTree([LEAF, LEAF])) == "(||)"
     assert format_tree(CORROLA3) == "(|||)"
+    assert str(FORK) == "(|(||))"
 
 
 def test_parse_round_trip():

@@ -31,6 +31,7 @@ def series(*coefficients):
 def test_add_sub_mul():
     t = Series.monomial(1, 3)
     assert t * t == Series.monomial(2, 3)
+    assert Series.monomial(5, 3) == Series.zeros(3)  # past the order, nothing remains
     a = series(0, 1, 2, 3)
     assert a + a.scale(-1) == Series.zeros(3)
     assert a - a == Series.zeros(3)
@@ -226,6 +227,7 @@ def test_one_past_its_bound_raises_before_any_work(monkeypatch, run, name, bound
     monkeypatch.setattr(permutations, "count_indecomposable", forbidden)
     monkeypatch.setattr(decorated_trees, "enumerate_decorated", forbidden)
     monkeypatch.setattr(planar_trees, "super_catalan", forbidden)
+    monkeypatch.setattr(planar_trees, "_super_catalans", forbidden)
     monkeypatch.setattr(series_module, "_word_counts", forbidden)
     monkeypatch.setattr(series_module, "_catalan_step", forbidden)
     with pytest.raises(BoundExceeded, match=f"^degree {bound + 1} exceeds the enumeration bound {bound}$"):
