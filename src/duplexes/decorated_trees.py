@@ -457,7 +457,7 @@ def expr_from_machine(triple: Sequence, parse_label: Callable[[str], Hashable] =
     shape = parse_tree(tree_text)
     if shape.is_leaf != (tag is None):
         raise ParseError(f"tag letter {tag_letter!r} does not fit the tree {tree_text!r}: only the leaf '|' takes '-'")
-    tree = DecoratedTree(shape, tag)
+    tree = _decorated(shape.text, tag)
     if len(labels) != tree.degree:
         raise ParseError(f"expected {tree.degree} labels, one per leaf of the tree {tree_text!r}, got {len(labels)}")
-    return DuplexExpr(tree, [parse_label(l) for l in labels])
+    return _expr(tree, tuple(map(parse_label, labels)))

@@ -21,18 +21,22 @@ witnesses are read back from the element slices by index.
 That function caches what it needs of a column beyond its forms (a
 decorated tree's parts, a binary tree's leaf templates, a permutation's
 shift); each audit makes its own, so its caches go when the audit returns.
-They pay: the 16 audits at their limits took 42.4 ms with them and
-48.1 ms without (median of 15 in-process runs, Python 3.11.7), more than
-one interquartile range of the catalog benchmark's ``total_s``.
+They pay: the 16 audits at their limits took 57.1 ms with them and
+63.4 ms without (median of 15 interleaved in-process runs, Python 3.11.7
+on a 2-vCPU VM).
+
+Each carrier is read from its module the first time an audit or
+:func:`format_element` needs it, so importing this module loads no
+carrier, and an audit loads only its own.
 """
 from __future__ import annotations
 
 import enum
+import importlib
 from itertools import compress
 from operator import ne
 from typing import Callable, Hashable, Iterable, NamedTuple
 
-from . import binary_trees, cubes, decorated_trees, permutations
 from .errors import BoundExceeded, InvalidDegree, check_member
 
 
@@ -119,43 +123,34 @@ class _Carrier(NamedTuple):
     format: Callable[[object], str]
 
 
-_CARRIERS: dict[Structure, _Carrier] = {
-    Structure.PERM: _Carrier(
-        permutations.enumerate_permutations,
-        permutations.form,
-        permutations.bulk_products,
-        7,
-        permutations.format_permutation,
-    ),
-    Structure.DECORATED: _Carrier(
-        decorated_trees.enumerate_decorated,
-        decorated_trees.form,
-        decorated_trees.bulk_products,
-        9,
-        decorated_trees.format_decorated,
-    ),
-    Structure.BINARY: _Carrier(
-        binary_trees.enumerate_binary,
-        binary_trees.format_binary,  # the text
-        binary_trees.bulk_products,
-        9,
-        binary_trees.format_binary,
-    ),
-    Structure.CUBE: _Carrier(
-        cubes.enumerate_cubes,
-        cubes.form,
-        cubes.bulk_products,
-        9,
-        cubes.format_cube,
-    ),
+# each structure's carrier module, the names there of its slice, form and
+# format functions, and its audit's total-degree limit
+_SOURCES = {
+    Structure.PERM: ("permutations", "enumerate_permutations", "form", "format_permutation", 7),
+    Structure.DECORATED: ("decorated_trees", "enumerate_decorated", "form", "format_decorated", 9),
+    Structure.BINARY: ("binary_trees", "enumerate_binary", "format_binary", "format_binary", 9),  # its text is its form
+    Structure.CUBE: ("cubes", "enumerate_cubes", "form", "format_cube", 9),
 }
+_CARRIERS: dict[Structure, _Carrier] = {}  # each carrier read so far
+
+
+def _carrier(structure: Structure) -> _Carrier:
+    """``structure``'s carrier, built from its module on first use."""
+    carrier = _CARRIERS.get(structure)
+    if carrier is None:
+        name, elements, form, text, limit = _SOURCES[structure]
+        module = importlib.import_module(f"{__package__}.{name}")
+        carrier = _CARRIERS[structure] = _Carrier(
+            getattr(module, elements), getattr(module, form), module.bulk_products, limit, getattr(module, text)
+        )
+    return carrier
 
 
 def format_element(structure: Structure, element) -> str:
     """The element's text in its carrier's format.  A ``structure`` that is
     not a :class:`Structure` member raises ``TypeError``."""
     check_member("structure", structure, Structure)
-    return _CARRIERS[structure].format(element)
+    return _carrier(structure).format(element)
 
 
 def check_laws(structure: Structure, variety: Variety, degree_bound: int) -> LawReport:
@@ -192,7 +187,7 @@ def check_laws(structure: Structure, variety: Variety, degree_bound: int) -> Law
     """
     check_member("structure", structure, Structure)
     check_member("variety", variety, Variety)
-    carrier = _CARRIERS[structure]
+    carrier = _carrier(structure)
     if degree_bound < 3:
         raise InvalidDegree(f"total degree bound must be >= 3, got {degree_bound}")
     if degree_bound > carrier.total_degree_limit:

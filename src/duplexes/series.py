@@ -77,7 +77,6 @@ class Series(_Value):
         if inner.coefficients[0] != 0:
             raise ComposeNonzeroConstant("substitution needs a zero constant term")
         n = min(self.order, inner.order)
-        inner = inner.truncate(n)
         acc = Series.zeros(n)
         for coef in reversed(self.coefficients[: n + 1]):
             acc = acc * inner + Series.constant(coef, n)

@@ -62,15 +62,40 @@ def test_importing_the_cli_loads_no_carrier_and_no_dataclasses():
             ("count", "--sequence", "catalan", "--max", "8"),
             {"permutations", "decorated_trees", "laws", "morphisms", "cubes", "binary_trees"},
         ),
-        (("laws", "--structure", "cube", "--variety", "duplexes2", "--bound", "3"), {"series", "morphisms"}),
+        (
+            ("laws", "--structure", "cube", "--variety", "duplexes2", "--bound", "3"),
+            {"permutations", "decorated_trees", "binary_trees", "series", "morphisms"},
+        ),
+        (
+            ("laws", "--structure", "binary", "--variety", "duplexes1", "--bound", "3"),
+            {"permutations", "decorated_trees", "cubes", "series", "morphisms"},
+        ),
+        (
+            ("laws", "--structure", "decorated", "--variety", "duplex", "--bound", "3"),
+            {"permutations", "binary_trees", "cubes", "series", "morphisms"},
+        ),
+        # a permutation's factorization is a decorated-tree expression, so
+        # permutations itself imports decorated_trees
+        (
+            ("laws", "--structure", "perm", "--variety", "duplex", "--bound", "3"),
+            {"binary_trees", "cubes", "series", "morphisms"},
+        ),
         (("map", "--morphism", "phi", "--input", "(||)"), {"laws", "series"}),
     ],
-    ids=["enumerate", "enumerate-binary", "factor", "verify", "count", "laws", "map"],
+    ids=[
+        "enumerate", "enumerate-binary", "factor", "verify", "count",
+        "laws", "laws-binary", "laws-decorated", "laws-perm", "map",
+    ],  # fmt: skip
 )
 def test_a_subcommand_loads_only_what_it_runs(argv, absent):
     loaded = loaded_by(*argv)
     assert "dataclasses" not in loaded
     assert not package_modules(loaded) & absent
+
+
+def test_importing_laws_loads_no_carrier():
+    out = run_python("import sys, duplexes.laws\nprint(sorted(m for m in sys.modules if m.startswith('duplexes.')))")
+    assert out.splitlines() == ["['duplexes.errors', 'duplexes.laws']"]
 
 
 # the package's exports, sorted: every name the package resolves on first use, and its modules

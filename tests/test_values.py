@@ -89,7 +89,7 @@ RECORDS = [
         ("ass", 1, True, VERIFICATION.checks),
     ),
     (CUBE_OPS, f"DuplexOps(dot={CUBE_OPS.dot!r}, star={CUBE_OPS.star!r})", (CUBE_OPS.dot, CUBE_OPS.star)),
-    (laws._CARRIERS[Structure.PERM], None, None),
+    (laws._carrier(Structure.PERM), None, None),
 ]
 
 ALL = VALUES + RECORDS
