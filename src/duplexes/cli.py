@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     _json_flag(p)
 
     p = sub.add_parser("count", help="print 'n value' lines of a counting sequence")
-    p.add_argument("--sequence", required=True, choices=["u", "d", "super-catalan", "catalan", "decorated"])
+    p.add_argument("--sequence", required=True, choices=list(_COUNT_SOURCES))
     p.add_argument("--max", required=True, type=int, metavar="N", dest="max_degree")
     _json_flag(p)
 

@@ -119,7 +119,6 @@ class _Carrier(NamedTuple):
     elements: Callable[[int], tuple]
     form: Callable[[object], Hashable]
     products: Callable[[], Callable[[str, tuple, tuple], Iterable]]
-    total_degree_limit: int
     format: Callable[[object], str]
 
 
@@ -138,10 +137,10 @@ def _carrier(structure: Structure) -> _Carrier:
     """``structure``'s carrier, built from its module on first use."""
     carrier = _CARRIERS.get(structure)
     if carrier is None:
-        name, elements, form, text, limit = _SOURCES[structure]
+        name, elements, form, text, _limit = _SOURCES[structure]
         module = importlib.import_module(f"{__package__}.{name}")
         carrier = _CARRIERS[structure] = _Carrier(
-            getattr(module, elements), getattr(module, form), module.bulk_products, limit, getattr(module, text)
+            getattr(module, elements), getattr(module, form), module.bulk_products, getattr(module, text)
         )
     return carrier
 
@@ -187,15 +186,12 @@ def check_laws(structure: Structure, variety: Variety, degree_bound: int) -> Law
     """
     check_member("structure", structure, Structure)
     check_member("variety", variety, Variety)
-    carrier = _carrier(structure)
     if degree_bound < 3:
         raise InvalidDegree(f"total degree bound must be >= 3, got {degree_bound}")
-    if degree_bound > carrier.total_degree_limit:
-        raise BoundExceeded(
-            f"total degree {degree_bound} exceeds the {structure.value} audit limit "
-            f"{carrier.total_degree_limit}"
-        )
-    failing, witness, checked = _scan(carrier, _PLANS[variety], degree_bound)
+    limit = _SOURCES[structure][-1]
+    if degree_bound > limit:  # checked before the carrier's module is loaded
+        raise BoundExceeded(f"total degree {degree_bound} exceeds the {structure.value} audit limit {limit}")
+    failing, witness, checked = _scan(_carrier(structure), _PLANS[variety], degree_bound)
     return LawReport(structure, variety, degree_bound, failing is None, failing, witness, checked)
 
 

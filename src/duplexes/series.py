@@ -1,10 +1,12 @@
 """Truncated power series over exact integers, and the counting identities.
 
 Every identity the package cares about is integral, so coefficients are
-plain Python ints and every check is exact.  Operations on series of
-different truncation orders truncate to the smaller order.  Sums over all
-powers of a series are finite here because the inner series always has zero
-constant term, so powers beyond the truncation order vanish.
+plain Python ints and every check is exact.  A series has one order:
+``+``, ``-``, ``*``, ``compose`` and a check's comparison take two series of
+one order, and two orders raise ``ArithmeticError`` naming both, so a route
+that comes back short fails its check instead of passing a shorter one.
+Sums over all powers of a series are finite here because the inner series
+always has zero constant term, so powers beyond the truncation order vanish.
 """
 from __future__ import annotations
 
@@ -45,23 +47,18 @@ class Series(_Value):
     def monomial(cls, degree: int, order: int, coefficient: int = 1) -> "Series":
         return cls(tuple(coefficient if i == degree else 0 for i in range(order + 1)))
 
-    def truncate(self, order: int) -> "Series":
-        if order >= self.order:
-            return self
-        return Series(self.coefficients[: order + 1])
-
     def __add__(self, other: "Series") -> "Series":
-        n = min(self.order, other.order)
-        return Series(tuple(self.coefficients[i] + other.coefficients[i] for i in range(n + 1)))
+        _common_order(self, other)
+        return Series(map(operator.add, self.coefficients, other.coefficients))
 
     def __sub__(self, other: "Series") -> "Series":
-        n = min(self.order, other.order)
-        return Series(tuple(self.coefficients[i] - other.coefficients[i] for i in range(n + 1)))
+        _common_order(self, other)
+        return Series(map(operator.sub, self.coefficients, other.coefficients))
 
     def __mul__(self, other: "Series") -> "Series":
-        n = min(self.order, other.order)
+        n = _common_order(self, other)
         out = [0] * (n + 1)
-        for i, a in enumerate(self.coefficients[: n + 1]):
+        for i, a in enumerate(self.coefficients):
             if a == 0:
                 continue
             for j in range(n + 1 - i):
@@ -76,11 +73,18 @@ class Series(_Value):
         zero constant term."""
         if inner.coefficients[0] != 0:
             raise ComposeNonzeroConstant("substitution needs a zero constant term")
-        n = min(self.order, inner.order)
+        n = _common_order(self, inner)
         acc = Series.zeros(n)
-        for coef in reversed(self.coefficients[: n + 1]):
+        for coef in reversed(self.coefficients):
             acc = acc * inner + Series.constant(coef, n)
         return acc
+
+
+def _common_order(a: Series, b: Series) -> int:
+    # a series of another order is a route's fault, never a shorter request
+    if a.order != b.order:
+        raise ArithmeticError(f"series orders differ: {a.order} and {b.order}")
+    return a.order
 
 
 def sum_of_powers(g: Series, alternating: bool = False) -> Series:
@@ -216,8 +220,7 @@ class VerificationReport(NamedTuple):
 
 
 def _compare(label: str, lhs: Series, rhs: Series) -> CheckResult:
-    n = min(lhs.order, rhs.order)
-    for degree in range(n + 1):
+    for degree in range(_common_order(lhs, rhs) + 1):
         a, b = lhs.coefficients[degree], rhs.coefficients[degree]
         if a != b:
             return CheckResult(label, False, degree, a, b)
@@ -266,7 +269,8 @@ def _check_tree_series_sqrt(order: int) -> list[CheckResult]:
     # (T + 1 - 4f)^2 = T^2 - 6T + 1 with f the tree-count series
     f = from_counts("super-catalan", order)
     lhs = Series.monomial(1, order) + Series.constant(1, order) - f.scale(4)
-    return [_compare("(T+1-4f)^2 = T^2-6T+1", lhs * lhs, Series((1, -6, 1) + (0,) * (order - 2)))]
+    rhs = Series.monomial(2, order) - Series.monomial(1, order, 6) + Series.constant(1, order)
+    return [_compare("(T+1-4f)^2 = T^2-6T+1", lhs * lhs, rhs)]
 
 
 def _check_factorial_composition(order: int) -> list[CheckResult]:

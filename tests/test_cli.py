@@ -336,6 +336,17 @@ def test_count_route_mismatch_exits_internal(capsys, monkeypatch):
     )
 
 
+def test_a_short_series_route_exits_internal(capsys, monkeypatch):
+    # a route two coefficients short fails its check loudly, never passing as
+    # a shorter one under the requested order
+    word_counts = series._word_counts
+    monkeypatch.setattr(series, "_word_counts", lambda s, order: word_counts(s, order)[:-2])
+    code, out, err = run(capsys, "verify", "--check", "ass", "--order", "7", "--json")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == "internal error: ArithmeticError: series orders differ: 5 and 7\n"
+
+
 def test_recursion_error_exits_bound(capsys, monkeypatch):
     def too_deep(args):
         raise RecursionError("maximum recursion depth exceeded")

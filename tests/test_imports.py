@@ -93,6 +93,18 @@ def test_a_subcommand_loads_only_what_it_runs(argv, absent):
     assert not package_modules(loaded) & absent
 
 
+@pytest.mark.parametrize("structure, bound", [("perm", 8), ("decorated", 10), ("binary", 10), ("cube", 10)])
+def test_a_laws_bound_past_its_limit_loads_no_carrier(structure, bound):
+    # the limit is checked before the audit imports its carrier's module
+    argv = ["laws", "--structure", structure, "--variety", "duplex", "--bound", str(bound)]
+    out = run_python(
+        "import sys, duplexes.cli\n"
+        f"code = duplexes.cli.main({argv!r})\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('duplexes.')))"
+    )
+    assert out.splitlines() == ["3 ['duplexes.cli', 'duplexes.errors', 'duplexes.laws']"]
+
+
 def test_importing_laws_loads_no_carrier():
     out = run_python("import sys, duplexes.laws\nprint(sorted(m for m in sys.modules if m.startswith('duplexes.')))")
     assert out.splitlines() == ["['duplexes.errors', 'duplexes.laws']"]

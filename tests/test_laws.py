@@ -79,11 +79,17 @@ def test_reports_are_deterministic():
     assert first == second
 
 
+# each audit's total-degree limit
+LIMITS = [(Structure.PERM, 7), (Structure.DECORATED, 9), (Structure.BINARY, 9), (Structure.CUBE, 9)]
+
+
 def test_bound_limits():
-    with pytest.raises(BoundExceeded):
-        check_laws(Structure.PERM, Variety.DUPLEX, 8)
-    with pytest.raises(BoundExceeded):
-        check_laws(Structure.CUBE, Variety.DUPLEX, 10)
+    assert [structure for structure, _ in LIMITS] == list(Structure)
+    for structure, limit in LIMITS:
+        message = f"^total degree {limit + 1} exceeds the {structure.value} audit limit {limit}$"
+        for variety in Variety:
+            with pytest.raises(BoundExceeded, match=message):
+                check_laws(structure, variety, limit + 1)
 
 
 def test_a_bound_below_three_is_rejected():
@@ -368,9 +374,6 @@ def test_inner_products_are_built_once_per_audit(monkeypatch):
     # both inner products of each pair of degree sum <= 8, then the two
     # associativity identities' four outer products per triple
     assert calls == 2 * pairs + 4 * report.triples_checked
-
-
-LIMITS = [(structure, laws._carrier(structure).total_degree_limit) for structure in Structure]
 
 
 @pytest.mark.parametrize("structure, limit", LIMITS, ids=[s.value for s, _ in LIMITS])

@@ -1,5 +1,8 @@
+import functools
 import math
+import operator
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -37,12 +40,16 @@ def test_add_sub_mul():
     assert a - a == Series.zeros(3)
 
 
-def test_operations_truncate_to_smaller_order():
-    long = series(1, 1, 1, 1, 1, 1)
-    short = series(1, 1)
-    assert (long + short).order == 1
-    assert (long * short).order == 1
-    assert long.truncate(2) == series(1, 1, 1)
+def test_operations_reject_two_orders():
+    # a series has one order: no operation truncates the longer operand, so a
+    # short route cannot pass as a shorter check
+    long, short = series(0, 1, 1, 1, 1, 1), series(0, 1)
+    compare = functools.partial(_compare, "demo")
+    for operate in (operator.add, operator.sub, operator.mul, Series.compose, compare):
+        for a, b in ((long, short), (short, long)):
+            with pytest.raises(ArithmeticError, match=f"^series orders differ: {a.order} and {b.order}$") as caught:
+                operate(a, b)
+            assert type(caught.value) is ArithmeticError  # neither a usage error nor a DuplexError
 
 
 def _poly_mul(a, b):
@@ -279,12 +286,21 @@ def test_count_route_mismatch_names_its_witness(monkeypatch):
 # --- the named identities ------------------------------------------------------------
 
 
+# each check's default order, and the alphabet sizes its labels name
+DEFAULT_ORDERS = {"ass": 7, "fesvi": 12, "usformula": 7, "supercatalan": 12, "dupl": 6, "desformula": 7, "cor52": 7}
+ALPHABETS = {"ass": [1, 2, 3], "dupl": [1, 2]}
+
+
 @pytest.mark.parametrize("name", CHECKS)
 def test_identities_verify_at_defaults(name):
-    report = verify_identity(name)
-    assert report.ok, report
-    assert all(check.ok for check in report.checks)
-    assert report.first_failure() is None
+    # and at order 1, the least order that compares a coefficient
+    for order, report in ((DEFAULT_ORDERS[name], verify_identity(name)), (1, verify_identity(name, 1))):
+        assert report.order == order
+        assert report.ok, report
+        assert all(check.ok for check in report.checks)
+        assert report.first_failure() is None
+        alphabets = [re.match(r"alphabet of (\d+): ", check.label) for check in report.checks]
+        assert [int(m[1]) for m in alphabets if m] == ALPHABETS.get(name, [])
 
 
 def test_verify_at_explicit_order():
@@ -304,6 +320,18 @@ def test_verify_rejects_a_vacuous_order(name, order):
 def test_verify_unknown_name():
     with pytest.raises(ValueError):
         verify_identity("banach-tarski")
+
+
+def test_a_short_route_fails_loudly(monkeypatch):
+    # a route that comes back two coefficients short raises, where a
+    # truncating comparison would pass it as a check of order 5
+    word_counts = series_module._word_counts
+    monkeypatch.setattr(series_module, "_word_counts", lambda s, order: word_counts(s, order)[:-2])
+    with pytest.raises(ArithmeticError, match="^series orders differ: 5 and 7$"):
+        verify_identity("ass", 7)
+    monkeypatch.setattr(series_module, "_count_indec", lambda kind, order: Series((0,) * order))
+    with pytest.raises(ArithmeticError, match="^series orders differ: 6 and 7$"):
+        from_counts("sharp-indec", 7)
 
 
 def test_compare_reports_first_mismatch():
