@@ -4,15 +4,16 @@ A decorated tree is a planar tree whose internal vertices carry alternating
 ``.`` / ``*`` signs by level parity.  Only the sign class of the root is
 stored (the tag); every other vertex sign is derived, so an inconsistent
 decoration cannot be built.  The single leaf tree is untagged and plays the
-role of the generator.  A decorated tree is one object holding the tree's
-canonical text (see :mod:`duplexes.planar_trees`) and the tag; no
-``PlanarTree`` is built unless ``.shape`` is read.
+role of the generator.  A decorated tree is one string, its form: the
+shape's canonical text (see :mod:`duplexes.planar_trees`) and the root's
+symbol, ``"(||)."`` for the dot-rooted 2-leaf tree and ``"||"`` for the
+leaf; no ``PlanarTree`` is built unless ``.shape`` is read.
 
 The two products join trees under a fresh root and then contract the root
 edges of exactly those arguments whose root already carries the sign being
-applied.  That rule is written once, on the trees' texts and root symbols
-(their forms): the scalar products apply it to one pair, and the function
-:func:`bulk_products` returns to every pair of two columns at once.
+applied.  That rule is written once, on forms: the scalar products apply it
+to one pair, and the function :func:`bulk_products` returns to every pair
+of two columns at once.
 :func:`parse_expr` follows it as it writes a whole expression's text: a
 group with its enclosing chain's operator loses its parentheses.  Both
 products are associative, and every tagged tree factors uniquely into
@@ -30,6 +31,7 @@ import enum
 import re
 from functools import reduce
 from itertools import chain, cycle, islice, product
+from operator import add, attrgetter
 from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -70,16 +72,16 @@ class Tag(enum.Enum):
 class DecoratedTree(_Value):
     """A planar tree with derived vertex signs; untagged iff it is the leaf.
 
-    One object holds the tree's canonical text and the root's tag, as a
-    ``PlanarTree`` holds its text; ``.shape`` builds the ``PlanarTree`` of
-    that text on each read.  The constructor takes a ``PlanarTree`` shape
-    and a tag, ``Tag.DOT``, ``Tag.STAR`` or ``None`` (else ``TypeError``),
-    that fits the shape (else ``ValueError``), and the repr, hash, pickle
-    and copy are those of the field tuple ``(shape, tag)``."""
+    The tree is one string, its form: the shape's canonical text and the
+    root's symbol, as a ``PlanarTree`` is its text; ``.text``, ``.tag`` and
+    ``.shape`` are read off it, the last building the ``PlanarTree`` on
+    each read.  The constructor takes a ``PlanarTree`` shape and a tag,
+    ``Tag.DOT``, ``Tag.STAR`` or ``None`` (else ``TypeError``), that fits
+    the shape (else ``ValueError``), and the repr, hash, pickle and copy
+    are those of the tuple ``(shape, tag)``."""
 
-    __slots__ = ("text", "tag")
-    text: str
-    tag: Tag | None
+    __slots__ = ("form",)
+    form: str
 
     def __init__(self, shape: PlanarTree, tag: Tag | None):
         if not isinstance(shape, PlanarTree):
@@ -88,8 +90,7 @@ class DecoratedTree(_Value):
             raise TypeError(f"tag must be Tag.DOT, Tag.STAR or None, got {tag!r}")
         if shape.is_leaf != (tag is None):
             raise ValueError("exactly the leaf tree carries no tag")
-        object.__setattr__(self, "text", shape.text)
-        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "form", shape.text + ("|" if tag is None else tag.value))
 
     def __hash__(self) -> int:
         # a tuple hashes through its items' hashes, and the shape's is that
@@ -103,37 +104,30 @@ class DecoratedTree(_Value):
         return DecoratedTree, (self.shape, self.tag)
 
     @property
+    def text(self) -> str:
+        return self.form[:-1]
+
+    @property
+    def tag(self) -> Tag | None:
+        return _TAGS[self.form[-1]]
+
+    @property
     def shape(self) -> PlanarTree:
         return _tree(self.text)
 
     @property
     def degree(self) -> int:
-        return self.text.count("|")
+        return self.form.count("|", 0, -1)  # the leaf's root symbol is "|" too
 
 
-_decorated = DecoratedTree._make  # of a canonical tree text and a tag the library built; unchecked
+_decorated = DecoratedTree._make  # of a form the library built; unchecked
+
+_TAGS = {"|": None, ".": Tag.DOT, "*": Tag.STAR}  # by root symbol
+
+GENERATOR_TREE = _decorated("||")
 
 
-GENERATOR_TREE = DecoratedTree(LEAF, None)
-
-# The members bound once for the products: up to Python 3.11 ``EnumType``
-# defines ``__getattr__``, so every ``Tag.DOT`` lookup takes a slow hook.
-_DOT, _STAR = Tag.DOT, Tag.STAR
-
-
-# A law audit's form of a tree is its text and its root's symbol, "|" for
-# the leaf: "(||)." is the dot-rooted 2-leaf tree.
-_SYMBOLS = {None: "|", _DOT: ".", _STAR: "*"}
-_TAGS = {symbol: tag for tag, symbol in _SYMBOLS.items()}
-
-
-def form(t: DecoratedTree) -> str:
-    """The tree's text and its root's symbol (``"|"`` for the leaf)."""
-    return t.text + _SYMBOLS[t.tag]
-
-
-def _from_form(f: str) -> DecoratedTree:
-    return _decorated(f[:-1], _TAGS[f[-1]])
+form = attrgetter("form")  # a law audit's form of a tree: the one string it is
 
 
 # Each product's one rule: a factor of an op-product enters as its text,
@@ -159,12 +153,12 @@ def bulk_products() -> Callable[[str, tuple, tuple], Iterable[str]]:
 
 def tree_dot(t1: DecoratedTree, t2: DecoratedTree) -> DecoratedTree:
     """The ``.`` product: graft and absorb dot-rooted arguments into the root."""
-    return _from_form(_TEMPLATES["."](_tree_parts(".", (form(t1), form(t2)))))
+    return _decorated(_TEMPLATES["."](_tree_parts(".", (t1.form, t2.form))))
 
 
 def tree_star(t1: DecoratedTree, t2: DecoratedTree) -> DecoratedTree:
     """The ``*`` product: graft and absorb star-rooted arguments into the root."""
-    return _from_form(_TEMPLATES["*"](_tree_parts("*", (form(t1), form(t2)))))
+    return _decorated(_TEMPLATES["*"](_tree_parts("*", (t1.form, t2.form))))
 
 
 DECORATED_OPS = DuplexOps(tree_dot, tree_star)
@@ -174,7 +168,7 @@ def _all_decorated(n: int) -> tuple[DecoratedTree, ...]:
     if n == 1:
         return (GENERATOR_TREE,)
     texts = _tree_texts(n)
-    return _build(DecoratedTree, list(chain.from_iterable(zip(texts, texts))), cycle((_DOT, _STAR)))
+    return _build(DecoratedTree, list(map(add, chain.from_iterable(zip(texts, texts)), cycle(".*"))))
 
 
 def enumerate_decorated(n: int) -> tuple[DecoratedTree, ...]:
@@ -189,7 +183,7 @@ def enumerate_decorated(n: int) -> tuple[DecoratedTree, ...]:
 def format_decorated(t: DecoratedTree) -> str:
     """The tree's text and its root's symbol in brackets, ``-`` for the
     leaf's, as a law audit's witness prints: ``(||)[.]``."""
-    return f"{t.text}[{'-' if t.tag is None else t.tag.value}]"
+    return f"{t.text}[{t.form[-1].replace('|', '-')}]"
 
 
 class DuplexExpr(_Value):
@@ -204,6 +198,8 @@ class DuplexExpr(_Value):
     labels: tuple[Hashable, ...]
 
     def __init__(self, tree: DecoratedTree, labels: Iterable[Hashable], alphabet: Iterable | None = None):
+        if not isinstance(tree, DecoratedTree):
+            raise TypeError(f"tree must be a DecoratedTree, got {tree!r}")
         labels = tuple(labels)
         n = tree.degree
         if len(labels) != n:
@@ -258,12 +254,12 @@ def eval_hom(x: DuplexExpr, assignment: Mapping, ops: DuplexOps):
         except KeyError:
             raise UnboundGenerator(f"no value assigned to generator {label!r}") from None
 
-    tag = x.tree.tag
-    if tag is None:
+    form = x.tree.form
+    if form == "||":
         return value(x.labels[0])
-    op_of_level = (ops.dot, ops.star) if tag is _DOT else (ops.star, ops.dot)
+    op_of_level = (ops.dot, ops.star) if form[-1] == "." else (ops.star, ops.dot)
     stack: list[list] = [[]]  # a vertex at depth d has its values at stack[d]
-    for ch in x.tree.text[1:-1]:
+    for ch in form[1:-2]:
         if ch == "(":
             stack.append([])
         elif ch == "|":
@@ -284,7 +280,7 @@ _BAD_CHARACTER = re.compile(r"[^\sa-z.*()](?<![a-z0-9][0-9])")
 _OPS = frozenset(".*")
 _NOT_ATOMS = frozenset(").*")
 # the symbols of a tagged root's levels, by depth parity
-_LEVEL_SYMBOLS = {_DOT: (".", "*"), _STAR: ("*", ".")}
+_LEVEL_SYMBOLS = {".": (".", "*"), "*": ("*", ".")}
 
 
 def format_expr(x: DuplexExpr, format_label: Callable[[Any], str] = str) -> str:
@@ -296,15 +292,15 @@ def format_expr(x: DuplexExpr, format_label: Callable[[Any], str] = str) -> str:
     depth, so any depth works.
     """
     labels = iter(x.labels)
-    tag = x.tree.tag
-    if tag is None:
+    form = x.tree.form
+    if form == "||":
         return format_label(x.labels[0])
-    symbol_of_level = _LEVEL_SYMBOLS[tag]
+    symbol_of_level = _LEVEL_SYMBOLS[form[-1]]
     out: list[str] = []
     # every child is followed by its parent's symbol; a vertex closing turns
     # the symbol after its last child into ")" (at the root: drops it)
     depth = 0  # of the innermost open vertex; the root's is 0
-    for ch in x.tree.text[1:-1]:
+    for ch in form[1:-2]:
         if ch == "(":
             out.append("(")
             depth += 1
@@ -387,8 +383,8 @@ def _written_tree(tokens: list[str], ops: list[str | None]) -> DecoratedTree:
     """The tree of a checked expression's tokens, given each group's
     operator: one "|" per identifier, and the parentheses of each group
     whose operator is set and differs from the nearest enclosing one's."""
-    tag = next(filter(None, ops), None)
-    if tag is None:
+    root = next(filter(None, ops), None)
+    if root is None:
         return GENERATOR_TREE
     outer = ops[0]  # the operator of the nearest group that has one
     out = ["("] if outer else []
@@ -411,7 +407,7 @@ def _written_tree(tokens: list[str], ops: list[str | None]) -> DecoratedTree:
             out.append("|")
     if ops[0]:
         out.append(")")
-    return _decorated("".join(out), _TAGS[tag])
+    return _decorated("".join(out) + root)
 
 
 def _nth_start(pattern: re.Pattern, text: str, k: int) -> int:
@@ -423,14 +419,15 @@ def _nth_start(pattern: re.Pattern, text: str, k: int) -> int:
 
 # --- machine format ---------------------------------------------------------
 
-_TAG_LETTER = {Tag.DOT: "d", Tag.STAR: "s", None: "-"}
-_LETTER_TAG = {v: k for k, v in _TAG_LETTER.items()}
+_TAG_LETTER = {".": "d", "*": "s", "|": "-"}  # by root symbol
+_LETTER_SYMBOL = {v: k for k, v in _TAG_LETTER.items()}
 
 
 def expr_to_machine(x: DuplexExpr, format_label: Callable[[Any], str] = str) -> tuple[str, str, list[str]]:
     """(tree text, tag letter, label list) form; round-trips via
     :func:`expr_from_machine`."""
-    return x.tree.text, _TAG_LETTER[x.tree.tag], [format_label(l) for l in x.labels]
+    form = x.tree.form
+    return form[:-1], _TAG_LETTER[form[-1]], [format_label(l) for l in x.labels]
 
 
 def expr_from_machine(triple: Sequence, parse_label: Callable[[str], Hashable] = str) -> DuplexExpr:
@@ -447,7 +444,7 @@ def expr_from_machine(triple: Sequence, parse_label: Callable[[str], Hashable] =
     if not isinstance(tree_text, str):
         raise ParseError(f"expected the tree text as a string, got {tree_text!r}")
     try:
-        tag = _LETTER_TAG[tag_letter]
+        symbol = _LETTER_SYMBOL[tag_letter]
     except (KeyError, TypeError):
         raise ParseError(f"unknown tag letter {tag_letter!r}; expected 'd', 's' or '-'") from None
     try:
@@ -455,9 +452,9 @@ def expr_from_machine(triple: Sequence, parse_label: Callable[[str], Hashable] =
     except TypeError:
         raise ParseError(f"expected a list of labels, got {labels!r}") from None
     shape = parse_tree(tree_text)
-    if shape.is_leaf != (tag is None):
+    if shape.is_leaf != (symbol == "|"):
         raise ParseError(f"tag letter {tag_letter!r} does not fit the tree {tree_text!r}: only the leaf '|' takes '-'")
-    tree = _decorated(shape.text, tag)
+    tree = _decorated(shape.text + symbol)
     if len(labels) != tree.degree:
         raise ParseError(f"expected {tree.degree} labels, one per leaf of the tree {tree_text!r}, got {len(labels)}")
     return _expr(tree, tuple(map(parse_label, labels)))

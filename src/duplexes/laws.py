@@ -7,16 +7,16 @@ the first counterexample.  Identities are evaluated with the structure's
 own operations, so the audit stays independent of any normal-form code.
 
 The audit runs on element *forms*: a string or tuple per element that
-equals another element's form exactly when the elements are equal (a
-decorated tree's text and root symbol, a binary tree's text, a cube
-vertex's comma body, a permutation's images).  Each carrier's two products
-are defined once, in its carrier module, as one rule on forms: the scalar
-product applies it to one pair, and the function that the module's
-``bulk_products`` returns to every pair of two operand columns, as one
-``map`` or ``starmap`` of a C-level callable, such as a ``%`` template or
-``operator.add``, over their ``itertools.product``.  The audit calls only
-that function, so no Python frame runs per product or per comparison, and
-witnesses are read back from the element slices by index.
+equals another element's form exactly when the elements are equal (the
+one string a decorated tree is stored as, its text and root symbol; a
+binary tree's text; a cube vertex's comma body; a permutation's images).
+Each carrier's two products are defined once, in its carrier module, as
+one rule on forms: the scalar product applies it to one pair, and the
+function that the module's ``bulk_products`` returns to every pair of two
+operand columns, as one ``map`` or ``starmap`` of a C-level callable, such
+as a ``%`` template or ``operator.add``, over their ``itertools.product``.
+The audit calls only that function, so no Python frame runs per product or
+per comparison; witnesses are read back from the element slices by index.
 
 That function caches what it needs of a column beyond its forms (a
 decorated tree's parts, a binary tree's leaf templates, a permutation's

@@ -32,7 +32,7 @@ def alpha(x: DuplexExpr) -> Permutation:
     reader :func:`multiply_out` uses, so the cost is linear at any depth.
     """
     _single_generator(x)
-    if x.tree.tag is None:
+    if x.tree.form == "||":
         return _ONE
     return _place_blocks(x.tree, [(1,)] * x.degree)
 

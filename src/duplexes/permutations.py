@@ -22,7 +22,7 @@ import re
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from .decorated_trees import _DOT, _STAR, GENERATOR_TREE, DecoratedTree, DuplexExpr, DuplexOps, Tag, _decorated, _expr
+from .decorated_trees import GENERATOR_TREE, DecoratedTree, DuplexExpr, DuplexOps, _decorated, _expr
 from .errors import ParseError, check_degree, check_member, check_text
 from .planar_trees import _build, _ColumnCache, _Value
 
@@ -87,13 +87,13 @@ class IndecKind(enum.Enum):
     S2 = "s2"  # indecomposable for both products at once
 
 
-# The tags of the first cuts (see _cut) that split each kind.  No range of
-# degree >= 2 has cuts of both products, so a permutation's first cut alone
-# decides all three kinds.
+# The symbols of the first cuts (see _cut) that split each kind.  No range
+# of degree >= 2 has cuts of both products, so a permutation's first cut
+# alone decides all three kinds.
 _SPLITTING_TAGS = {
-    IndecKind.SHARP: (_DOT,),
-    IndecKind.NATURAL: (_STAR,),
-    IndecKind.S2: (_DOT, _STAR),
+    IndecKind.SHARP: (".",),
+    IndecKind.NATURAL: ("*",),
+    IndecKind.S2: (".", "*"),
 }
 
 
@@ -162,24 +162,24 @@ def sharp_factorize(f: Permutation) -> tuple[Permutation, ...]:
     >>> [str(g) for g in sharp_factorize(Permutation((3, 1, 2, 6, 5, 4)))]
     ['(3,1,2)', '(3,2,1)']
     """
-    return _factorize(f, _DOT)
+    return _factorize(f, ".")
 
 
 def natural_factorize(f: Permutation) -> tuple[Permutation, ...]:
     """Unique factorization under the anti-diagonal block sum: splits at every
     prefix {1..i} that f maps onto its top i values."""
-    return _factorize(f, _STAR)
+    return _factorize(f, "*")
 
 
-def _factorize(f: Permutation, tag: Tag) -> tuple[Permutation, ...]:
-    """The factors of ``f`` under the product tagged ``tag``: the ranges of
-    the :func:`_chain` of its first cut, shifted down, each degree-1 range
-    ``_ONE``.  With no cut of that product, including when it splits under
+def _factorize(f: Permutation, op: str) -> tuple[Permutation, ...]:
+    """The factors of ``f`` under the product ``op``, ``.`` or ``*``: the
+    ranges of the :func:`_chain` of its first cut, shifted down, each
+    degree-1 range ``_ONE``.  With no cut of that product, including when it splits under
     the other one, ``f`` is its own single factor."""
     images = f.images
     n = len(images)
     cut = _cut(images, 0, n, 1)
-    if cut is None or cut[0] is not tag:
+    if cut is None or cut[0] != op:
         return (f,)
     return tuple(
         [
@@ -192,8 +192,8 @@ def _factorize(f: Permutation, tag: Tag) -> tuple[Permutation, ...]:
 def is_indecomposable(f: Permutation, kind: IndecKind) -> bool:
     """Whether ``f`` admits no nontrivial factorization of the given kind.
 
-    Degree 1 is indecomposable of every kind.  The answer is the tag of
-    the first cut :func:`_cut` finds, so a test scans at most half the
+    Degree 1 is indecomposable of every kind.  The answer is the symbol
+    of the first cut :func:`_cut` finds, so a test scans at most half the
     degree.  A ``kind`` that is not an :class:`IndecKind` member raises
     ``TypeError``.
     """
@@ -227,8 +227,8 @@ def enumerate_indecomposable(n: int, kind: IndecKind) -> tuple[Permutation, ...]
 
 
 @lru_cache(maxsize=None)
-def _first_cut_tags(n: int) -> tuple[Tag | None, ...]:
-    """The tag of each degree-n permutation's first cut, None for the doubly
+def _first_cut_tags(n: int) -> tuple[str | None, ...]:
+    """The symbol of each degree-n permutation's first cut, None for the doubly
     indecomposables, in the slice's order; shared by the three kinds."""
     tags = []
     for f in enumerate_permutations(n):
@@ -257,9 +257,9 @@ def count_indecomposable(n: int, kind: IndecKind) -> int:
     full = (1 << n) - 1
     splitting = _SPLITTING_TAGS[kind]
     forbidden = set()
-    if _DOT in splitting:
+    if "." in splitting:
         forbidden.update((1 << i) - 1 for i in range(1, n))
-    if _STAR in splitting:
+    if "*" in splitting:
         forbidden.update(full ^ ((1 << i) - 1) for i in range(1, n))
     bits = [1 << v for v in range(n)]
     chains = [0] * (full + 1)
@@ -324,14 +324,14 @@ def duplex_factorize(f: Permutation) -> DuplexExpr:
             write("(")
             pending.append(None)
             push(_chain(images, start, end, low, cut))
-    return _expr(_decorated("".join(text), root[0]), tuple(labels))
+    return _expr(_decorated("".join(text) + root[0]), tuple(labels))
 
 
-def _cut(images: tuple[int, ...], start: int, end: int, low: int) -> tuple[Tag, int, bool] | None:
+def _cut(images: tuple[int, ...], start: int, end: int, low: int) -> tuple[str, int, bool] | None:
     """The first cut found in ``images[start:end]``, a range holding the m
-    values ``low .. low+m-1``: (tag of its product, position, whether the
-    piece taken off is the one before it), or None when the range is doubly
-    indecomposable.
+    values ``low .. low+m-1``: (its product's symbol, ``.`` or ``*``,
+    position, whether the piece taken off is the one before it), or None
+    when the range is doubly indecomposable.
 
     The range is scanned from both ends at once.  A prefix of length k is a
     first factor under ``.`` when its maximum is low+k-1 and under ``*``
@@ -339,7 +339,7 @@ def _cut(images: tuple[int, ...], start: int, end: int, low: int) -> tuple[Tag, 
     under ``.`` when its minimum is low+m-k and under ``*`` when its
     maximum is low+k-1.  Either side of a cut has at most m/2 values, so
     stopping at m/2 misses none, and a cut costs the length of the smaller
-    piece.  No range of degree >= 2 has cuts of both tags.
+    piece.  No range of degree >= 2 has cuts of both products.
     """
     m = end - start
     top = low - 1  # low+k-1 at step k
@@ -362,19 +362,19 @@ def _cut(images: tuple[int, ...], start: int, end: int, low: int) -> tuple[Tag, 
         if v < tail_min:
             tail_min = v
         if head_max == top:
-            return _DOT, i + 1, True
+            return ".", i + 1, True
         if head_min == bottom:
-            return _STAR, i + 1, True
+            return "*", i + 1, True
         if tail_min == bottom:
-            return _DOT, j, False
+            return ".", j, False
         if tail_max == top:
-            return _STAR, j, False
+            return "*", j, False
     return None
 
 
 def _chain(
-    images: tuple[int, ...], start: int, end: int, low: int, cut: tuple[Tag, int, bool]
-) -> list[tuple[int, int, int, tuple[Tag, int, bool] | bool | None]]:
+    images: tuple[int, ...], start: int, end: int, low: int, cut: tuple[str, int, bool]
+) -> list[tuple[int, int, int, tuple[str, int, bool] | bool | None]]:
     """The factors of the range whose first cut found is ``cut``, in pop
     order (right to left), as (start, end, lowest value, first cut), the
     first cut ``False`` when the factor is not scanned yet.
@@ -385,13 +385,13 @@ def _chain(
     or None, travels with it as its own first cut; a degree-1 rest is not
     scanned and has None.
     """
-    tag = cut[0]
+    op = cut[0]
     head: list = []  # factors taken off the front, first one first
     factors: list = []  # taken off the end, last one first: already in pop order
-    while cut is not None and cut[0] is tag:
+    while cut is not None and cut[0] == op:
         at, from_head = cut[1], cut[2]
         # "." puts the piece before the cut at the bottom of the values, "*" at the top
-        if tag is _DOT:
+        if op == ".":
             before, after = low, low + at - start
         else:
             before, after = low + end - at, low
@@ -415,7 +415,7 @@ def multiply_out(x: DuplexExpr) -> Permutation:
     No product is built: :func:`_place_blocks` shifts each label's images
     into its place, so the cost is linear at any depth.
     """
-    if x.tree.tag is None:
+    if x.tree.form == "||":
         return x.labels[0]
     return _place_blocks(x.tree, [label.images for label in x.labels])
 
@@ -433,7 +433,8 @@ def _place_blocks(tree: DecoratedTree, blocks: Sequence[tuple[int, ...]]) -> Per
     Both passes read the root's interior and keep the vertex being read in
     locals, its open ancestors' state on a stack.
     """
-    inner = tree.text[1:-1]
+    form = tree.form
+    inner = form[1:-2]
     degrees: list[int] = []  # of the vertices below the root, in preorder
     sums: list[tuple[int, int]] = []  # per open ancestor: its preorder index, its degree so far
     vertex, degree = -1, 0  # the root's: it never closes, so its index is not used
@@ -452,7 +453,7 @@ def _place_blocks(tree: DecoratedTree, blocks: Sequence[tuple[int, ...]]) -> Per
             degree += above
     # degree is the root's now; from here on, free is the next free offset
     # of the vertex being filled, and the stack holds its ancestors' fills
-    from_top = tree.tag is _STAR
+    from_top = form[-1] == "*"
     free = degree if from_top else 0
     fills: list[tuple[int, bool]] = []
     vertex_degrees = iter(degrees)

@@ -171,10 +171,10 @@ def _over_alphabet(unlabelled: Series, alphabet_size: int) -> Series:
 
 
 def _count_indec(kind: str, order: int) -> Series:
-    # imported here: the other sources and checks never need permutations
+    check_degree(order, ORDER_BOUNDS[f"{kind}-indec"])  # the checks call this directly
+    # imported after the bound: no other source or check needs permutations
     from .permutations import IndecKind, count_indecomposable
 
-    check_degree(order, ORDER_BOUNDS[f"{kind}-indec"])  # desformula calls this directly
     counts = [count_indecomposable(n, IndecKind(kind)) for n in range(1, order + 1)]
     return Series((0, *counts))
 
@@ -236,7 +236,8 @@ def verify_identity(name: str, order: int | None = None) -> VerificationReport:
     coefficient, so it raises ``InvalidDegree``.  Each check reads its most
     tightly bounded count first, so an order past that bound raises
     ``BoundExceeded`` before any work: ``ass`` scans words up to order 13,
-    and the others read ``from_counts`` sources, bounded by ``ORDER_BOUNDS``.
+    and the others read counts bounded by ``ORDER_BOUNDS``; the chain counts
+    skip ``from_counts``'s cross-check, so a faulty one fails its check.
     """
     if name not in CHECKS:
         raise ValueError(f"unknown identity {name!r}; known: {', '.join(CHECKS)}")
@@ -275,8 +276,8 @@ def _check_tree_series_sqrt(order: int) -> list[CheckResult]:
 
 def _check_factorial_composition(order: int) -> list[CheckResult]:
     # factorials = sum over k of u^k, u the chain-counted sharp-indecomposable
-    # series (checked against its formula in from_counts)
-    u = from_counts("sharp-indec", order)
+    # series, not from_counts's: its cross-check would settle this comparison
+    u = _count_indec("sharp", order)
     psi = from_counts("factorials", order)
     return [_compare("sum_k u(T)^k = sum n! T^n", sum_of_powers(u), psi)]
 
@@ -314,7 +315,7 @@ def _check_doubly_indec_formula(order: int) -> list[CheckResult]:
 
 def _check_factorial_quadratic(order: int) -> list[CheckResult]:
     # psi^2 + xi*psi - psi + xi = 0, and the solved form psi = 2f(xi) - xi
-    xi = from_counts("s2-indec", order)
+    xi = _count_indec("s2", order)
     psi = from_counts("factorials", order)
     quadratic = psi * psi + xi * psi - psi + xi
     f = from_counts("super-catalan", order)

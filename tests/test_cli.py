@@ -10,7 +10,7 @@ import pytest
 
 from conftest import alternating, nest_images, nest_permutation, nest_text
 import duplexes
-from duplexes import binary_trees, cli, cubes, laws, series
+from duplexes import binary_trees, cli, cubes, laws, permutations, series
 from duplexes.cli import main
 from duplexes.cubes import CubeVertex, format_cube, parse_cube
 from duplexes.decorated_trees import expr_from_machine, parse_expr
@@ -334,6 +334,23 @@ def test_count_route_mismatch_exits_internal(capsys, monkeypatch):
         "internal error: count routes disagree for sharp-indec: "
         "first differing coefficient at degree 5: chain count=71 formula=72\n"
     )
+
+
+@pytest.mark.parametrize(
+    "check, label, lhs, rhs",
+    [
+        ("usformula", "sum_k u(T)^k = sum n! T^n", 121, 120),
+        ("cor52", "psi^2 + xi*psi - psi + xi = 0", 1, 0),
+    ],
+)
+def test_a_faulty_chain_count_refutes_its_check(capsys, monkeypatch, check, label, lhs, rhs):
+    # the check compares the chain count itself, not one already held equal
+    # to a formula, so the fault shows as the check's own refutation
+    count = permutations.count_indecomposable
+    monkeypatch.setattr(permutations, "count_indecomposable", lambda n, kind: count(n, kind) + (n == 5))
+    code, out, err = run(capsys, "verify", "--check", check)
+    assert (code, err) == (cli.EXIT_REFUTED, "")
+    assert out == f"FAIL {label}: first differing coefficient at degree 5: lhs={lhs} rhs={rhs}\n"
 
 
 def test_a_short_series_route_exits_internal(capsys, monkeypatch):

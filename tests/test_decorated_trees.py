@@ -177,11 +177,14 @@ def test_enumerate_bound():
 # --- representation ----------------------------------------------------------------
 
 
-def test_a_decorated_tree_is_its_text_and_tag():
-    assert DecoratedTree.__slots__ == ("text", "tag")
+def test_a_decorated_tree_is_its_form():
+    # one string: the shape's text and the root's symbol, "|" for the leaf
+    assert DecoratedTree.__slots__ == ("form",)
+    assert GENERATOR_TREE.form == "||"
     for n in range(1, 7):
         for t in decorated(n):
-            assert t.text.__class__ is str
+            assert t.form.__class__ is str
+            assert t.form == t.text + ("|" if t.tag is None else t.tag.value)
             assert t.shape == parse_tree(t.text)
             assert t == DecoratedTree(t.shape, t.tag)
             assert hash(t) == hash((t.shape, t.tag))
@@ -226,6 +229,12 @@ def test_expr_label_validation():
         DuplexExpr(GENERATOR_TREE, ("e", "e"))
     with pytest.raises(ValueError, match="alphabet"):
         DuplexExpr(GENERATOR_TREE, ("x",), frozenset({"e"}))
+
+
+@pytest.mark.parametrize("tree", [LEAF, "||", "(||).", E, None])
+def test_an_expression_tree_that_is_not_a_decorated_tree_is_a_type_error(tree):
+    with pytest.raises(TypeError, match=f"^tree must be a DecoratedTree, got {re.escape(repr(tree))}$"):
+        DuplexExpr(tree, ("e",))
 
 
 def random_expr(rng, degree, labels):

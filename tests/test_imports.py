@@ -105,6 +105,18 @@ def test_a_laws_bound_past_its_limit_loads_no_carrier(structure, bound):
     assert out.splitlines() == ["3 ['duplexes.cli', 'duplexes.errors', 'duplexes.laws']"]
 
 
+@pytest.mark.parametrize("check", ["desformula", "usformula", "cor52"])
+def test_a_verify_order_past_its_bound_loads_no_carrier(check):
+    # the count's bound is checked before the count imports permutations
+    argv = ["verify", "--check", check, "--order", "9"]
+    out = run_python(
+        "import sys, duplexes.cli\n"
+        f"code = duplexes.cli.main({argv!r})\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('duplexes.')))"
+    )
+    assert out.splitlines() == ["3 ['duplexes.cli', 'duplexes.errors', 'duplexes.planar_trees', 'duplexes.series']"]
+
+
 def test_importing_laws_loads_no_carrier():
     out = run_python("import sys, duplexes.laws\nprint(sorted(m for m in sys.modules if m.startswith('duplexes.')))")
     assert out.splitlines() == ["['duplexes.errors', 'duplexes.laws']"]
