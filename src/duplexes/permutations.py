@@ -217,24 +217,42 @@ def enumerate_permutations(n: int) -> tuple[Permutation, ...]:
 
 def enumerate_indecomposable(n: int, kind: IndecKind) -> tuple[Permutation, ...]:
     """All degree-n indecomposables of the given kind, in lexicographic order:
-    the slice of :func:`enumerate_permutations` whose first cuts do not
-    split the kind.  A ``kind`` that is not an :class:`IndecKind` member
-    raises ``TypeError``."""
+    the slice of :func:`enumerate_permutations` whose cuts, read off the
+    degree's cached :func:`_dot_cuts` masks, do not split the kind.  The
+    ``*`` cuts are the masks read in reverse, as :func:`xi` swaps the two
+    products and reverses the slice; no permutation is scanned.  A ``kind``
+    that is not an :class:`IndecKind` member raises ``TypeError``, before
+    the degree is checked."""
     check_member("kind", kind, IndecKind)
-    tags = _first_cut_tags(n)
-    splits = map(_SPLITTING_TAGS[kind].__contains__, tags)
+    check_degree(n, DEFAULT_PERMUTATION_BOUND)
+    dots = _dot_cuts(n)
+    if kind is IndecKind.SHARP:
+        splits = dots
+    elif kind is IndecKind.NATURAL:
+        splits = reversed(dots)
+    else:
+        splits = map(operator.or_, dots, reversed(dots))
     return tuple(itertools.compress(_all_permutations(n), map(operator.not_, splits)))
 
 
 @lru_cache(maxsize=None)
-def _first_cut_tags(n: int) -> tuple[str | None, ...]:
-    """The symbol of each degree-n permutation's first cut, None for the doubly
-    indecomposables, in the slice's order; shared by the three kinds."""
-    tags = []
-    for f in enumerate_permutations(n):
-        cut = _cut(f.images, 0, n, 1)
-        tags.append(None if cut is None else cut[0])
-    return tuple(tags)
+def _dot_cuts(n: int) -> tuple[int, ...]:
+    """Each degree-n permutation's ``.`` cuts, in the slice's order: bit i-1
+    is set when its first i images are {1..i}, for 0 < i < n.  The slice is
+    n runs, one per first image v, each the degree n-1 slice with the values
+    from v up raised by one.  A prefix of length i > 1 is {1..i} exactly
+    when v <= i and the rest's prefix of length i-1 is {1..i-1}, so run v
+    holds the lower masks with the bits below v-2 cleared, shifted up one;
+    run 1 also sets bit 0."""
+    if n == 1:
+        return (0,)
+    lower = _dot_cuts(n - 1)
+    runs = [map(operator.or_, map(operator.lshift, lower, itertools.repeat(1)), itertools.repeat(1))]
+    runs += [
+        map(operator.lshift, map(operator.and_, lower, itertools.repeat(-1 << (v - 2))), itertools.repeat(1))
+        for v in range(2, n + 1)
+    ]
+    return tuple(itertools.chain.from_iterable(runs))
 
 
 def count_indecomposable(n: int, kind: IndecKind) -> int:

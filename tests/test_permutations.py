@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 
 from conftest import alternating, nest_images, permutation_strategy
+from duplexes import permutations
 from duplexes.decorated_trees import DuplexExpr, dot, enumerate_decorated, eval_hom, leaf_expr, star
 from duplexes.errors import BoundExceeded, InvalidDegree, ParseError
 from duplexes.permutations import (
@@ -25,7 +26,7 @@ from duplexes.permutations import (
     sharp,
     sharp_factorize,
     xi,
-    _first_cut_tags,
+    _dot_cuts,
     _validate_images,
 )
 
@@ -376,9 +377,64 @@ def test_enumerate_bounds():
         enumerate_permutations(0)
 
 
+@pytest.mark.parametrize("n", [9, 0])
+def test_enumerate_indecomposable_checks_the_degree_before_any_work(monkeypatch, n):
+    def forbidden(*args):
+        raise AssertionError("a slice was built for a degree out of bounds")
+
+    monkeypatch.setattr(permutations, "_all_permutations", forbidden)
+    monkeypatch.setattr(permutations, "_dot_cuts", forbidden)
+    for kind in IndecKind:
+        if n > 8:
+            with pytest.raises(BoundExceeded, match="^degree 9 exceeds the enumeration bound 8$"):
+                enumerate_indecomposable(n, kind)
+        else:
+            with pytest.raises(InvalidDegree):
+                enumerate_indecomposable(n, kind)
+    # the kind is checked before the degree
+    with pytest.raises(TypeError, match="IndecKind.SHARP, IndecKind.NATURAL or IndecKind.S2"):
+        enumerate_indecomposable(n, "s2")
+
+
+def test_slices_select_what_the_cut_scan_selects(monkeypatch):
+    # two independent routes: is_indecomposable scans each permutation with
+    # _cut, and the slices are built from the prefix masks with _cut disabled
+    scanned = {
+        (n, kind): tuple(f for f in enumerate_permutations(n) if is_indecomposable(f, kind))
+        for n in range(1, 9)
+        for kind in IndecKind
+    }
+
+    def forbidden(*args):
+        raise AssertionError("a slice scanned a permutation for its cuts")
+
+    monkeypatch.setattr(permutations, "_cut", forbidden)
+    _dot_cuts.cache_clear()
+    for (n, kind), expected in scanned.items():
+        assert enumerate_indecomposable(n, kind) == expected, (n, kind)
+
+
+def test_natural_slice_is_the_sharp_slice_under_xi():
+    # xi swaps the two products and reverses the lexicographic slice
+    for n in range(1, 9):
+        sharp_slice = enumerate_indecomposable(n, IndecKind.SHARP)
+        assert enumerate_indecomposable(n, IndecKind.NATURAL) == tuple(map(xi, reversed(sharp_slice))), n
+        assert tuple(map(xi, enumerate_permutations(n))) == enumerate_permutations(n)[::-1], n
+
+
+def test_dot_cut_masks_are_the_prefix_sets():
+    for n in range(1, 8):
+        expected = tuple(
+            sum(1 << (i - 1) for i in range(1, n) if set(f.images[:i]) == set(range(1, i + 1)))
+            for f in enumerate_permutations(n)
+        )
+        assert _dot_cuts(n) == expected, n
+        assert all(type(mask) is int and 0 <= mask < 1 << max(n - 1, 0) for mask in _dot_cuts(n))
+
+
 def test_kind_must_be_a_member():
     # a string or None is rejected before the slices' cache is looked up
-    cached = _first_cut_tags.cache_info()
+    cached = _dot_cuts.cache_info()
     for kind in ("sharp", "s2", None):
         with pytest.raises(TypeError, match="IndecKind.SHARP, IndecKind.NATURAL or IndecKind.S2"):
             is_indecomposable(P(2, 3, 1), kind)
@@ -386,7 +442,7 @@ def test_kind_must_be_a_member():
             enumerate_indecomposable(3, kind)
         with pytest.raises(TypeError, match="IndecKind.SHARP, IndecKind.NATURAL or IndecKind.S2"):
             count_indecomposable(5, kind)
-    assert _first_cut_tags.cache_info() == cached
+    assert _dot_cuts.cache_info() == cached
 
 
 def test_chain_count_matches_scan():

@@ -260,7 +260,7 @@ def test_indecomposable_counts_build_no_permutations(monkeypatch):
         raise AssertionError("a count built the permutations")
 
     monkeypatch.setattr(permutations, "_all_permutations", forbidden)
-    monkeypatch.setattr(permutations, "_first_cut_tags", forbidden)
+    monkeypatch.setattr(permutations, "_dot_cuts", forbidden)
     assert from_counts("sharp-indec", 8).coefficients[8] == 29093
     assert from_counts("s2-indec", 8).coefficients[8] == 17866
     for name in ("usformula", "desformula", "cor52"):
