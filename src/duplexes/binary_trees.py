@@ -21,18 +21,9 @@ from itertools import product, starmap
 from operator import mod
 from typing import Callable, Iterable
 
+from ._values import DuplexOps, _build, _ColumnCache
 from .errors import InvalidDegree, ParseError, StubNotSplittable, check_degree
-from .planar_trees import (
-    LEAF,
-    DuplexOps,
-    PlanarTree,
-    _build,
-    _ColumnCache,
-    _tree,
-    format_tree,
-    leaf_count,
-    parse_tree,
-)
+from .planar_trees import LEAF, PlanarTree, _tree, format_tree, leaf_count, parse_tree
 
 DEFAULT_BINARY_BOUND = 10
 

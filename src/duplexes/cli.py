@@ -258,7 +258,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_factor(args) -> int:
-    from . import decorated_trees, permutations
+    from . import permutations
 
     f = permutations.parse_permutation(args.perm)
     inputs = {"perm": permutations.format_permutation(f), "mode": args.mode}
@@ -267,6 +267,8 @@ def _cmd_factor(args) -> int:
         factors = [permutations.format_permutation(g) for g in factorize(f)]
         _emit(args, inputs, factors, [" ".join(factors)])
         return EXIT_OK
+    from . import decorated_trees
+
     expr = permutations.duplex_factorize(f)
     text = decorated_trees.format_expr(expr, permutations.format_permutation)
     tree_text, tag, labels = decorated_trees.expr_to_machine(expr, permutations.format_permutation)
@@ -277,13 +279,17 @@ def _cmd_factor(args) -> int:
 def _expr_image(morphism: str, text: str) -> str:
     """The image of the expression ``text`` under ``alpha``, ``rho`` or
     ``leafsigns``, as text; every identifier in ``text`` is a generator."""
-    from . import cubes, decorated_trees, morphisms, permutations, planar_trees
+    from . import decorated_trees, morphisms, planar_trees  # decorated_trees loads planar_trees
 
     expr = decorated_trees.parse_expr(text, set(re.findall(r"[a-z][a-z0-9]*", text)) or {"e"})
     if morphism == "alpha":
+        from . import permutations
+
         return permutations.format_permutation(morphisms.alpha(expr))
     if morphism == "rho":
         return planar_trees.format_tree(morphisms.rho(expr))
+    from . import cubes
+
     return cubes.format_cube(morphisms.leaf_sign_vector(expr))
 
 

@@ -22,8 +22,8 @@ import re
 from itertools import product
 from typing import Callable, Iterable
 
+from ._values import DuplexOps, _build, _Value
 from .errors import ParseError, check_degree, check_text
-from .planar_trees import DuplexOps, _build, _Value
 
 DEFAULT_CUBE_BOUND = 16
 

@@ -34,6 +34,7 @@ from itertools import chain, cycle, islice, product
 from operator import add, attrgetter
 from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
+from ._values import DuplexOps, _build, _ColumnCache, _Value
 from .errors import (
     ExprSyntaxError,
     MixedChainError,
@@ -43,17 +44,7 @@ from .errors import (
     check_degree,
     check_text,
 )
-from .planar_trees import (
-    LEAF,
-    DuplexOps,
-    PlanarTree,
-    _build,
-    _ColumnCache,
-    _tree,
-    _tree_texts,
-    _Value,
-    parse_tree,
-)
+from .planar_trees import PlanarTree, _tree, _tree_texts, parse_tree
 
 DEFAULT_DECORATED_BOUND = 8
 

@@ -11,7 +11,9 @@ defined:
 
 Both products admit unique factorization into indecomposables, and the two
 factorizations interleave into a unique expression tree over the doubly
-indecomposable permutations (:func:`duplex_factorize`).
+indecomposable permutations (:func:`duplex_factorize`).  That tree is a
+:mod:`duplexes.decorated_trees` expression, a module read on the first such
+factorization: nothing else here needs it.
 """
 from __future__ import annotations
 
@@ -22,11 +24,14 @@ import re
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from .decorated_trees import GENERATOR_TREE, DecoratedTree, DuplexExpr, DuplexOps, _decorated, _expr
+from ._values import DuplexOps, _build, _ColumnCache, _Value
 from .errors import ParseError, check_degree, check_member, check_text
-from .planar_trees import _build, _ColumnCache, _Value
 
 DEFAULT_PERMUTATION_BOUND = 8
+
+# what duplex_factorize builds its result with, read from decorated_trees on
+# its first call (see _read_decorated_trees), so that no other use loads it
+GENERATOR_TREE = _decorated = _expr = None
 
 
 class Permutation(_Value):
@@ -309,7 +314,10 @@ def duplex_factorize(f: Permutation) -> DuplexExpr:
     order above a ``None`` that closes it, and the tree's text is written in
     preorder as they are popped, so any depth works.  The tree and the
     labels are built here, so the result skips :class:`DuplexExpr`'s check.
+    The first call reads :mod:`duplexes.decorated_trees`.
     """
+    if _expr is None:
+        _read_decorated_trees()
     images = f.images
     root = _cut(images, 0, len(images), 1)
     if root is None:
@@ -343,6 +351,12 @@ def duplex_factorize(f: Permutation) -> DuplexExpr:
             pending.append(None)
             push(_chain(images, start, end, low, cut))
     return _expr(_decorated("".join(text) + root[0]), tuple(labels))
+
+
+def _read_decorated_trees() -> None:
+    # binds the module globals, in order: once _expr is set, the other two are
+    global GENERATOR_TREE, _decorated, _expr
+    from .decorated_trees import GENERATOR_TREE, _decorated, _expr
 
 
 def _cut(images: tuple[int, ...], start: int, end: int, low: int) -> tuple[str, int, bool] | None:

@@ -14,9 +14,8 @@ import itertools
 import operator
 from typing import Iterable, NamedTuple
 
-from . import planar_trees
+from ._values import _Value
 from .errors import ComposeNonzeroConstant, CountRouteMismatch, InvalidDegree, check_degree
-from .planar_trees import _Value
 
 
 class Series(_Value):
@@ -145,7 +144,10 @@ def from_counts(source: str, order: int, alphabet_size: int = 1) -> Series:
     if source == "factorials":
         return Series((0, *itertools.accumulate(range(1, order + 1), operator.mul)))
     if source == "super-catalan":
-        return Series((0, *planar_trees._super_catalans(order)))
+        # imported here: only this source and the dupl check count planar trees
+        from .planar_trees import _super_catalans
+
+        return Series((0, *_super_catalans(order)))
     if source == "catalan":
         return Series((0, *itertools.accumulate(range(1, order), _catalan_step, initial=1)))
     if source == "sharp-indec":
@@ -294,7 +296,9 @@ def _check_labeled_duplex_series(order: int) -> list[CheckResult]:
     # the slices are enumerated and the tree counts C_n computed once, then
     # both are counted over both alphabets
     unlabelled = from_counts("dupl", order)
-    tree_counts = (0, *planar_trees._super_catalans(order))
+    from .planar_trees import _super_catalans  # once from_counts has checked the bound
+
+    tree_counts = (0, *_super_catalans(order))
     results = []
     for s in (1, 2):
         counted = _over_alphabet(unlabelled, s)

@@ -183,6 +183,8 @@ def test_usage_errors(capsys):
     assert run(capsys, "eval", "--expr", "e.e*e", "--target", "perm")[0] == 2
     assert run(capsys, "count", "--sequence", "u", "--max", "3", "--bogus")[0] == 2
     assert run(capsys, "verify", "--check", "nonsense")[0] == 2
+    stub = run(capsys, "map", "--morphism", "phi", "--input", "|")
+    assert stub == (2, "", "error: the stub is not an element and has no image\n")
 
 
 def test_bound_exceeded_exit(capsys):

@@ -51,13 +51,19 @@ def test_importing_the_cli_loads_no_carrier_and_no_dataclasses():
 @pytest.mark.parametrize(
     "argv, absent",
     [
-        (("enumerate", "--structure", "cube", "--n", "3"), {"permutations", "decorated_trees", "laws", "series", "morphisms"}),
+        (
+            ("enumerate", "--structure", "cube", "--n", "3"),
+            {"permutations", "decorated_trees", "planar_trees", "laws", "series", "morphisms"},
+        ),
         (
             ("enumerate", "--structure", "binary", "--n", "3"),
             {"permutations", "decorated_trees", "laws", "series", "morphisms", "cubes"},
         ),
         (("factor", "--perm", "(3,1,2)", "--mode", "duplex"), {"laws", "series", "morphisms"}),
-        (("verify", "--check", "ass", "--order", "3"), {"permutations", "decorated_trees", "laws", "morphisms", "cubes"}),
+        (
+            ("verify", "--check", "ass", "--order", "3"),
+            {"permutations", "decorated_trees", "planar_trees", "laws", "morphisms", "cubes"},
+        ),
         (
             ("count", "--sequence", "catalan", "--max", "8"),
             {"permutations", "decorated_trees", "laws", "morphisms", "cubes", "binary_trees"},
@@ -74,17 +80,37 @@ def test_importing_the_cli_loads_no_carrier_and_no_dataclasses():
             ("laws", "--structure", "decorated", "--variety", "duplex", "--bound", "3"),
             {"permutations", "binary_trees", "cubes", "series", "morphisms"},
         ),
-        # a permutation's factorization is a decorated-tree expression, so
-        # permutations itself imports decorated_trees
         (
             ("laws", "--structure", "perm", "--variety", "duplex", "--bound", "3"),
-            {"binary_trees", "cubes", "series", "morphisms"},
+            {"decorated_trees", "planar_trees", "binary_trees", "cubes", "series", "morphisms"},
         ),
-        (("map", "--morphism", "phi", "--input", "(||)"), {"laws", "series"}),
+        (("map", "--morphism", "phi", "--input", "(||)"), {"permutations", "decorated_trees", "laws", "series"}),
+        # the permutation-only commands load no tree module
+        (
+            ("count", "--sequence", "u", "--max", "6"),
+            {"decorated_trees", "planar_trees", "binary_trees", "cubes", "laws", "morphisms"},
+        ),
+        (
+            ("verify", "--check", "usformula", "--order", "5"),
+            {"decorated_trees", "planar_trees", "binary_trees", "cubes", "laws", "morphisms"},
+        ),
+        (
+            ("enumerate", "--structure", "perm", "--n", "4"),
+            {"decorated_trees", "planar_trees", "binary_trees", "cubes", "laws", "series", "morphisms"},
+        ),
+        (
+            ("factor", "--perm", "(3,1,2)", "--mode", "sharp"),
+            {"decorated_trees", "planar_trees", "binary_trees", "cubes", "laws", "series", "morphisms"},
+        ),
+        (
+            ("eval", "--target", "cube", "--expr", "e.(e*e)"),
+            {"permutations", "binary_trees", "laws", "series"},
+        ),
     ],
     ids=[
         "enumerate", "enumerate-binary", "factor", "verify", "count",
         "laws", "laws-binary", "laws-decorated", "laws-perm", "map",
+        "count-u", "verify-usformula", "enumerate-perm", "factor-sharp", "eval-cube",
     ],  # fmt: skip
 )
 def test_a_subcommand_loads_only_what_it_runs(argv, absent):
@@ -114,12 +140,54 @@ def test_a_verify_order_past_its_bound_loads_no_carrier(check):
         f"code = duplexes.cli.main({argv!r})\n"
         "print(code, sorted(m for m in sys.modules if m.startswith('duplexes.')))"
     )
-    assert out.splitlines() == ["3 ['duplexes.cli', 'duplexes.errors', 'duplexes.planar_trees', 'duplexes.series']"]
+    assert out.splitlines() == ["3 ['duplexes._values', 'duplexes.cli', 'duplexes.errors', 'duplexes.series']"]
 
 
 def test_importing_laws_loads_no_carrier():
     out = run_python("import sys, duplexes.laws\nprint(sorted(m for m in sys.modules if m.startswith('duplexes.')))")
     assert out.splitlines() == ["['duplexes.errors', 'duplexes.laws']"]
+
+
+@pytest.mark.parametrize(
+    "module, absent",
+    [
+        ("permutations", {"decorated_trees", "planar_trees"}),
+        ("series", {"planar_trees", "permutations", "decorated_trees"}),
+        ("morphisms", {"permutations", "decorated_trees", "cubes"}),
+    ],
+    ids=["permutations", "series", "morphisms"],
+)
+def test_a_module_loads_no_carrier_it_does_not_build(module, absent):
+    out = run_python(f"import json, sys, duplexes.{module}\nprint(json.dumps(list(sys.modules)))")
+    loaded = package_modules(json.loads(out))
+    assert module in loaded
+    assert not loaded & absent
+
+
+# in the child: duplex_factorize reads decorated_trees on its first call; the
+# globals it fills are reset before every permutation of the first pass, so
+# each of them is factorized through that first-use path once
+FIRST_USE = """
+import itertools, sys
+from duplexes import permutations as p
+assert "duplexes.decorated_trees" not in sys.modules
+perms = [p.Permutation(images) for n in range(1, 7) for images in itertools.permutations(range(1, n + 1))]
+first = []
+for f in perms:
+    p.GENERATOR_TREE = p._decorated = p._expr = None
+    first.append(p.duplex_factorize(f))
+from duplexes.decorated_trees import DuplexExpr, format_expr
+later = [p.duplex_factorize(f) for f in perms]
+assert all(type(x) is DuplexExpr for x in first)
+assert first == later
+assert [format_expr(x, p.format_permutation) for x in first] == [format_expr(x, p.format_permutation) for x in later]
+assert [p.multiply_out(x) for x in first] == perms
+print(len(perms))
+"""
+
+
+def test_the_first_duplex_factorization_reads_decorated_trees_and_equals_the_later_ones():
+    assert run_python(FIRST_USE).split() == ["873"]
 
 
 # the package's exports, sorted: every name the package resolves on first use, and its modules
