@@ -41,7 +41,7 @@ _EXPORTS = {
         ("DuplexOps", "LEAF", "PlanarTree", "enumerate_trees", "leaf_count", "super_catalan"),
         "planar_trees",
     ),
-    **dict.fromkeys(("Series", "from_counts", "sum_of_powers", "verify_identity"), "series"),
+    **dict.fromkeys(("Series", "from_counts", "verify_identity"), "series"),
 }
 _SUBMODULES = frozenset(_EXPORTS.values())
 

@@ -1,7 +1,7 @@
 """Decorated planar trees: the free two-operation structure.
 
-A decorated tree is a planar tree whose internal vertices carry alternating
-``.`` / ``*`` signs by level parity.  Only the sign class of the root is
+A decorated tree is a planar tree whose internal vertices carry ``.`` /
+``*`` signs that alternate by level parity.  Only the sign class of the root is
 stored (the tag); every other vertex sign is derived, so an inconsistent
 decoration cannot be built.  The single leaf tree is untagged and plays the
 role of the generator.  A decorated tree is one string, its form: the

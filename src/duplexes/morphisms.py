@@ -9,8 +9,7 @@ three on expressions raise ``ValueError`` for more than one generator:
 * :func:`leaf_sign_vector` — the direct description of ``phi(rho(x))`` read
   off the decorated tree itself.
 
-Each map reads the carrier names it uses from their modules on its first
-call and keeps them (the globals below start as ``None``), so importing
+Each map imports the carrier names it uses inside its body, so importing
 this module loads none of ``permutations``, ``decorated_trees`` and
 ``cubes``, and ``phi`` loads neither of the first two.
 """
@@ -18,8 +17,6 @@ from __future__ import annotations
 
 from .errors import StubNotSplittable
 from .planar_trees import _tree
-
-_ONE = _place_blocks = _cube = format_expr = None
 
 
 def _single_generator(x: DuplexExpr) -> None:
@@ -35,9 +32,8 @@ def alpha(x: DuplexExpr) -> Permutation:
     Every leaf is the block ``(1)``, placed at its value offset by the
     reader :func:`multiply_out` uses, so the cost is linear at any depth.
     """
-    global _ONE, _place_blocks
-    if _place_blocks is None:  # bound in order, so _ONE is set too
-        from .permutations import _ONE, _place_blocks
+    from .permutations import _ONE, _place_blocks
+
     _single_generator(x)
     if x.tree.form == "||":
         return _ONE
@@ -87,9 +83,8 @@ def phi(u: PlanarTree) -> CubeVertex:
     child exactly when it does not follow a ``(``.  Equals
     ``eval_duplexes1(u, SINGLETON, CUBE_OPS)``, the generic fold.
     """
-    global _cube
-    if _cube is None:
-        from .cubes import _cube
+    from .cubes import _cube
+
     if u.is_leaf:
         raise StubNotSplittable("the stub is not an element and has no image")
     text = u.text
@@ -111,11 +106,9 @@ def leaf_sign_vector(x: DuplexExpr) -> CubeVertex:
     That is the operator word of ``x``'s text, so it is read off
     :func:`format_expr` with the labels left out, at any depth.
     """
-    global _cube, format_expr
-    if _cube is None:
-        from .cubes import _cube
-    if format_expr is None:
-        from .decorated_trees import format_expr
+    from .cubes import _cube
+    from .decorated_trees import format_expr
+
     _single_generator(x)
     word = format_expr(x, lambda _: "").replace("(", "").replace(")", "")
     return _cube("<" + ",".join(word).replace(".", "-1").replace("*", "+1") + ">" if word else "e")

@@ -30,7 +30,9 @@ from .errors import ParseError, check_degree, check_member, check_text
 DEFAULT_PERMUTATION_BOUND = 8
 
 # what duplex_factorize builds its result with, read from decorated_trees on
-# its first call (see _read_decorated_trees), so that no other use loads it
+# its first call (see _read_decorated_trees), so that no other use loads it;
+# kept as globals, not a function-level import, because that import costs about
+# 1 µs against a call of about 5 µs on the degree-8 slice
 GENERATOR_TREE = _decorated = _expr = None
 
 
@@ -537,12 +539,13 @@ def _template(n: int) -> str:
     return "(" + ",".join(["%d"] * n) + ")"
 
 
-_PERM_TEXT = re.compile(r"\(\s*\d+\s*(?:,\s*\d+\s*)*\)")
+_PERM_TEXT = re.compile(r"\(\s*[0-9]+\s*(?:,\s*[0-9]+\s*)*\)")  # ASCII numerals; \d takes any Unicode digit
 
 
 def parse_permutation(text: str) -> Permutation:
-    """Parse ``"(3,1,2)"``; whitespace is insignificant.  Rejects sequences
-    that are not bijections, naming the repeated or missing value."""
+    """Parse ``"(3,1,2)"``; whitespace is insignificant and numerals are
+    ASCII digits.  Rejects sequences that are not bijections, naming the
+    repeated or missing value."""
     check_text(text)
     stripped = text.strip()
     if not _PERM_TEXT.fullmatch(stripped):

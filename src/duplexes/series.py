@@ -2,11 +2,11 @@
 
 Every identity the package cares about is integral, so coefficients are
 plain Python ints and every check is exact.  A series has one order:
-``+``, ``-``, ``*``, ``compose`` and a check's comparison take two series of
-one order, and two orders raise ``ArithmeticError`` naming both, so a route
-that comes back short fails its check instead of passing a shorter one.
-Sums over all powers of a series are finite here because the inner series
-always has zero constant term, so powers beyond the truncation order vanish.
+``+``, ``-``, ``*``, ``/``, ``compose`` and a check's comparison take two
+series of one order, and two orders raise ``ArithmeticError`` naming both, so
+a route that comes back short fails its check instead of passing a shorter
+one.  A sum over all powers of a series g with zero constant term is the
+exact quotient it equals: sum_k g^k = g/(1 - g), sum_k (-1)^(k-1) g^k = g/(1 + g).
 """
 from __future__ import annotations
 
@@ -19,7 +19,10 @@ from .errors import ComposeNonzeroConstant, CountRouteMismatch, InvalidDegree, c
 
 
 class Series(_Value):
-    """Coefficients ``a0..aN`` of a series truncated at order ``N``."""
+    """Coefficients ``a0..aN`` of a series truncated at order ``N``.
+
+    ``a / b`` is the exact quotient for a divisor ``b`` with constant term 1,
+    the one series q with q*b = a at this order."""
 
     __slots__ = ("coefficients",)
     coefficients: tuple[int, ...]
@@ -64,6 +67,17 @@ class Series(_Value):
                 out[i + j] += a * other.coefficients[j]
         return Series(tuple(out))
 
+    def __truediv__(self, other: "Series") -> "Series":
+        _common_order(self, other)
+        b = other.coefficients
+        if b[0] != 1:
+            raise ArithmeticError(f"a divisor needs constant term 1, got {b[0]}")
+        q = []
+        for a in self.coefficients:
+            # (q*b)_n = q_n + sum of b_j * q_(n-j) over 1 <= j <= n, with n = len(q)
+            q.append(a - sum(map(operator.mul, b[1 : len(q) + 1], reversed(q))))
+        return Series(q)
+
     def scale(self, factor: int) -> "Series":
         return Series(tuple(factor * c for c in self.coefficients))
 
@@ -86,23 +100,6 @@ def _common_order(a: Series, b: Series) -> int:
     return a.order
 
 
-def sum_of_powers(g: Series, alternating: bool = False) -> Series:
-    """Sum of ``g^k`` for k >= 1 (signs alternating if asked), truncated at
-    ``g``'s order; needs a zero constant term so the sum is finite.
-
-    The sum S solves S = g + S*g (S = g - S*g when alternating), which
-    gives its coefficients one at a time in O(order^2), forming no power."""
-    c = g.coefficients
-    if c[0] != 0:
-        raise ComposeNonzeroConstant("power sums need a zero constant term")
-    sign = -1 if alternating else 1
-    s = [0] * len(c)
-    for n in range(1, len(c)):
-        # (S*g)_n = sum of g_j * s_(n-j) over 1 <= j < n, as g_0 = s_0 = 0
-        s[n] = c[n] + sign * sum(map(operator.mul, c[1:n], reversed(s[1:n])))
-    return Series(s)
-
-
 # --- named coefficient sources -----------------------------------------------
 
 # The largest order of each source, checked before any coefficient is
@@ -123,7 +120,7 @@ def from_counts(source: str, order: int, alphabet_size: int = 1) -> Series:
 
     ``sharp-indec`` and ``s2-indec`` are computed both by the chain count
     :func:`~duplexes.permutations.count_indecomposable` and by the
-    alternating block-sum formulas; the two routes must agree, and a
+    inclusion-exclusion formulas over block sums; the two routes must agree, and a
     disagreement raises :class:`~duplexes.errors.CountRouteMismatch`, which
     names its first differing degree and carries the comparison.  ``dupl`` counts
     label-decorated trees over an alphabet of ``alphabet_size`` generators,
@@ -182,8 +179,9 @@ def _count_indec(kind: str, order: int) -> Series:
 
 
 def _sharp_indec_formula(order: int) -> Series:
-    # inclusion-exclusion over ordered block splits: sum_k (-1)^(k-1) psi^k
-    return sum_of_powers(from_counts("factorials", order), alternating=True)
+    # inclusion-exclusion over ordered block splits: sum_k (-1)^(k-1) psi^k = psi/(1 + psi)
+    psi = from_counts("factorials", order)
+    return psi / (Series.constant(1, order) + psi)
 
 
 def _cross_checked(counted: Series, formula: Series, source: str) -> Series:
@@ -277,18 +275,19 @@ def _check_tree_series_sqrt(order: int) -> list[CheckResult]:
 
 
 def _check_factorial_composition(order: int) -> list[CheckResult]:
-    # factorials = sum over k of u^k, u the chain-counted sharp-indecomposable
-    # series, not from_counts's: its cross-check would settle this comparison
+    # factorials = sum over k of u^k = u/(1 - u), u the chain-counted
+    # sharp-indecomposable series, not from_counts's: its cross-check would
+    # settle this comparison
     u = _count_indec("sharp", order)
     psi = from_counts("factorials", order)
-    return [_compare("sum_k u(T)^k = sum n! T^n", sum_of_powers(u), psi)]
+    return [_compare("sum_k u(T)^k = sum n! T^n", u / (Series.constant(1, order) - u), psi)]
 
 
 def _check_tree_series_doubling(order: int) -> list[CheckResult]:
-    # sum over k of g^k = T + 2(g - T) with g the tree-count series
+    # sum over k of g^k = g/(1 - g) = T + 2(g - T) with g the tree-count series
     g = from_counts("super-catalan", order)
     t = Series.monomial(1, order)
-    return [_compare("sum_k g^k = T + 2(g-T)", sum_of_powers(g), t + (g - t).scale(2))]
+    return [_compare("sum_k g^k = T + 2(g-T)", g / (Series.constant(1, order) - g), t + (g - t).scale(2))]
 
 
 def _check_labeled_duplex_series(order: int) -> list[CheckResult]:

@@ -180,6 +180,11 @@ def test_verify_all_checks(capsys):
 
 def test_usage_errors(capsys):
     assert run(capsys, "factor", "--perm", "(1,1)", "--mode", "sharp")[0] == 2
+    assert run(capsys, "factor", "--perm", "(\uff11)", "--mode", "duplex") == (
+        2,
+        "",
+        "error: expected a parenthesized list of integers, got '(\uff11)'\n",
+    )
     assert run(capsys, "eval", "--expr", "e.e*e", "--target", "perm")[0] == 2
     assert run(capsys, "count", "--sequence", "u", "--max", "3", "--bogus")[0] == 2
     assert run(capsys, "verify", "--check", "nonsense")[0] == 2

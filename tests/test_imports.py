@@ -203,7 +203,7 @@ EXPORTS = [
     "eval_duplexes1", "eval_hom", "format_expr", "format_permutation", "from_counts",
     "is_indecomposable", "laws", "leaf_count", "leaf_expr", "leaf_sign_vector", "morphisms",
     "multiply_out", "natural", "natural_factorize", "over", "parse_expr", "parse_permutation", "permutations",
-    "phi", "planar_trees", "rho", "series", "sharp", "sharp_factorize", "split", "star", "sum_of_powers",
+    "phi", "planar_trees", "rho", "series", "sharp", "sharp_factorize", "split", "star",
     "super_catalan", "under", "verify_identity", "xi",
 ]  # fmt: skip
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -186,3 +187,32 @@ def test_alpha_inverts_factorization_on_identity_leaves():
             if set(x.labels) == {one}:
                 relabeled = DuplexExpr(x.tree, ("e",) * n, frozenset("e"))
                 assert alpha(relabeled) == f
+
+
+# --- separable permutations: a third route to the freeness of the slices ------
+
+
+def _separable(images):
+    # the naive characterization (Bose, Buss and Lubiw, IPL 1998): no four
+    # positions whose values stand in the relative order 2413 or 3142; kept
+    # naive on purpose, since a stack recognizer would share the cut logic
+    for sub in itertools.combinations(images, 4):
+        ranks = sorted(sub)
+        if tuple(ranks.index(v) for v in sub) in ((1, 3, 0, 2), (2, 0, 3, 1)):
+            return False
+    return True
+
+
+def test_alpha_is_a_bijection_onto_the_separable_permutations():
+    for n, size in enumerate((1, 2, 6, 22, 90, 394, 1806), start=1):
+        images = {alpha(over_e(t)).images for t in enumerate_decorated(n)}
+        separable = {f.images for f in enumerate_permutations(n) if _separable(f.images)}
+        assert len(enumerate_decorated(n)) == len(images) == size  # so alpha is injective on the slice
+        assert images == separable
+
+
+def test_duplex_factors_are_all_degree_one_exactly_on_separable_permutations():
+    for n in range(1, 8):
+        for f in enumerate_permutations(n):
+            leaves_only = all(label.degree == 1 for label in duplex_factorize(f).labels)
+            assert leaves_only == _separable(f.images), f

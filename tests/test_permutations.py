@@ -120,6 +120,15 @@ def test_format_is_the_spaceless_repr_at_every_degree():
 
 def test_parse_accepts_whitespace():
     assert parse_permutation(" ( 3 , 1 , 2 ) ") == P(3, 1, 2)
+    assert parse_permutation("(1\u00a0,2)") == P(1, 2)  # a no-break space is whitespace too
+
+
+@pytest.mark.parametrize("text", ["(\u0663,\u0661,\u0662)", "(\uff11)"], ids=["arabic-indic", "fullwidth"])
+def test_parse_takes_ascii_numerals_only(text):
+    # int() reads any Unicode decimal digit; the permutation grammar, like the
+    # cube and expression grammars, takes ASCII only
+    with pytest.raises(ParseError, match="^expected a parenthesized list of integers"):
+        parse_permutation(text)
 
 
 def test_parse_diagnostics():

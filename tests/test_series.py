@@ -17,7 +17,6 @@ from duplexes.series import (
     Series,
     _compare,
     from_counts,
-    sum_of_powers,
     verify_identity,
 )
 
@@ -45,7 +44,7 @@ def test_operations_reject_two_orders():
     # short route cannot pass as a shorter check
     long, short = series(0, 1, 1, 1, 1, 1), series(0, 1)
     compare = functools.partial(_compare, "demo")
-    for operate in (operator.add, operator.sub, operator.mul, Series.compose, compare):
+    for operate in (operator.add, operator.sub, operator.mul, operator.truediv, Series.compose, compare):
         for a, b in ((long, short), (short, long)):
             with pytest.raises(ArithmeticError, match=f"^series orders differ: {a.order} and {b.order}$") as caught:
                 operate(a, b)
@@ -89,14 +88,27 @@ def test_compose_matches_oracle(outer, inner):
 def test_compose_requires_zero_constant():
     with pytest.raises(ComposeNonzeroConstant):
         series(0, 1).compose(series(1, 1))
-    with pytest.raises(ComposeNonzeroConstant):
-        sum_of_powers(series(1, 1))
 
 
-def test_sum_of_powers():
+def test_division_needs_a_unit_constant_term():
+    for divisor in (series(0, 1), series(2, 1), series(-1, 1)):
+        with pytest.raises(ArithmeticError, match=f"^a divisor needs constant term 1, got {divisor.coefficients[0]}$"):
+            series(1, 1) / divisor
+
+
+def test_division_inverts_the_product():
+    rng = random.Random(36)
+    for order in range(12):
+        a = Series(rng.randint(-9, 9) for _ in range(order + 1))
+        b = Series((1, *(rng.randint(-9, 9) for _ in range(order))))
+        assert (a / b) * b == a
+
+
+def test_power_sums_are_quotients():
     g = series(0, 1, 0, 0)
-    assert sum_of_powers(g) == series(0, 1, 1, 1)
-    assert sum_of_powers(g, alternating=True) == series(0, 1, -1, 1)
+    one = Series.constant(1, 3)
+    assert g / (one - g) == series(0, 1, 1, 1)
+    assert g / (one + g) == series(0, 1, -1, 1)
 
 
 def _powers_reference(g, alternating):
@@ -108,12 +120,15 @@ def _powers_reference(g, alternating):
     return total
 
 
-def test_sum_of_powers_matches_the_power_loop():
+def test_power_sum_quotients_match_the_power_loop():
+    # sum_k g^k = g/(1 - g) and sum_k (-1)^(k-1) g^k = g/(1 + g)
     rng = random.Random(14)
     for order in range(30):
-        for alternating in (False, True):
-            g = Series((0, *(rng.randint(-9, 9) for _ in range(order))))
-            assert sum_of_powers(g, alternating) == _powers_reference(g, alternating)
+        one = Series.constant(1, order)
+        g = Series((0, *(rng.randint(-9, 9) for _ in range(order))))
+        assert g / (one - g) == _powers_reference(g, False)
+        g = Series((0, *(rng.randint(-9, 9) for _ in range(order))))
+        assert g / (one + g) == _powers_reference(g, True)
 
 
 def test_validation():
